@@ -11,6 +11,7 @@ import numpy as np
 
 import risopt as ro
 from risopt.fileio import write_csv
+from risopt.optimizer import DEFAULT_HISTOGRAM_BIN
 
 OUT = "demo-out"
 os.makedirs(OUT, exist_ok=True)
@@ -40,7 +41,9 @@ write_csv(
         "bin_right": [b[1] for b in result.histogram],
         "count": [b[2] for b in result.histogram],
     },
-    comments=("min achievable rate histogram, bin width 0.05 bps/Hz",),
+    comments=(
+        f"min achievable rate histogram, bin width {DEFAULT_HISTOGRAM_BIN} bps/Hz",
+    ),
 )
 print(f"histogram written to {OUT}/exhaustive_histogram.csv")
 

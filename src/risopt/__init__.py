@@ -24,7 +24,6 @@ from .beamforming import (
     duality_beamformer,
     fixed_point_power_balance,
     mmse_combiner,
-    no_ris_beamformer,
     noise_power,
     rates_from_sinr,
     uplink_sinr,

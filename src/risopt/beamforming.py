@@ -310,13 +310,3 @@ def duality_beamformer(
             stacklevel=2,
         )
     return beamformer, report
-
-
-def no_ris_beamformer(
-    components,
-    p_bs: float,
-    sigma2: float,
-    bandwidth: float = 1.0,
-) -> tuple[BeamformerMatrix, SinrReport]:
-    """Baseline beamformer on the RIS-free channel (h_u alone)."""
-    return duality_beamformer(components.h_u, p_bs, sigma2, bandwidth=bandwidth)

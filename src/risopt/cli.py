@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 
 from .beamforming import duality_beamformer, noise_power
-from .channel import assemble_effective_channel, evaluate_gain_map, gain_map_db
+from .channel import GAIN_FLOOR_DB, evaluate_gain_map, gain_map_db
 from .errors import ChannelFileError, RisOptError, SceneFileError
 from .fileio import (
     atomic_write_text,
@@ -32,10 +32,14 @@ from .fileio import (
     write_csv,
 )
 from .optimizer import (
+    DEFAULT_HISTOGRAM_BIN,
+    DEFAULT_OFFSETS_X,
+    DEFAULT_OFFSETS_Y,
     BcdSettings,
     alternating_optimize,
     exhaustive_1bit_search,
     perturbation_study,
+    user_offset_grid,
 )
 from .ris import DEFAULT_VARACTOR, column_paired_grouping, identity_grouping, load_impedances
 from .scene import default_scene, grid_scene, synthesize_components, trace_paths
@@ -45,8 +49,6 @@ MODES = ("no-ris", "continuous", "onebit-exhaustive", "perturbation", "gain-map"
 DEFAULT_POWERS_DBM = (10.0, 15.0, 20.0, 25.0, 30.0)
 DEFAULT_BANDWIDTH = 40e6  # Hz
 DEFAULT_TEMPERATURE = 900.0  # K
-
-GAIN_FLOOR_DB = -300.0
 
 
 @dataclass
@@ -64,12 +66,11 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: str = "risopt-out"
     reproducible: bool = False
-    threads: int = 1
     max_sweeps: int = BcdSettings().t_g
     eps_g: float = BcdSettings().eps_g
-    bin_width: float = 0.05
-    offsets_x: tuple = (-0.075, 0.0, 0.075)
-    offsets_y: tuple = (-0.092, 0.0, 0.092)
+    bin_width: float = DEFAULT_HISTOGRAM_BIN
+    offsets_x: tuple = DEFAULT_OFFSETS_X
+    offsets_y: tuple = DEFAULT_OFFSETS_Y
     src: tuple | None = None
     dst: tuple | None = None
 
@@ -81,8 +82,6 @@ class ExperimentConfig:
         for mode in self.modes:
             if mode not in MODES:
                 raise ValueError(f"unrecognized mode {mode!r}; choose from {MODES}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
     @property
     def sigma2(self) -> float:
@@ -199,12 +198,8 @@ def _mode_report(ws: Workspace, mode: str, p_bs: float):
             p_bs,
             cfg.sigma2,
             bin_width=cfg.bin_width,
-            workers=cfg.threads,
         )
-        best = result.best_config
-        z = load_impedances(ws.model, best, ws.components.frequency)
-        effective = assemble_effective_channel(ws.components, z)
-        _, report = duality_beamformer(effective, p_bs, cfg.sigma2)
+        report = result.best_report
         return (
             report.min_rate,
             report.avg_received_power,
@@ -270,7 +265,6 @@ def run_exhaustive(ws: Workspace) -> list:
         p_bs,
         cfg.sigma2,
         bin_width=cfg.bin_width,
-        workers=cfg.threads,
     )
     files = []
     files.append(
@@ -311,7 +305,7 @@ def run_perturbation(ws: Workspace) -> list:
     if ws.scene is None:
         raise SceneFileError("perturb needs a scene (user positions are re-traced)")
     p_bs = cfg.powers_watts()[-1]
-    offsets = [(dx, dy) for dx in cfg.offsets_x for dy in cfg.offsets_y]
+    offsets = user_offset_grid(cfg.offsets_x, cfg.offsets_y)
     result = perturbation_study(
         ws.scene,
         ws.model,
@@ -323,7 +317,7 @@ def run_perturbation(ws: Workspace) -> list:
     )
     files = []
     cols = {
-        "combination": list(range(result.improvements.size)),
+        "combination": result.combination_indices,
         "improvement_bps_hz": [float(v) for v in result.improvements],
     }
     path = ws.out_path("improvements.csv")
@@ -331,7 +325,11 @@ def run_perturbation(ws: Workspace) -> list:
         path,
         cols,
         ws.header("perturb")
-        + ["improvement: best 1-bit min rate minus no-RIS min rate per combination"],
+        + [
+            "improvement: best 1-bit min rate minus no-RIS min rate per combination",
+            "combination: index in itertools.product order of the per-user "
+            "offset indices; skipped combinations have no row",
+        ],
     )
     files.append(path)
     files.append(
@@ -357,13 +355,11 @@ def run_gain_map(ws: Workspace) -> list:
             ws.grouping_pairs(),
             p_bs,
             cfg.sigma2,
-            workers=cfg.threads,
         )
+        beamformer = result.best_beamformer
         z_loads = load_impedances(
             ws.model, result.best_config, ws.components.frequency
         )
-        effective = assemble_effective_channel(ws.components, z_loads)
-        beamformer, _ = duality_beamformer(effective, p_bs, cfg.sigma2)
     else:
         trace = _optimize_continuous(ws, p_bs)
         beamformer = trace.final_beamformer
@@ -376,7 +372,7 @@ def run_gain_map(ws: Workspace) -> list:
     files = []
     for beam in range(k_users):
         gains = evaluate_gain_map(grid_components, z_loads, beamformer, beam)
-        db = gain_map_db(gains, floor=GAIN_FLOOR_DB)
+        db = gain_map_db(gains)
         cols = {
             "x_m": [float(x) for x, _ in points],
             "y_m": [float(y) for _, y in points],
@@ -419,7 +415,6 @@ def run_optimize(ws: Workspace) -> list:
             ws.grouping_pairs(),
             p_bs,
             cfg.sigma2,
-            workers=cfg.threads,
         )
         best_path = ws.out_path("ris_config.json")
         save_ris_config(result.best_config, best_path)
@@ -526,7 +521,6 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="suppress volatile headers so reruns are byte-identical",
     )
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument(
         "--max-sweeps",
         type=int,
@@ -541,7 +535,7 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
         "(default keeps sweeping until the budget or zero progress; "
         "1e-9 is a practical alternative)",
     )
-    parser.add_argument("--bin-width", type=float, default=0.05)
+    parser.add_argument("--bin-width", type=float, default=DEFAULT_HISTOGRAM_BIN)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -575,18 +569,14 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         _common_flags(cmd)
         if name == "perturb":
-            cmd.add_argument(
-                "--offset-x",
-                action="append",
-                type=float,
-                help="per-user x offset grid, repeatable (default -0.075 0 0.075)",
-            )
-            cmd.add_argument(
-                "--offset-y",
-                action="append",
-                type=float,
-                help="per-user y offset grid, repeatable (default -0.092 0 0.092)",
-            )
+            for axis, default in (("x", DEFAULT_OFFSETS_X), ("y", DEFAULT_OFFSETS_Y)):
+                cmd.add_argument(
+                    f"--offset-{axis}",
+                    action="append",
+                    type=float,
+                    help=f"per-user {axis} offset grid, repeatable "
+                    f"(default {' '.join(f'{v:g}' for v in default)})",
+                )
     return parser
 
 
@@ -616,16 +606,11 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         seed=args.seed,
         out_dir=args.out,
         reproducible=args.reproducible,
-        threads=args.threads,
         max_sweeps=args.max_sweeps,
         eps_g=args.eps_g,
         bin_width=args.bin_width,
-        offsets_x=tuple(args.offset_x)
-        if getattr(args, "offset_x", None)
-        else (-0.075, 0.0, 0.075),
-        offsets_y=tuple(args.offset_y)
-        if getattr(args, "offset_y", None)
-        else (-0.092, 0.0, 0.092),
+        offsets_x=tuple(getattr(args, "offset_x", None) or DEFAULT_OFFSETS_X),
+        offsets_y=tuple(getattr(args, "offset_y", None) or DEFAULT_OFFSETS_Y),
         src=getattr(args, "src", None),
         dst=getattr(args, "dst", None),
     )

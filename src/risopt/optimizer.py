@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +30,7 @@ from .beamforming import (
 from .channel import (
     ChannelComponents,
     EffectiveChannel,
-    assemble_effective_channel,
+    assemble_from_config,
     group_channel_derivative,
 )
 from .errors import RisOptError
@@ -39,7 +38,6 @@ from .ris import (
     RisConfiguration,
     VaractorModel,
     enumerate_1bit_configs,
-    load_impedances,
     onebit_configuration,
 )
 from .scene import SceneDescription, synthesize_components, with_users
@@ -167,7 +165,7 @@ def min_sinr_gradient(
     """
     weights = w.weights if hasattr(w, "weights") else np.asarray(w)
     if effective is None:
-        effective = _assemble(components, model, config)
+        effective = assemble_from_config(components, model, config)
     y = effective.matrix @ weights
     sinr = downlink_sinr(y, sigma2)
     k_star = int(np.argmin(sinr))
@@ -195,13 +193,6 @@ def suppress_boundary_gradient(
     return g
 
 
-def _assemble(components, model, config) -> EffectiveChannel:
-    z = load_impedances(model, config, components.frequency)
-    return assemble_effective_channel(
-        components, z, fingerprint=config.fingerprint()
-    )
-
-
 class OptimizerState:
     """Mutable state threaded through the coordinate sweeps."""
 
@@ -212,7 +203,7 @@ class OptimizerState:
         self.p_bs = p_bs
         self.sigma2 = sigma2
         self.bandwidth = bandwidth
-        self.effective = _assemble(components, model, config)
+        self.effective = assemble_from_config(components, model, config)
         self.beamformer, self.report = duality_beamformer(
             self.effective, p_bs, sigma2, bandwidth=bandwidth
         )
@@ -225,7 +216,7 @@ class OptimizerState:
     def objective_at(self, group: int, value: float) -> float:
         """Minimum SINR with one group moved to ``value``, beamformer fixed."""
         trial = self._config_with(group, value)
-        eff = _assemble(self.components, self.model, trial)
+        eff = assemble_from_config(self.components, self.model, trial)
         y = eff.matrix @ self.beamformer.weights
         return float(downlink_sinr(y, self.sigma2).min())
 
@@ -242,7 +233,9 @@ class OptimizerState:
         nondecreasing even when the duality solve stops at its tolerance.
         """
         self.config = self._config_with(group, value)
-        self.effective = _assemble(self.components, self.model, self.config)
+        self.effective = assemble_from_config(
+            self.components, self.model, self.config
+        )
         new_w, new_report = duality_beamformer(
             self.effective, self.p_bs, self.sigma2, bandwidth=self.bandwidth
         )
@@ -434,6 +427,8 @@ class ExhaustiveResult:
     best_states: tuple
     best_config: RisConfiguration
     best_min_rate: float
+    best_beamformer: BeamformerMatrix  # the sweep's duality solve of the winner
+    best_report: SinrReport
     baseline_min_rate: float  # no-RIS duality on h_u
     fraction_beating_baseline: float
     histogram: list  # (bin_left, bin_right, count)
@@ -464,61 +459,78 @@ def rate_histogram(rates, bin_width: float = DEFAULT_HISTOGRAM_BIN) -> list:
     return bins
 
 
+def _onebit_blocks(components, model, grouping, states_list):
+    """Solved block (diag(Z_L) - Z_ll)^-1 H_0 of each 1-bit state, lazily.
+
+    Yields the RisOptError instead of the block when the load/coupling
+    system of a state cannot be solved.
+    """
+    _, _, n = components.dims
+    for states in states_list:
+        config = onebit_configuration(grouping, states, n)
+        try:
+            block = assemble_from_config(components, model, config).solved_h0
+        except RisOptError as exc:
+            block = exc
+        yield block
+
+
+def _onebit_solves(h_u, g_l, blocks, p_bs, sigma2):
+    """Duality solve of H_eff = h_u + g_l @ block for each block, lazily.
+
+    Yields (beamformer, report) per block, or the RisOptError that the block
+    carries or its solve raised; each caller decides whether to go on.
+    """
+    for block in blocks:
+        if isinstance(block, RisOptError):
+            yield block
+            continue
+        try:
+            outcome = duality_beamformer(h_u + g_l @ block, p_bs, sigma2)
+        except RisOptError as exc:
+            outcome = exc
+        yield outcome
+
+
 def exhaustive_1bit_search(
     components: ChannelComponents,
     model: VaractorModel,
     grouping: dict,
     p_bs: float,
     sigma2: float,
-    c_on: float | None = None,
-    c_off: float | None = None,
-    bandwidth: float = 1.0,
     bin_width: float = DEFAULT_HISTOGRAM_BIN,
-    workers: int | None = None,
 ) -> ExhaustiveResult:
     """Evaluate every binary configuration with a full duality solve each.
 
-    Enumeration order is deterministic (lexicographic); evaluation may be
-    parallelized but results are aggregated by index so the outcome is
-    identical to sequential execution.  Per-configuration failures are
-    recorded as missing entries rather than aborting the sweep.
+    Enumeration order is deterministic (lexicographic).  Per-configuration
+    failures are recorded as missing entries rather than aborting the sweep.
+    The winner's beamformer and report are the ones its sweep solve produced.
     """
-    from .ris import C_OFF, C_ON
-
-    c_on = C_ON if c_on is None else c_on
-    c_off = C_OFF if c_off is None else c_off
     _, _, n = components.dims
     states_list = list(enumerate_1bit_configs(len(grouping)))
-
-    def evaluate(states):
-        config = onebit_configuration(grouping, states, n, c_on=c_on, c_off=c_off)
-        try:
-            effective = _assemble(components, model, config)
-            _, report = duality_beamformer(
-                effective, p_bs, sigma2, bandwidth=bandwidth
-            )
-            return float(report.min_rate)
-        except RisOptError as exc:
-            logger.warning("configuration %s failed: %s", states, exc)
-            return None
-
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rates = list(pool.map(evaluate, states_list))
-    else:
-        rates = [evaluate(states) for states in states_list]
-
+    blocks = _onebit_blocks(components, model, grouping, states_list)
+    solves = _onebit_solves(components.h_u, components.g_l, blocks, p_bs, sigma2)
+    rates = []
+    best = None  # (states, rate, beamformer, report); ties keep the first
+    for states, outcome in zip(states_list, solves):
+        if isinstance(outcome, RisOptError):
+            logger.warning("configuration %s failed: %s", states, outcome)
+            rates.append(None)
+            continue
+        beamformer, report = outcome
+        rate = float(report.min_rate)
+        rates.append(rate)
+        if best is None or rate > best[1]:
+            best = (states, rate, beamformer, report)
+    if best is None:
+        raise RisOptError("every 1-bit configuration failed to evaluate")
     entries = list(zip(states_list, rates))
     ranked = sorted(
         ((s, r) for s, r in entries if r is not None),
         key=lambda item: (-item[1], item[0]),
     )
-    if not ranked:
-        raise RisOptError("every 1-bit configuration failed to evaluate")
-    best_states, best_rate = ranked[0]
-    _, baseline_report = duality_beamformer(
-        components.h_u, p_bs, sigma2, bandwidth=bandwidth
-    )
+    best_states, best_rate, best_beamformer, best_report = best
+    _, baseline_report = duality_beamformer(components.h_u, p_bs, sigma2)
     baseline = float(baseline_report.min_rate)
     good_rates = [r for _, r in ranked]
     fraction = float(np.mean([r > baseline for r in good_rates]))
@@ -526,10 +538,10 @@ def exhaustive_1bit_search(
         entries=entries,
         ranked=ranked,
         best_states=best_states,
-        best_config=onebit_configuration(
-            grouping, best_states, n, c_on=c_on, c_off=c_off
-        ),
+        best_config=onebit_configuration(grouping, best_states, n),
         best_min_rate=best_rate,
+        best_beamformer=best_beamformer,
+        best_report=best_report,
         baseline_min_rate=baseline,
         fraction_beating_baseline=fraction,
         histogram=rate_histogram(good_rates, bin_width),
@@ -542,6 +554,7 @@ class PerturbationResult:
     """Best-1-bit-over-baseline improvements across user-location perturbations."""
 
     improvements: np.ndarray
+    combination_indices: list  # index in itertools.product order, per improvement
     combinations: int
     skipped: int
     histogram: list
@@ -560,41 +573,35 @@ def perturbation_study(
     p_bs: float,
     sigma2: float,
     offsets=None,
-    c_on: float | None = None,
-    c_off: float | None = None,
-    bandwidth: float = 1.0,
     bin_width: float = DEFAULT_HISTOGRAM_BIN,
 ) -> PerturbationResult:
     """Exhaustive 1-bit improvement over the no-RIS baseline for every
     combination of per-user location offsets.
 
-    The BS-to-port block and the port coupling matrix do not depend on the
-    user locations, so the per-configuration solved block
-    (diag(Z_L) - Z_ll)^-1 H_0 is computed once and reused across all
-    combinations; only the user-side traces are regenerated.  Results are
-    identical to rebuilding the components per combination.
+    Combinations run in itertools.product order over the users' offset
+    indices.  The solved block (diag(Z_L) - Z_ll)^-1 H_0 of every 1-bit state
+    does not depend on the users: it is built once (a block that cannot be
+    built raises) and each combination runs the exhaustive sweep's solves on
+    its own h_u and g_l.  Each combination still re-synthesizes the whole
+    scene, h_0 and z_ll included, at the moved user positions.  A
+    combination stops at its first failed solve and is skipped.
     """
-    from .ris import C_OFF, C_ON
-
-    c_on = C_ON if c_on is None else c_on
-    c_off = C_OFF if c_off is None else c_off
     if offsets is None:
         offsets = user_offset_grid()
     base_components = synthesize_components(scene)
-    _, _, n = base_components.dims
     k = scene.user_positions.shape[0]
 
     states_list = list(enumerate_1bit_configs(len(grouping)))
-    solved_blocks = []
-    for states in states_list:
-        config = onebit_configuration(grouping, states, n, c_on=c_on, c_off=c_off)
-        effective = _assemble(base_components, model, config)
-        solved_blocks.append(effective.solved_h0)
+    blocks = []
+    for block in _onebit_blocks(base_components, model, grouping, states_list):
+        if isinstance(block, RisOptError):
+            raise block
+        blocks.append(block)
 
     improvements = []
-    skipped = 0
+    indices = []
     combos = list(itertools.product(range(len(offsets)), repeat=k))
-    for combo in combos:
+    for index, combo in enumerate(combos):
         users = np.array(
             [
                 scene.user_positions[u] + np.asarray(offsets[c])
@@ -603,22 +610,20 @@ def perturbation_study(
         )
         try:
             moved = synthesize_components(with_users(scene, users))
-            _, baseline_report = duality_beamformer(
-                moved.h_u, p_bs, sigma2, bandwidth=bandwidth
-            )
-            best = None
-            for block in solved_blocks:
-                h_eff = moved.h_u + moved.g_l @ block
-                _, report = duality_beamformer(
-                    h_eff, p_bs, sigma2, bandwidth=bandwidth
-                )
-                if best is None or report.min_rate > best:
-                    best = report.min_rate
-            improvements.append(best - baseline_report.min_rate)
+            _, baseline_report = duality_beamformer(moved.h_u, p_bs, sigma2)
+            rates = []
+            for outcome in _onebit_solves(
+                moved.h_u, moved.g_l, blocks, p_bs, sigma2
+            ):
+                if isinstance(outcome, RisOptError):
+                    raise outcome
+                rates.append(outcome[1].min_rate)
+            improvements.append(max(rates) - baseline_report.min_rate)
+            indices.append(index)
         except RisOptError as exc:
             logger.warning("combination %s skipped: %s", combo, exc)
-            skipped += 1
     improvements = np.asarray(improvements, dtype=float)
+    skipped = len(combos) - len(indices)
     summary = {
         "combinations": len(combos),
         "evaluated": int(improvements.size),
@@ -631,6 +636,7 @@ def perturbation_study(
     }
     return PerturbationResult(
         improvements=improvements,
+        combination_indices=indices,
         combinations=len(combos),
         skipped=skipped,
         histogram=rate_histogram(improvements, bin_width) if improvements.size else [],

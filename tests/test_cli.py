@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import risopt as ro
 from risopt.cli import ExperimentConfig, main
 from risopt.fileio import (
     load_components,
@@ -144,6 +145,40 @@ class TestPerturbCommand:
         _, rows = read_csv(out / "improvements.csv")
         assert len(rows["improvement_bps_hz"]) == 1
 
+    def test_combination_column_skips_failed_combination(
+        self, small_scene_path, tmp_path, monkeypatch
+    ):
+        import risopt.optimizer as opt
+
+        # 2 x-offsets, 1 y-offset, 3 users -> 8 combinations; 4 ports -> 2
+        # groups, so each combination makes 1 baseline + 4 config solves
+        solves_per_combination = 1 + 2**2
+        failing, calls = 3, []
+        real = opt.duality_beamformer
+
+        def flaky(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == failing * solves_per_combination + 2:
+                raise ro.DualityError("synthetic failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(opt, "duality_beamformer", flaky)
+        out = tmp_path / "out"
+        code = main(
+            [
+                "perturb", "--scene", small_scene_path,
+                "--offset-x", "0", "--offset-x", "0.01", "--offset-y", "0",
+                "--power-dbm", "30", "--out", str(out), "--reproducible",
+            ]
+        )
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["skipped"] == 1
+        _, rows = read_csv(out / "improvements.csv")
+        assert list(rows["combination"]) == [0, 1, 2, 4, 5, 6, 7]
+        # combination 3 stops at its failed second solve
+        assert len(calls) == 7 * solves_per_combination + 2
+
     def test_channels_only_is_config_error(self, tmp_path):
         comps_path = tmp_path / "channels.json"
         save_components(random_components(np.random.default_rng(0), n=4), comps_path)
@@ -154,6 +189,39 @@ class TestPerturbCommand:
             ]
         )
         assert code == 2
+
+
+class TestWinnerReuse:
+    def test_sweep_onebit_solves_each_config_once(
+        self, small_scene_path, tmp_path, monkeypatch
+    ):
+        import risopt.cli as cli_module
+        import risopt.optimizer as opt
+
+        calls = []
+
+        def counting(real):
+            def wrapper(*args, **kwargs):
+                calls.append(None)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for module in (cli_module, opt):
+            monkeypatch.setattr(
+                module, "duality_beamformer", counting(module.duality_beamformer)
+            )
+        code = main(
+            [
+                "sweep", "--scene", small_scene_path,
+                "--mode", "onebit-exhaustive", "--power-dbm", "20",
+                "--power-dbm", "30", "--out", str(tmp_path / "out"),
+                "--reproducible",
+            ]
+        )
+        assert code == 0
+        # per power: 2**2 configurations plus the no-RIS baseline
+        assert len(calls) == 2 * (2**2 + 1)
 
 
 class TestGainmapCommand:
