@@ -1,9 +1,30 @@
 """Batch experiment commands.
 
-Subcommands: ``scene trace``, ``channel convert``, ``optimize``, ``sweep``,
-``exhaustive``, ``perturb``, ``gainmap``.  Every command writes plot-ready
-CSV/JSON files into the output directory; with --reproducible the volatile
-timestamp header is suppressed so repeated runs are byte-identical.
+Subcommands and the flags each one reads (every command also takes ``--out``
+and ``--reproducible``; any other flag is a usage error):
+
+    scene trace       --scene --src --dst
+    channel convert   --scene --channels
+    exhaustive        --scene --channels --varactor --power-dbm
+                      --bandwidth-hz --temperature-k --bin-width
+    perturb           --scene --varactor --power-dbm --bandwidth-hz
+                      --temperature-k --bin-width --offset-x --offset-y
+    sweep, optimize,  --scene --channels --ris-config --varactor --mode
+    gainmap           --power-dbm --bandwidth-hz --temperature-k --seed
+                      --max-sweeps --eps-g
+
+``--mode`` is one of ``no-ris``, ``continuous`` and ``onebit-exhaustive``.
+``sweep`` repeats ``--mode`` (default ``no-ris``) and ``--power-dbm``
+(default 10..30 dBm step 5).  ``optimize`` and ``gainmap`` take one mode
+(default ``continuous``); they, ``exhaustive`` and ``perturb`` take one power
+(default 30 dBm, the top of the sweep's list).  ``perturb`` repeats
+``--offset-x`` and ``--offset-y``.  Each command's default mode lives in
+``DEFAULT_MODES`` and every other default on ``ExperimentConfig``; a flag
+that is not given leaves the default.
+
+Every command writes plot-ready CSV/JSON files into the output directory;
+with --reproducible the volatile timestamp header is suppressed so repeated
+runs are byte-identical.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -11,6 +32,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import math
@@ -36,6 +58,8 @@ from .optimizer import (
     DEFAULT_OFFSETS_X,
     DEFAULT_OFFSETS_Y,
     BcdSettings,
+    ExhaustiveResult,
+    OptimizationTrace,
     alternating_optimize,
     exhaustive_1bit_search,
     perturbation_study,
@@ -44,7 +68,8 @@ from .optimizer import (
 from .ris import DEFAULT_VARACTOR, column_paired_grouping, identity_grouping, load_impedances
 from .scene import default_scene, grid_scene, synthesize_components, trace_paths
 
-MODES = ("no-ris", "continuous", "onebit-exhaustive", "perturbation", "gain-map")
+MODES = ("no-ris", "continuous", "onebit-exhaustive")
+DEFAULT_MODES = {"sweep": "no-ris", "optimize": "continuous", "gainmap": "continuous"}
 
 DEFAULT_POWERS_DBM = (10.0, 15.0, 20.0, 25.0, 30.0)
 DEFAULT_BANDWIDTH = 40e6  # Hz
@@ -59,7 +84,7 @@ class ExperimentConfig:
     channels_path: str | None = None
     ris_config_path: str | None = None
     varactor_path: str | None = None
-    modes: tuple = ("no-ris",)
+    modes: tuple = (DEFAULT_MODES["sweep"],)
     powers_dbm: tuple = DEFAULT_POWERS_DBM
     bandwidth_hz: float = DEFAULT_BANDWIDTH
     temperature_k: float = DEFAULT_TEMPERATURE
@@ -79,6 +104,10 @@ class ExperimentConfig:
             raise ValueError("power list must be nonempty")
         if self.bandwidth_hz <= 0:
             raise ValueError("bandwidth must be positive")
+        if self.temperature_k <= 0:
+            raise ValueError("temperature must be positive")
+        if self.bin_width <= 0:
+            raise ValueError("bin width must be positive")
         for mode in self.modes:
             if mode not in MODES:
                 raise ValueError(f"unrecognized mode {mode!r}; choose from {MODES}")
@@ -101,41 +130,37 @@ def _power_db(value: float) -> float:
     return max(10.0 * math.log10(value), GAIN_FLOOR_DB)
 
 
-class Workspace:
-    """Shared setup: scene/components/model resolution and file emission."""
+def _paired_grouping(n: int) -> dict:
+    if n % 2 == 0:
+        return column_paired_grouping(n)
+    return identity_grouping(n)
 
-    def __init__(self, cfg: ExperimentConfig, need_scene: bool = False):
+
+class Workspace:
+    """Shared setup: scene/components/model resolution and file emission.
+
+    Channel components are loaded or synthesized only when ``components``
+    is set; the ``--ris-config`` warm start is read once.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, components: bool = True):
         self.cfg = cfg
         self.model = (
             load_varactor_model(cfg.varactor_path)
             if cfg.varactor_path
             else DEFAULT_VARACTOR
         )
-        self.scene = None
-        self.components = None
-        if cfg.scene_path:
-            self.scene = load_scene(cfg.scene_path)
-        if cfg.channels_path:
-            self.components = load_components(cfg.channels_path)
-            if need_scene and self.scene is None:
-                raise SceneFileError(
-                    "this command re-traces user positions and needs --scene, "
-                    "not only --channels"
-                )
+        self.scene = load_scene(cfg.scene_path) if cfg.scene_path else None
+        self.components = (
+            load_components(cfg.channels_path) if cfg.channels_path else None
+        )
         if self.scene is None and self.components is None:
             self.scene = default_scene()
-        if self.components is None:
+        if self.components is None and components:
             self.components = synthesize_components(self.scene)
-
-    def grouping_pairs(self) -> dict:
-        _, _, n = self.components.dims
-        if n % 2 == 0:
-            return column_paired_grouping(n)
-        return identity_grouping(n)
-
-    def grouping_columns(self) -> dict:
-        _, _, n = self.components.dims
-        return identity_grouping(n)
+        self.initial_config = (
+            load_ris_config(cfg.ris_config_path) if cfg.ris_config_path else None
+        )
 
     def header(self, command: str) -> list:
         lines = [f"risopt {command}"]
@@ -156,56 +181,38 @@ class Workspace:
         return path
 
 
-def _settings(cfg: ExperimentConfig) -> BcdSettings:
-    return BcdSettings(t_g=cfg.max_sweeps, eps_g=cfg.eps_g, rng_seed=cfg.seed)
+def _solve(ws: Workspace, mode: str, p_bs: float):
+    """(beamformer, report, RIS configuration or None, the
+    OptimizationTrace or ExhaustiveResult behind them or None) of one mode.
 
-
-def _optimize_continuous(ws: Workspace, p_bs: float):
-    cfg = ws.cfg
-    if cfg.ris_config_path:
-        initial = load_ris_config(cfg.ris_config_path)
-        trace = alternating_optimize(
-            ws.components, ws.model, initial, p_bs, cfg.sigma2, _settings(cfg)
-        )
-    else:
-        trace = alternating_optimize(
-            ws.components,
-            ws.model,
-            None,
-            p_bs,
-            cfg.sigma2,
-            _settings(cfg),
-            grouping=ws.grouping_columns(),
-        )
-    return trace
-
-
-def _mode_report(ws: Workspace, mode: str, p_bs: float):
-    """(min_rate bps/Hz, avg received power, extra dict) for one mode."""
+    ``continuous`` starts from the ``--ris-config`` warm start when given,
+    otherwise from a random per-column configuration drawn from ``--seed``.
+    """
     cfg = ws.cfg
     if mode == "no-ris":
-        _, report = duality_beamformer(ws.components.h_u, p_bs, cfg.sigma2)
-        return report.min_rate, report.avg_received_power, {}
-    if mode == "continuous":
-        trace = _optimize_continuous(ws, p_bs)
-        report = trace.final_report
-        return report.min_rate, report.avg_received_power, {"sweeps": trace.sweeps_run}
+        beamformer, report = duality_beamformer(ws.components.h_u, p_bs, cfg.sigma2)
+        return beamformer, report, None, None
+    _, _, n = ws.components.dims
     if mode == "onebit-exhaustive":
         result = exhaustive_1bit_search(
             ws.components,
             ws.model,
-            ws.grouping_pairs(),
+            _paired_grouping(n),
             p_bs,
             cfg.sigma2,
             bin_width=cfg.bin_width,
         )
-        report = result.best_report
-        return (
-            report.min_rate,
-            report.avg_received_power,
-            {"best_states": list(result.best_states)},
-        )
-    raise ValueError(f"mode {mode!r} is not a sweep mode")
+        return result.best_beamformer, result.best_report, result.best_config, result
+    trace = alternating_optimize(
+        ws.components,
+        ws.model,
+        ws.initial_config,
+        p_bs,
+        cfg.sigma2,
+        BcdSettings(t_g=cfg.max_sweeps, eps_g=cfg.eps_g, rng_seed=cfg.seed),
+        grouping=identity_grouping(n),
+    )
+    return trace.final_beamformer, trace.final_report, trace.final_config, trace
 
 
 def run_power_sweep(ws: Workspace) -> list:
@@ -221,8 +228,9 @@ def run_power_sweep(ws: Workspace) -> list:
     for p_dbm, p_bs in zip(cfg.powers_dbm, cfg.powers_watts()):
         for mode in cfg.modes:
             try:
-                min_rate, rx_power, _ = _mode_report(ws, mode, p_bs)
-                rx_db = _power_db(rx_power)
+                _, report, _, _ = _solve(ws, mode, p_bs)
+                min_rate = report.min_rate
+                rx_db = _power_db(report.avg_received_power)
             except RisOptError as exc:
                 print(
                     f"sweep point p={p_dbm} dBm mode={mode} failed: {exc}",
@@ -257,15 +265,7 @@ def _histogram_csv(ws, name, histogram, command, extra_comments=()):
 
 def run_exhaustive(ws: Workspace) -> list:
     cfg = ws.cfg
-    p_bs = cfg.powers_watts()[-1]
-    result = exhaustive_1bit_search(
-        ws.components,
-        ws.model,
-        ws.grouping_pairs(),
-        p_bs,
-        cfg.sigma2,
-        bin_width=cfg.bin_width,
-    )
+    *_, result = _solve(ws, "onebit-exhaustive", cfg.powers_watts()[-1])
     files = []
     files.append(
         _histogram_csv(
@@ -302,17 +302,13 @@ def run_exhaustive(ws: Workspace) -> list:
 
 def run_perturbation(ws: Workspace) -> list:
     cfg = ws.cfg
-    if ws.scene is None:
-        raise SceneFileError("perturb needs a scene (user positions are re-traced)")
-    p_bs = cfg.powers_watts()[-1]
-    offsets = user_offset_grid(cfg.offsets_x, cfg.offsets_y)
     result = perturbation_study(
         ws.scene,
         ws.model,
-        ws.grouping_pairs(),
-        p_bs,
+        _paired_grouping(ws.scene.ris_ports.shape[0]),
+        cfg.powers_watts()[-1],
         cfg.sigma2,
-        offsets=offsets,
+        offsets=user_offset_grid(cfg.offsets_x, cfg.offsets_y),
         bin_width=cfg.bin_width,
     )
     files = []
@@ -343,29 +339,13 @@ def run_gain_map(ws: Workspace) -> list:
     cfg = ws.cfg
     if ws.scene is None or ws.scene.grid is None:
         raise SceneFileError("gainmap needs a scene with an observation grid")
-    p_bs = cfg.powers_watts()[-1]
     mode = cfg.modes[0]
-    if mode == "no-ris":
-        beamformer, _ = duality_beamformer(ws.components.h_u, p_bs, cfg.sigma2)
-        z_loads = None
-    elif mode == "onebit-exhaustive":
-        result = exhaustive_1bit_search(
-            ws.components,
-            ws.model,
-            ws.grouping_pairs(),
-            p_bs,
-            cfg.sigma2,
-        )
-        beamformer = result.best_beamformer
-        z_loads = load_impedances(
-            ws.model, result.best_config, ws.components.frequency
-        )
-    else:
-        trace = _optimize_continuous(ws, p_bs)
-        beamformer = trace.final_beamformer
-        z_loads = load_impedances(
-            ws.model, trace.final_config, ws.components.frequency
-        )
+    beamformer, _, config, _ = _solve(ws, mode, cfg.powers_watts()[-1])
+    z_loads = (
+        None
+        if config is None
+        else load_impedances(ws.model, config, ws.components.frequency)
+    )
     grid_components = synthesize_components(grid_scene(ws.scene))
     points = ws.scene.grid.points()
     k_users = ws.components.dims[0]
@@ -395,50 +375,23 @@ def run_gain_map(ws: Workspace) -> list:
 
 def run_optimize(ws: Workspace) -> list:
     cfg = ws.cfg
-    p_bs = cfg.powers_watts()[-1]
     mode = cfg.modes[0]
+    beamformer, report, config, run = _solve(ws, mode, cfg.powers_watts()[-1])
     files = []
-    if mode == "no-ris":
-        beamformer, report = duality_beamformer(ws.components.h_u, p_bs, cfg.sigma2)
-        payload = {
-            "mode": mode,
-            "p_dbm": cfg.powers_dbm[-1],
-            "report": report.to_dict(),
-            "beamformer": _beamformer_payload(beamformer),
-        }
-        files.append(ws.write_json("optimize_report.json", payload, "optimize"))
-        return files
-    if mode == "onebit-exhaustive":
-        result = exhaustive_1bit_search(
-            ws.components,
-            ws.model,
-            ws.grouping_pairs(),
-            p_bs,
-            cfg.sigma2,
-        )
-        best_path = ws.out_path("ris_config.json")
-        save_ris_config(result.best_config, best_path)
-        files.append(best_path)
-        payload = {
-            "mode": mode,
-            "p_dbm": cfg.powers_dbm[-1],
-            "best_states": list(result.best_states),
-            "best_min_rate_bps_hz": result.best_min_rate,
-            "baseline_min_rate_bps_hz": result.baseline_min_rate,
-        }
-        files.append(ws.write_json("optimize_report.json", payload, "optimize"))
-        return files
-    trace = _optimize_continuous(ws, p_bs)
-    config_path = ws.out_path("ris_config.json")
-    save_ris_config(trace.final_config, config_path)
-    files.append(config_path)
-    files.append(ws.write_json("optimize_trace.json", trace.to_dict(), "optimize"))
-    payload = {
-        "mode": mode,
-        "p_dbm": cfg.powers_dbm[-1],
-        "report": trace.final_report.to_dict(),
-        "beamformer": _beamformer_payload(trace.final_beamformer),
-    }
+    if config is not None:
+        config_path = ws.out_path("ris_config.json")
+        save_ris_config(config, config_path)
+        files.append(config_path)
+    if isinstance(run, OptimizationTrace):
+        files.append(ws.write_json("optimize_trace.json", run.to_dict(), "optimize"))
+    payload = {"mode": mode, "p_dbm": cfg.powers_dbm[-1]}
+    if isinstance(run, ExhaustiveResult):
+        payload["best_states"] = list(run.best_states)
+        payload["best_min_rate_bps_hz"] = run.best_min_rate
+        payload["baseline_min_rate_bps_hz"] = run.baseline_min_rate
+    else:
+        payload["report"] = report.to_dict()
+        payload["beamformer"] = _beamformer_payload(beamformer)
     files.append(ws.write_json("optimize_report.json", payload, "optimize"))
     return files
 
@@ -455,9 +408,7 @@ def _beamformer_payload(beamformer) -> dict:
 
 def run_scene_trace(ws: Workspace) -> list:
     cfg = ws.cfg
-    if cfg.src is None or cfg.dst is None:
-        raise SceneFileError("scene trace needs --src and --dst points")
-    scene = ws.scene if ws.scene is not None else default_scene()
+    scene = ws.scene
     walls = scene.walls + (
         (scene.unloaded_panel,) if scene.unloaded_panel is not None else ()
     )
@@ -495,47 +446,101 @@ def _parse_point(text: str) -> tuple:
         ) from exc
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scene", help="scene JSON file (default: built-in scene)")
-    parser.add_argument("--channels", help="channel components JSON file")
-    parser.add_argument("--ris-config", help="RIS configuration JSON (warm start)")
-    parser.add_argument("--varactor", help="varactor model JSON file")
-    parser.add_argument(
-        "--mode",
-        action="append",
-        choices=MODES,
-        help="evaluation mode; repeatable for sweep",
-    )
-    parser.add_argument(
-        "--power-dbm",
-        action="append",
+class _Values(argparse.Action):
+    """Collects a list-valued flag; unless ``repeat`` is set, a second value
+    is a usage error."""
+
+    def __init__(self, *args, repeat: bool, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.repeat = repeat
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        values = getattr(namespace, self.dest) or []
+        if values and not self.repeat:
+            parser.error(f"{option_string} takes one value for this command")
+        setattr(namespace, self.dest, values + [value])
+
+
+# Every flag stores into the ExperimentConfig field named by its dest; its
+# default is None, so a flag that is not given leaves the field's default.
+FLAGS = {
+    "--scene": dict(
+        dest="scene_path", help="scene JSON file (default: built-in scene)"
+    ),
+    "--channels": dict(dest="channels_path", help="channel components JSON file"),
+    "--ris-config": dict(
+        dest="ris_config_path", help="RIS configuration JSON (warm start)"
+    ),
+    "--varactor": dict(dest="varactor_path", help="varactor model JSON file"),
+    "--mode": dict(dest="modes", action=_Values, choices=MODES, help="evaluation mode"),
+    "--power-dbm": dict(
+        dest="powers_dbm",
+        action=_Values,
         type=float,
-        help="total transmit power in dBm; repeatable (default 10..30 step 5)",
-    )
-    parser.add_argument("--bandwidth-hz", type=float, default=DEFAULT_BANDWIDTH)
-    parser.add_argument("--temperature-k", type=float, default=DEFAULT_TEMPERATURE)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default="risopt-out", help="output directory")
-    parser.add_argument(
-        "--reproducible",
-        action="store_true",
-        help="suppress volatile headers so reruns are byte-identical",
-    )
-    parser.add_argument(
-        "--max-sweeps",
-        type=int,
-        default=BcdSettings().t_g,
-        help="coordinate-sweep budget for continuous optimization",
-    )
-    parser.add_argument(
-        "--eps-g",
+        help="total transmit power in dBm",
+    ),
+    "--bandwidth-hz": dict(type=float),
+    "--temperature-k": dict(type=float),
+    "--seed": dict(type=int, help="random start of continuous optimization"),
+    "--max-sweeps": dict(
+        type=int, help="coordinate-sweep budget for continuous optimization"
+    ),
+    "--eps-g": dict(
         type=float,
-        default=BcdSettings().eps_g,
         help="per-sweep improvement threshold stopping the optimizer "
         "(default keeps sweeping until the budget or zero progress; "
         "1e-9 is a practical alternative)",
-    )
-    parser.add_argument("--bin-width", type=float, default=DEFAULT_HISTOGRAM_BIN)
+    ),
+    "--bin-width": dict(type=float, help="histogram bin width in bps/Hz"),
+    "--offset-x": dict(
+        dest="offsets_x", action=_Values, type=float, help="per-user x offset grid"
+    ),
+    "--offset-y": dict(
+        dest="offsets_y", action=_Values, type=float, help="per-user y offset grid"
+    ),
+    "--src": dict(type=_parse_point, required=True),
+    "--dst": dict(type=_parse_point, required=True),
+    "--out": dict(dest="out_dir", help="output directory"),
+    "--reproducible": dict(
+        action="store_true",
+        default=None,
+        help="suppress volatile headers so reruns are byte-identical",
+    ),
+}
+
+_SOLVE_FLAGS = (
+    "--scene", "--channels", "--ris-config", "--varactor", "--mode",
+    "--power-dbm", "--bandwidth-hz", "--temperature-k", "--seed",
+    "--max-sweeps", "--eps-g",
+)
+
+# command -> (help, the flags it reads besides --out and --reproducible,
+# the list-valued flags it repeats)
+COMMANDS = {
+    "scene trace": ("trace specular paths", ("--scene", "--src", "--dst"), ()),
+    "channel convert": (
+        "synthesize or re-validate a channel file",
+        ("--scene", "--channels"),
+        (),
+    ),
+    "optimize": ("optimize the RIS configuration and beamformer", _SOLVE_FLAGS, ()),
+    "sweep": ("rate vs transmit power table", _SOLVE_FLAGS, ("--mode", "--power-dbm")),
+    "exhaustive": (
+        "evaluate all 1-bit configurations",
+        ("--scene", "--channels", "--varactor", "--power-dbm", "--bandwidth-hz",
+         "--temperature-k", "--bin-width"),
+        (),
+    ),
+    "perturb": (
+        "user-location perturbation study",
+        ("--scene", "--varactor", "--power-dbm", "--bandwidth-hz",
+         "--temperature-k", "--bin-width", "--offset-x", "--offset-y"),
+        ("--offset-x", "--offset-y"),
+    ),
+    "gainmap": ("spatial gain maps per beam", _SOLVE_FLAGS, ()),
+}
+
+_GROUPS = {"scene": "scene utilities", "channel": "channel file utilities"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -544,96 +549,43 @@ def build_parser() -> argparse.ArgumentParser:
         description="RIS-assisted MU-MISO modeling and max-min rate optimization",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    scene_cmd = sub.add_parser("scene", help="scene utilities")
-    scene_sub = scene_cmd.add_subparsers(dest="subcommand", required=True)
-    trace_cmd = scene_sub.add_parser("trace", help="trace specular paths")
-    _common_flags(trace_cmd)
-    trace_cmd.add_argument("--src", type=_parse_point, required=True)
-    trace_cmd.add_argument("--dst", type=_parse_point, required=True)
-
-    channel_cmd = sub.add_parser("channel", help="channel file utilities")
-    channel_sub = channel_cmd.add_subparsers(dest="subcommand", required=True)
-    convert_cmd = channel_sub.add_parser(
-        "convert", help="synthesize or re-validate a channel file"
-    )
-    _common_flags(convert_cmd)
-
-    for name, help_text in (
-        ("optimize", "optimize the RIS configuration and beamformer"),
-        ("sweep", "rate vs transmit power table"),
-        ("exhaustive", "evaluate all 1-bit configurations"),
-        ("perturb", "user-location perturbation study"),
-        ("gainmap", "spatial gain maps per beam"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
-        _common_flags(cmd)
-        if name == "perturb":
-            for axis, default in (("x", DEFAULT_OFFSETS_X), ("y", DEFAULT_OFFSETS_Y)):
-                cmd.add_argument(
-                    f"--offset-{axis}",
-                    action="append",
-                    type=float,
-                    help=f"per-user {axis} offset grid, repeatable "
-                    f"(default {' '.join(f'{v:g}' for v in default)})",
-                )
+    groups = {}
+    for name, (help_text, flags, repeated) in COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group and group not in groups:
+            groups[group] = sub.add_parser(group, help=_GROUPS[group]).add_subparsers(
+                dest="subcommand", required=True
+            )
+        cmd = (groups[group] if group else sub).add_parser(leaf, help=help_text)
+        cmd.set_defaults(command=name)
+        for flag in flags + ("--out", "--reproducible"):
+            spec = dict(FLAGS[flag])
+            if "dest" in spec and "choices" not in spec:
+                spec["metavar"] = flag[2:].upper().replace("-", "_")
+            if spec.get("action") is _Values:
+                spec["repeat"] = flag in repeated
+            cmd.add_argument(flag, **spec)
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    modes = tuple(args.mode) if args.mode else None
-    command = args.command
-    if modes is None:
-        if command == "sweep":
-            modes = ("no-ris",)
-        elif command in ("optimize", "gainmap"):
-            modes = ("continuous",)
-        elif command == "exhaustive":
-            modes = ("onebit-exhaustive",)
-        elif command == "perturb":
-            modes = ("perturbation",)
-        else:
-            modes = ("no-ris",)
-    return ExperimentConfig(
-        scene_path=args.scene,
-        channels_path=args.channels,
-        ris_config_path=getattr(args, "ris_config", None),
-        varactor_path=getattr(args, "varactor", None),
-        modes=modes,
-        powers_dbm=tuple(args.power_dbm) if args.power_dbm else DEFAULT_POWERS_DBM,
-        bandwidth_hz=args.bandwidth_hz,
-        temperature_k=args.temperature_k,
-        seed=args.seed,
-        out_dir=args.out,
-        reproducible=args.reproducible,
-        max_sweeps=args.max_sweeps,
-        eps_g=args.eps_g,
-        bin_width=args.bin_width,
-        offsets_x=tuple(getattr(args, "offset_x", None) or DEFAULT_OFFSETS_X),
-        offsets_y=tuple(getattr(args, "offset_y", None) or DEFAULT_OFFSETS_Y),
-        src=getattr(args, "src", None),
-        dst=getattr(args, "dst", None),
-    )
+    given = {}
+    for field in dataclasses.fields(ExperimentConfig):
+        value = getattr(args, field.name, None)
+        if value is not None:
+            given[field.name] = tuple(value) if isinstance(value, list) else value
+    if "modes" not in given and args.command in DEFAULT_MODES:
+        given["modes"] = (DEFAULT_MODES[args.command],)
+    return ExperimentConfig(**given)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = args.command
     try:
         cfg = config_from_args(args)
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-
-    command = args.command
-    if command == "scene":
-        command = "scene trace"
-    elif command == "channel":
-        command = "channel convert"
-
-    need_scene = command in ("perturb", "gainmap", "scene trace")
-    try:
-        ws = Workspace(cfg, need_scene=need_scene)
+        # a command reads channel components exactly when it accepts a file
+        ws = Workspace(cfg, components="--channels" in COMMANDS[command][1])
         runner = {
             "scene trace": run_scene_trace,
             "channel convert": run_channel_convert,

@@ -196,17 +196,14 @@ def suppress_boundary_gradient(
 class OptimizerState:
     """Mutable state threaded through the coordinate sweeps."""
 
-    def __init__(self, components, model, config, p_bs, sigma2, bandwidth=1.0):
+    def __init__(self, components, model, config, p_bs, sigma2):
         self.components = components
         self.model = model
         self.config = config
         self.p_bs = p_bs
         self.sigma2 = sigma2
-        self.bandwidth = bandwidth
         self.effective = assemble_from_config(components, model, config)
-        self.beamformer, self.report = duality_beamformer(
-            self.effective, p_bs, sigma2, bandwidth=bandwidth
-        )
+        self.beamformer, self.report = duality_beamformer(self.effective, p_bs, sigma2)
         self.sinr_min = float(self.report.sinr.min())
         self.beamformer_recomputes = 1
 
@@ -236,9 +233,7 @@ class OptimizerState:
         self.effective = assemble_from_config(
             self.components, self.model, self.config
         )
-        new_w, new_report = duality_beamformer(
-            self.effective, self.p_bs, self.sigma2, bandwidth=self.bandwidth
-        )
+        new_w, new_report = duality_beamformer(self.effective, self.p_bs, self.sigma2)
         self.beamformer_recomputes += 1
         new_min = float(new_report.sinr.min())
         if new_min >= trial_sinr_min:
@@ -247,7 +242,7 @@ class OptimizerState:
             self.sinr_min = new_min
         else:
             y = self.effective.matrix @ self.beamformer.weights
-            self.report = sinr_report(y, self.sigma2, self.bandwidth)
+            self.report = sinr_report(y, self.sigma2)
             self.sinr_min = trial_sinr_min
 
 
@@ -359,7 +354,6 @@ def alternating_optimize(
     sigma2: float,
     settings: BcdSettings = BcdSettings(),
     grouping: dict | None = None,
-    bandwidth: float = 1.0,
 ) -> OptimizationTrace:
     """Alternating optimization of the RIS configuration and BS beamformer.
 
@@ -381,9 +375,7 @@ def alternating_optimize(
         else:
             rng = np.random.default_rng(settings.rng_seed + restart)
             config = random_configuration(model, grouping, rng, n)
-        trace = _optimize_once(
-            components, model, config, p_bs, sigma2, settings, bandwidth
-        )
+        trace = _optimize_once(components, model, config, p_bs, sigma2, settings)
         trace.restart_index = restart
         if best is None or trace.final_sinr_min > best.final_sinr_min:
             best = trace
@@ -393,11 +385,11 @@ def alternating_optimize(
 
 
 def _optimize_once(
-    components, model, config, p_bs, sigma2, settings, bandwidth
+    components, model, config, p_bs, sigma2, settings
 ) -> OptimizationTrace:
     trace = OptimizationTrace()
     try:
-        state = OptimizerState(components, model, config, p_bs, sigma2, bandwidth)
+        state = OptimizerState(components, model, config, p_bs, sigma2)
         trace.initial_sinr_min = state.sinr_min
         for sweep in range(1, settings.t_g + 1):
             delta, records = bcd_sweep(state, settings, sweep)

@@ -48,8 +48,15 @@ class TestExperimentConfig:
             ExperimentConfig(bandwidth_hz=0.0)
 
     def test_unknown_mode_rejected(self):
+        for mode in ("warp-drive", "perturbation", "gain-map"):
+            with pytest.raises(ValueError):
+                ExperimentConfig(modes=(mode,))
+
+    @pytest.mark.parametrize("field", ["bin_width", "temperature_k"])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_non_positive_value_rejected(self, field, value):
         with pytest.raises(ValueError):
-            ExperimentConfig(modes=("warp-drive",))
+            ExperimentConfig(**{field: value})
 
     def test_noise_power_matches_ktb(self):
         cfg = ExperimentConfig()
@@ -95,7 +102,7 @@ class TestSweepCommand:
         def broken(ws, mode, p_bs):
             raise cli_module.RisOptError("synthetic per-point failure")
 
-        monkeypatch.setattr(cli_module, "_mode_report", broken)
+        monkeypatch.setattr(cli_module, "_solve", broken)
         out = tmp_path / "out"
         code = main(
             [
@@ -106,6 +113,35 @@ class TestSweepCommand:
         assert code == 0  # the sweep completes; the point is recorded as NaN
         _, cols = read_csv(out / "sweep.csv")
         assert np.isnan(cols["min_rate_bps_hz"][0])
+
+    def test_warm_start_read_once(self, small_scene_path, tmp_path, monkeypatch):
+        import risopt.cli as cli_module
+
+        first = tmp_path / "first"
+        main(
+            [
+                "exhaustive", "--scene", small_scene_path,
+                "--out", str(first), "--reproducible",
+            ]
+        )
+        loads = []
+        real = cli_module.load_ris_config
+
+        def counting(path):
+            loads.append(path)
+            return real(path)
+
+        monkeypatch.setattr(cli_module, "load_ris_config", counting)
+        code = main(
+            [
+                "sweep", "--scene", small_scene_path, "--mode", "continuous",
+                "--ris-config", str(first / "best_config.json"),
+                "--power-dbm", "20", "--power-dbm", "30", "--max-sweeps", "1",
+                "--out", str(tmp_path / "out"), "--reproducible",
+            ]
+        )
+        assert code == 0
+        assert len(loads) == 1
 
 
 class TestExhaustiveCommand:
@@ -180,15 +216,17 @@ class TestPerturbCommand:
         assert len(calls) == 7 * solves_per_combination + 2
 
     def test_channels_only_is_config_error(self, tmp_path):
+        # perturb re-traces user positions, so it takes no channel file
         comps_path = tmp_path / "channels.json"
         save_components(random_components(np.random.default_rng(0), n=4), comps_path)
-        code = main(
-            [
-                "perturb", "--channels", str(comps_path),
-                "--out", str(tmp_path / "out"), "--reproducible",
-            ]
-        )
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "perturb", "--channels", str(comps_path),
+                    "--out", str(tmp_path / "out"), "--reproducible",
+                ]
+            )
+        assert exc.value.code == 2
 
 
 class TestWinnerReuse:
@@ -398,7 +436,85 @@ class TestSceneAndChannelCommands:
         ).read_bytes()
 
 
+class TestSynthesisCalls:
+    @pytest.fixture
+    def synth_calls(self, monkeypatch):
+        import risopt.cli as cli_module
+        import risopt.optimizer as opt
+
+        calls = []
+        for module in (cli_module, opt):
+            real = module.synthesize_components
+
+            def counting(scene, real=real):
+                calls.append(scene)
+                return real(scene)
+
+            monkeypatch.setattr(module, "synthesize_components", counting)
+        return calls
+
+    def test_scene_trace_synthesizes_nothing(self, synth_calls, tmp_path):
+        code = main(
+            [
+                "scene", "trace", "--src", "6,-3", "--dst", "1.8,2.38",
+                "--out", str(tmp_path / "out"), "--reproducible",
+            ]
+        )
+        assert code == 0
+        assert len(synth_calls) == 0
+
+    def test_one_perturb_combination_synthesizes_twice(
+        self, synth_calls, small_scene_path, tmp_path
+    ):
+        # the unmoved scene once, for the 1-bit blocks, and the one combination
+        code = main(
+            [
+                "perturb", "--scene", small_scene_path,
+                "--offset-x", "0", "--offset-y", "0",
+                "--power-dbm", "30", "--out", str(tmp_path / "out"),
+                "--reproducible",
+            ]
+        )
+        assert code == 0
+        assert len(synth_calls) == 2
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--mode", "perturbation"],
+            ["gainmap", "--mode", "gain-map"],
+            ["exhaustive", "--mode", "no-ris"],
+            ["perturb", "--seed", "3"],
+            ["scene", "trace", "--src", "6,-3", "--dst", "1.8,2.38",
+             "--power-dbm", "30"],
+            ["optimize", "--mode", "no-ris", "--mode", "continuous"],
+            ["optimize", "--power-dbm", "10", "--power-dbm", "30"],
+        ],
+        ids=[
+            "unsolved-mode", "gain-map-mode", "exhaustive-mode", "perturb-seed",
+            "trace-power", "second-mode", "second-power",
+        ],
+    )
+    def test_flag_the_command_does_not_read_is_usage_error(self, argv, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "out"), "--reproducible"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_bin_width_rejected_before_any_work(self, tmp_path, monkeypatch):
+        import risopt.cli as cli_module
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("workspace built for a rejected configuration")
+
+        monkeypatch.setattr(cli_module, "Workspace", unreachable)
+        code = main(
+            ["exhaustive", "--bin-width", "0", "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+
     def test_missing_scene_file_is_config_error(self, tmp_path):
         code = main(
             ["sweep", "--scene", str(tmp_path / "nope.json"), "--out", str(tmp_path)]
