@@ -95,10 +95,12 @@ from .scene import (
     SceneDescription,
     Wall,
     default_scene,
+    field_matrix,
     grid_scene,
     path_gain,
     synthesize_components,
     trace_paths,
+    trace_users,
     with_users,
 )
 

@@ -26,7 +26,8 @@ Every command writes plot-ready CSV/JSON files into the output directory;
 with --reproducible the volatile timestamp header is suppressed so repeated
 runs are byte-identical.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error (a rejected scene geometry, such
+as a point on a wall, included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 
 from .beamforming import duality_beamformer, noise_power
 from .channel import GAIN_FLOOR_DB, evaluate_gain_map, gain_map_db
-from .errors import ChannelFileError, RisOptError, SceneFileError
+from .errors import ChannelFileError, GeometryError, RisOptError, SceneFileError
 from .fileio import (
     atomic_write_text,
     load_components,
@@ -108,6 +109,8 @@ class ExperimentConfig:
             raise ValueError("temperature must be positive")
         if self.bin_width <= 0:
             raise ValueError("bin width must be positive")
+        if self.max_sweeps < 0:
+            raise ValueError("max sweeps must be >= 0")
         for mode in self.modes:
             if mode not in MODES:
                 raise ValueError(f"unrecognized mode {mode!r}; choose from {MODES}")
@@ -409,10 +412,7 @@ def _beamformer_payload(beamformer) -> dict:
 def run_scene_trace(ws: Workspace) -> list:
     cfg = ws.cfg
     scene = ws.scene
-    walls = scene.walls + (
-        (scene.unloaded_panel,) if scene.unloaded_panel is not None else ()
-    )
-    paths = trace_paths(scene, cfg.src, cfg.dst, walls=walls)
+    paths = trace_paths(scene, cfg.src, cfg.dst, walls=scene.user_walls)
     payload = {
         "src": list(cfg.src),
         "dst": list(cfg.dst),
@@ -596,7 +596,7 @@ def main(argv=None) -> int:
             "gainmap": run_gain_map,
         }[command]
         files = runner(ws)
-    except (SceneFileError, ChannelFileError, ValueError) as exc:
+    except (SceneFileError, ChannelFileError, GeometryError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except RisOptError as exc:

@@ -33,14 +33,14 @@ from .channel import (
     assemble_from_config,
     group_channel_derivative,
 )
-from .errors import RisOptError
+from .errors import GeometryError, RisOptError
 from .ris import (
     RisConfiguration,
     VaractorModel,
     enumerate_1bit_configs,
     onebit_configuration,
 )
-from .scene import SceneDescription, synthesize_components, with_users
+from .scene import SceneDescription, synthesize_components, trace_users
 
 logger = logging.getLogger(__name__)
 
@@ -558,6 +558,23 @@ def user_offset_grid(offsets_x=DEFAULT_OFFSETS_X, offsets_y=DEFAULT_OFFSETS_Y):
     return [(dx, dy) for dx in offsets_x for dy in offsets_y]
 
 
+def _user_rows(scene, positions) -> list:
+    """(h_u row, g_l row) of each position, or None where trace_users rejects
+    it; one rejected position does not stop the others."""
+    try:
+        return list(zip(*trace_users(scene, positions)))
+    except GeometryError:
+        pass
+    rows = []
+    for position in positions:
+        try:
+            h_u, g_l = trace_users(scene, position)
+            rows.append((h_u[0], g_l[0]))
+        except GeometryError:
+            rows.append(None)
+    return rows
+
+
 def perturbation_study(
     scene: SceneDescription,
     model: VaractorModel,
@@ -571,12 +588,15 @@ def perturbation_study(
     combination of per-user location offsets.
 
     Combinations run in itertools.product order over the users' offset
-    indices.  The solved block (diag(Z_L) - Z_ll)^-1 H_0 of every 1-bit state
-    does not depend on the users: it is built once (a block that cannot be
-    built raises) and each combination runs the exhaustive sweep's solves on
-    its own h_u and g_l.  Each combination still re-synthesizes the whole
-    scene, h_0 and z_ll included, at the moved user positions.  A
-    combination stops at its first failed solve and is skipped.
+    indices.  Only the users move, so the scene is synthesized once: the
+    solved block (diag(Z_L) - Z_ll)^-1 H_0 of every 1-bit state is built
+    from it (a block that cannot be built raises), and every moved user
+    position, K x len(offsets) of them, is traced once.  Each combination
+    gathers its users' h_u and g_l rows and runs the exhaustive sweep's
+    solves on them.  A combination with a position that the tracer rejects
+    (on a wall, or coincident with an antenna or port) is skipped with that
+    GeometryError; a combination also stops at its first failed solve and is
+    skipped.
     """
     if offsets is None:
         offsets = user_offset_grid()
@@ -590,23 +610,29 @@ def perturbation_study(
             raise block
         blocks.append(block)
 
+    # position u * len(offsets) + c is user u moved by offsets[c]
+    positions = [
+        scene.user_positions[u] + np.asarray(offset)
+        for u in range(k)
+        for offset in offsets
+    ]
+    rows = _user_rows(scene, positions)
+
     improvements = []
     indices = []
     combos = list(itertools.product(range(len(offsets)), repeat=k))
     for index, combo in enumerate(combos):
-        users = np.array(
-            [
-                scene.user_positions[u] + np.asarray(offsets[c])
-                for u, c in enumerate(combo)
-            ]
-        )
+        picks = [u * len(offsets) + c for u, c in enumerate(combo)]
         try:
-            moved = synthesize_components(with_users(scene, users))
-            _, baseline_report = duality_beamformer(moved.h_u, p_bs, sigma2)
+            if any(rows[i] is None for i in picks):
+                # raises the GeometryError of this combination's users
+                h_u, g_l = trace_users(scene, [positions[i] for i in picks])
+            else:
+                h_u = np.array([rows[i][0] for i in picks])
+                g_l = np.array([rows[i][1] for i in picks])
+            _, baseline_report = duality_beamformer(h_u, p_bs, sigma2)
             rates = []
-            for outcome in _onebit_solves(
-                moved.h_u, moved.g_l, blocks, p_bs, sigma2
-            ):
+            for outcome in _onebit_solves(h_u, g_l, blocks, p_bs, sigma2):
                 if isinstance(outcome, RisOptError):
                     raise outcome
                 rates.append(outcome[1].min_rate)

@@ -6,7 +6,16 @@ unobstructed) and all specular paths up to a configurable reflection order,
 found by recursively mirroring the source across wall lines and validating
 each candidate with segment-intersection tests.
 
-Channel components are synthesized per source-destination pair:
+``trace_paths`` traces one source-destination pair and lists its paths.
+``field_matrix`` gives the coherent field of every pair of a set of sources
+and destinations at once: the images of a wall sequence depend only on the
+source and the walls (Allen & Berkley, JASA 1979), so it mirrors each source
+once per sequence and runs the reflection-point backtracking and every
+leg-blocking test for a fixed-size chunk of pairs in numpy.  Its fields are
+bit-identical to summing ``path_gain`` over ``trace_paths`` in its
+(order, length) order, which keeps ``--reproducible`` outputs unchanged.
+
+Channel components are built from ``field_matrix``:
 
     h_u[k, m]  direct + wall + unloaded-panel paths, BS antenna m to user k
     h_0[n, m]  wall paths only, BS antenna m to RIS port n
@@ -14,6 +23,7 @@ Channel components are synthesized per source-destination pair:
 
 The unloaded RIS panel acts as one extra specular reflector for h_u; it is
 excluded from port traces because the ports sit on the panel itself.
+``trace_users`` gives just the user rows (h_u, g_l) of a set of positions.
 """
 
 from __future__ import annotations
@@ -129,6 +139,13 @@ class SceneDescription:
             self.user_positions.shape[0],
             self.bs_elements.shape[0],
             self.ris_ports.shape[0],
+        )
+
+    @property
+    def user_walls(self) -> tuple:
+        """Walls that BS-to-user traces see: the walls plus the unloaded panel."""
+        return self.walls + (
+            (self.unloaded_panel,) if self.unloaded_panel is not None else ()
         )
 
     @property
@@ -312,12 +329,247 @@ def path_gain(path: PropagationPath, frequency: float) -> complex:
     return path.product * np.exp(-1j * k * path.length) / path.length
 
 
-def field_between(scene, src, dst, walls=None) -> complex:
-    """Coherent sum of all path gains between two points."""
-    total = 0.0 + 0.0j
-    for path in trace_paths(scene, src, dst, walls=walls):
-        total += path_gain(path, scene.frequency)
+# --- vectorized tracer --------------------------------------------------------
+
+# (source, destination) pairs that field_matrix traces together; bounds the
+# size of its temporaries whatever the number of destinations.
+PAIR_CHUNK = 256
+
+
+def _dot(a, b):
+    """Row-wise dot products of (..., 2) arrays.
+
+    A stacked matmul runs the same BLAS dot as ``np.dot`` and
+    ``np.linalg.norm`` do for one 2-vector, so these round exactly as the
+    scalar tracer's; ``a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]`` does not.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _norm(v):
+    return np.sqrt(_dot(v, v))
+
+
+def _mirror_points(points, wall: Wall) -> np.ndarray:
+    """``_mirror`` of every row of ``points``."""
+    d = wall.p2 - wall.p1
+    n = np.array([-d[1], d[0]])
+    n = n / np.linalg.norm(n)
+    return points - (2.0 * _dot(points - wall.p1, n))[:, None] * n
+
+
+def _on_any_wall(points, walls) -> np.ndarray:
+    """``_point_on_wall`` of every row of ``points``, or-ed over the walls."""
+    on = np.zeros(points.shape[0], dtype=bool)
+    for wall in walls:
+        d = wall.p2 - wall.p1
+        length = np.linalg.norm(d)
+        rel = points - wall.p1
+        u = _dot(rel, d) / (length**2)
+        perp = rel - u[:, None] * d
+        on |= (u >= -GEOM_EPS) & (u <= 1.0 + GEOM_EPS) & (_norm(perp) <= GEOM_EPS)
+    return on
+
+
+class _WallArrays:
+    """Endpoints, direction vectors and their norms of a wall tuple."""
+
+    def __init__(self, walls):
+        self.p1 = np.array([w.p1 for w in walls], dtype=float).reshape(-1, 2)
+        self.s = np.array([w.p2 - w.p1 for w in walls], dtype=float).reshape(-1, 2)
+        self.s_norm = np.array([np.linalg.norm(w.p2 - w.p1) for w in walls])
+
+
+def _crossings(a, r, r_norm, walls: _WallArrays, cols):
+    """``_segment_wall_intersection`` of each row's segment a -> a + r with
+    each wall in ``cols``: (crosses, t, u), each (rows, len(cols)); crosses
+    is False where the segment and the wall are parallel."""
+    p1, s, s_norm = walls.p1[cols], walls.s[cols], walls.s_norm[cols]
+    denom = r[:, 0, None] * s[:, 1] - r[:, 1, None] * s[:, 0]
+    crosses = ~(np.abs(denom) < 1e-15 * (r_norm[:, None] * s_norm + 1e-300))
+    denom = np.where(crosses, denom, 1.0)
+    q0 = p1[:, 0] - a[:, 0, None]
+    q1 = p1[:, 1] - a[:, 1, None]
+    t = (q0 * s[:, 1] - q1 * s[:, 0]) / denom
+    u = (q0 * r[:, 1, None] - q1 * r[:, 0, None]) / denom
+    return crosses, t, u
+
+
+def _legs_clear(a, b, walls: _WallArrays, cols):
+    """True where segment a -> b has length and crosses no wall in ``cols``
+    (``_leg_blocked`` per row, with the same endpoint tolerance)."""
+    r = b - a
+    length = _norm(r)
+    clear = length > GEOM_EPS
+    length = np.where(clear, length, 1.0)
+    crosses, t, u = _crossings(a, r, length, walls, cols)
+    t_eps = (GEOM_EPS / length)[:, None]
+    hit = (
+        crosses
+        & (t_eps < t)
+        & (t < 1.0 - t_eps)
+        & (-GEOM_EPS <= u)
+        & (u <= 1.0 + GEOM_EPS)
+    )
+    return clear & ~hit.any(axis=1)
+
+
+def _path_gains(product, lengths, frequency):
+    """``path_gain`` of paths with one reflection product and these lengths.
+
+    The complex product is written out in real arithmetic: numpy's SIMD
+    complex multiply may fuse it, the scalar one does not.
+    """
+    k = 2.0 * np.pi * frequency / SPEED_OF_LIGHT
+    e = np.exp(-1j * k * lengths)
+    scaled = np.empty(lengths.shape, dtype=complex)
+    scaled.real = product.real * e.real - product.imag * e.imag
+    scaled.imag = product.real * e.imag + product.imag * e.real
+    return scaled / lengths
+
+
+class _Sequence:
+    """One wall sequence: its walls, reflection product, the images of every
+    source along it, and the walls each of its legs is tested against."""
+
+    def __init__(self, seq, walls, images):
+        self.seq = seq
+        self.product = 1.0 + 0.0j
+        for i in seq:
+            self.product *= walls[i].reflection
+        self.images = [images[seq[:j]] for j in range(len(seq) + 1)]
+        anchors = [None] + [walls[i] for i in seq] + [None]
+        self.leg_cols = [
+            [
+                c
+                for c, w in enumerate(walls)
+                if not any(w is x for x in (anchors[leg], anchors[leg + 1]))
+            ]
+            for leg in range(len(seq) + 1)
+        ]
+
+
+def _sequences(sources, walls, order_cap):
+    """Every wall sequence up to ``order_cap``, by order, in trace_paths order."""
+    images = {(): sources}
+    by_order = []
+    for order in range(1, order_cap + 1):
+        sequences = []
+        for seq in _wall_sequences(walls, order):
+            if seq not in images:
+                images[seq] = _mirror_points(images[seq[:-1]], walls[seq[-1]])
+            sequences.append(_Sequence(seq, walls, images))
+        if sequences:  # none when there are fewer walls than the order needs
+            by_order.append(sequences)
+    return by_order
+
+
+def _sequence_lengths(seq: _Sequence, si, src, dst, walls: _WallArrays):
+    """Unfolded length of each pair's path along ``seq``; inf where there is
+    none (``_validate_sequence`` per pair)."""
+    order = len(seq.seq)
+    valid = np.ones(si.shape[0], dtype=bool)
+    points = [None] * order
+    target = dst
+    for j in range(order - 1, -1, -1):
+        image = seq.images[j + 1][si]
+        r = target - image
+        crosses, t, u = _crossings(image, r, _norm(r), walls, [seq.seq[j]])
+        t, u = t[:, 0], u[:, 0]
+        valid &= (
+            crosses[:, 0]
+            & (GEOM_EPS < t)
+            & (t < 1.0 - GEOM_EPS)
+            & (-GEOM_EPS <= u)
+            & (u <= 1.0 + GEOM_EPS)
+        )
+        points[j] = image + t[:, None] * r
+        target = points[j]
+    lengths = np.full(si.shape[0], np.inf)
+    rows = np.flatnonzero(valid)
+    if rows.size == 0:
+        return lengths
+    stations = [src[rows]] + [p[rows] for p in points] + [dst[rows]]
+    clear = np.ones(rows.size, dtype=bool)
+    for leg in range(order + 1):
+        clear &= _legs_clear(
+            stations[leg], stations[leg + 1], walls, seq.leg_cols[leg]
+        )
+    rows = rows[clear]
+    lengths[rows] = _norm(dst[rows] - seq.images[order][si[rows]])
+    return lengths
+
+
+def _chunk_field(scene, si, src, dst, walls, wall_arrays, by_order):
+    """Coherent field of each (src, dst) row pair: the path gains summed in
+    the (order, length) order that trace_paths sorts them into."""
+    direct = np.full(si.shape[0], np.inf)
+    clear = _legs_clear(src, dst, wall_arrays, list(range(len(walls))))
+    direct[clear] = _norm(dst[clear] - src[clear])
+    blocks = [(direct[:, None], [1.0 + 0.0j])]
+    for sequences in by_order:
+        lengths = np.stack(
+            [_sequence_lengths(seq, si, src, dst, wall_arrays) for seq in sequences],
+            axis=1,
+        )
+        blocks.append((lengths, [seq.product for seq in sequences]))
+    total = np.zeros(si.shape[0], dtype=complex)
+    for lengths, products in blocks:
+        gains = np.zeros(lengths.shape, dtype=complex)
+        for col, product in enumerate(products):
+            found = np.isfinite(lengths[:, col])
+            gains[found, col] = _path_gains(
+                product, lengths[found, col], scene.frequency
+            )
+        rank = np.argsort(lengths, axis=1, kind="stable")
+        for column in np.take_along_axis(gains, rank, axis=1).T:
+            total += column  # adding the 0 of a missing path changes nothing
     return total
+
+
+def field_matrix(scene: SceneDescription, sources, dests, walls) -> np.ndarray:
+    """Coherent field of every source-destination pair, shape (D, S).
+
+    Entry [d, s] is the sum of ``path_gain`` over ``trace_paths(scene,
+    sources[s], dests[d], walls=walls)``, bit for bit.  Pairs are traced
+    PAIR_CHUNK at a time in destination-major order; a coincident pair or a
+    point on a wall raises the GeometryError that trace_paths raises for the
+    first such pair in that order.
+    """
+    sources = np.atleast_2d(np.asarray(sources, dtype=float))
+    dests = np.atleast_2d(np.asarray(dests, dtype=float))
+    walls = tuple(walls)
+    n_src, n_dst = sources.shape[0], dests.shape[0]
+    src_on_wall = _on_any_wall(sources, walls)
+    dst_on_wall = _on_any_wall(dests, walls)
+    wall_arrays = _WallArrays(walls)
+    by_order = _sequences(sources, walls, scene.max_reflection_order)
+    field = np.zeros(n_dst * n_src, dtype=complex)
+    for start in range(0, field.size, PAIR_CHUNK):
+        pairs = np.arange(start, min(start + PAIR_CHUNK, field.size))
+        si, di = pairs % n_src, pairs // n_src
+        src, dst = sources[si], dests[di]
+        coincide = _norm(dst - src) <= GEOM_EPS
+        bad = coincide | src_on_wall[si] | dst_on_wall[di]
+        if bad.any():
+            first = np.argmax(bad)
+            raise GeometryError(
+                "src and dst coincide"
+                if coincide[first]
+                else "src or dst lies on a wall segment"
+            )
+        field[pairs] = _chunk_field(scene, si, src, dst, walls, wall_arrays, by_order)
+    return field.reshape(n_dst, n_src)
+
+
+def trace_users(scene: SceneDescription, positions):
+    """(h_u, g_l) rows of users at ``positions``: (P, M) and (P, N)."""
+    positions = np.atleast_2d(np.asarray(positions, dtype=float))
+    if not np.all(np.isfinite(positions)):
+        raise ValueError("user_positions contains non-finite positions")
+    h_u = field_matrix(scene, scene.bs_elements, positions, scene.user_walls)
+    g_l = field_matrix(scene, scene.ris_ports, positions, scene.walls)
+    return h_u, g_l
 
 
 def synthesize_components(scene: SceneDescription) -> ChannelComponents:
@@ -325,24 +577,16 @@ def synthesize_components(scene: SceneDescription) -> ChannelComponents:
 
     Port traces exclude the unloaded panel (ports sit on it); BS-to-user
     traces include it so the baseline channel carries the unloaded-RIS
-    scattering.  The port coupling matrix comes from the induced-EMF model.
+    scattering.  h_u, h_0 and g_l are traced in that order, so a rejected
+    point raises the error the first of them meets.  The port coupling
+    matrix comes from the induced-EMF model.
     """
-    k, m, n = scene.dims
-    walls_user = scene.walls + (
-        (scene.unloaded_panel,) if scene.unloaded_panel is not None else ()
+    n = scene.dims[2]
+    h_u = field_matrix(
+        scene, scene.bs_elements, scene.user_positions, scene.user_walls
     )
-    h_u = np.zeros((k, m), dtype=complex)
-    for ki, user in enumerate(scene.user_positions):
-        for mi, ant in enumerate(scene.bs_elements):
-            h_u[ki, mi] = field_between(scene, ant, user, walls=walls_user)
-    h_0 = np.zeros((n, m), dtype=complex)
-    for ni, port in enumerate(scene.ris_ports):
-        for mi, ant in enumerate(scene.bs_elements):
-            h_0[ni, mi] = field_between(scene, ant, port, walls=scene.walls)
-    g_l = np.zeros((k, n), dtype=complex)
-    for ki, user in enumerate(scene.user_positions):
-        for ni, port in enumerate(scene.ris_ports):
-            g_l[ki, ni] = field_between(scene, port, user, walls=scene.walls)
+    h_0 = field_matrix(scene, scene.bs_elements, scene.ris_ports, scene.walls)
+    g_l = field_matrix(scene, scene.ris_ports, scene.user_positions, scene.walls)
     if not (np.any(h_u) or np.any(h_0) or np.any(g_l)):
         warnings.warn(
             "all traced channel matrices are zero (fully occluded scene)",

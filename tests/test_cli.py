@@ -14,7 +14,7 @@ from risopt.fileio import (
     save_components,
     save_scene,
 )
-from risopt.scene import ObservationGrid, default_scene
+from risopt.scene import ObservationGrid, default_scene, with_users
 
 from conftest import random_components
 
@@ -57,6 +57,11 @@ class TestExperimentConfig:
     def test_non_positive_value_rejected(self, field, value):
         with pytest.raises(ValueError):
             ExperimentConfig(**{field: value})
+
+    def test_negative_max_sweeps_rejected(self):
+        with pytest.raises(ValueError):
+            ExperimentConfig(max_sweeps=-1)
+        assert ExperimentConfig(max_sweeps=0).max_sweeps == 0
 
     def test_noise_power_matches_ktb(self):
         cfg = ExperimentConfig()
@@ -214,6 +219,17 @@ class TestPerturbCommand:
         assert list(rows["combination"]) == [0, 1, 2, 4, 5, 6, 7]
         # combination 3 stops at its failed second solve
         assert len(calls) == 7 * solves_per_combination + 2
+
+    def test_non_finite_offset_is_config_error(self, small_scene_path, tmp_path):
+        code = main(
+            [
+                "perturb", "--scene", small_scene_path,
+                "--offset-x", "inf", "--offset-y", "0",
+                "--out", str(tmp_path / "out"), "--reproducible",
+            ]
+        )
+        assert code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_channels_only_is_config_error(self, tmp_path):
         # perturb re-traces user positions, so it takes no channel file
@@ -463,10 +479,11 @@ class TestSynthesisCalls:
         assert code == 0
         assert len(synth_calls) == 0
 
-    def test_one_perturb_combination_synthesizes_twice(
+    def test_one_perturb_combination_synthesizes_once(
         self, synth_calls, small_scene_path, tmp_path
     ):
-        # the unmoved scene once, for the 1-bit blocks, and the one combination
+        # the unmoved scene once, for the 1-bit blocks; the moved users are
+        # traced, not synthesized
         code = main(
             [
                 "perturb", "--scene", small_scene_path,
@@ -476,7 +493,7 @@ class TestSynthesisCalls:
             ]
         )
         assert code == 0
-        assert len(synth_calls) == 2
+        assert len(synth_calls) == 1
 
 
 class TestExitCodes:
@@ -514,6 +531,53 @@ class TestExitCodes:
             ["exhaustive", "--bin-width", "0", "--out", str(tmp_path / "out")]
         )
         assert code == 2
+
+    def test_negative_max_sweeps_rejected_before_any_work(
+        self, tmp_path, monkeypatch
+    ):
+        import risopt.cli as cli_module
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("workspace built for a rejected configuration")
+
+        monkeypatch.setattr(cli_module, "Workspace", unreachable)
+        code = main(
+            [
+                "sweep", "--mode", "no-ris", "--mode", "continuous",
+                "--max-sweeps", "-1", "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+
+    def test_trace_point_on_wall_is_config_error(self, tmp_path, capsys):
+        # (1.3, 4) lies on the built-in scene's y = 4 wall
+        for flag in ("--src", "--dst"):
+            points = {"--src": "6,-3", "--dst": "1.8,2.38", flag: "1.3,4"}
+            code = main(
+                [
+                    "scene", "trace", "--src", points["--src"],
+                    "--dst", points["--dst"], "--out", str(tmp_path / "out"),
+                    "--reproducible",
+                ]
+            )
+            assert code == 2
+            assert "lies on a wall" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_user_on_wall_is_config_error(self, tmp_path, capsys):
+        scene = default_scene(n_ports=4, max_reflection_order=1, with_grid=False)
+        users = scene.user_positions.copy()
+        users[0] = (1.3, 4.0)  # on the y = 4 wall
+        path = tmp_path / "scene.json"
+        save_scene(with_users(scene, users), path)
+        code = main(
+            [
+                "exhaustive", "--scene", str(path),
+                "--out", str(tmp_path / "out"), "--reproducible",
+            ]
+        )
+        assert code == 2
+        assert "lies on a wall" in capsys.readouterr().err
 
     def test_missing_scene_file_is_config_error(self, tmp_path):
         code = main(

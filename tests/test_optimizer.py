@@ -1,5 +1,8 @@
 """Coordinate ascent, line search, exhaustive sweep, and perturbation study."""
 
+import itertools
+import logging
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,8 @@ from risopt.optimizer import (
     BcdSettings,
     OptimizerState,
     _armijo_search,
+    _onebit_blocks,
+    _onebit_solves,
     alternating_optimize,
     armijo_coordinate_step,
     bcd_sweep,
@@ -447,3 +452,56 @@ class TestPerturbationStudy:
         assert result.summary["combinations"] == 1
         assert result.summary["evaluated"] == 1
         assert result.summary["min_improvement"] == result.summary["max_improvement"]
+
+    def test_hoisted_traces_equal_per_combination_synthesis(self):
+        scene = light_scene()
+        grouping = column_paired_grouping(4)
+        sigma2 = ro.noise_power(900.0, 40e6)
+        offsets = [(0.0, 0.0), (0.05, -0.03), (-0.075, 0.092)]
+        result = perturbation_study(
+            scene, MODEL, grouping, 1.0, sigma2, offsets=offsets
+        )
+        assert result.skipped == 0
+        combos = list(itertools.product(range(len(offsets)), repeat=3))
+        for index in (0, 13, 26):
+            users = scene.user_positions + np.array(
+                [offsets[c] for c in combos[index]]
+            )
+            expected = resynthesized_improvement(scene, grouping, users, sigma2)
+            assert result.improvements[index] == expected
+
+    def test_position_on_wall_skips_only_its_combinations(self, caplog):
+        scene = light_scene()
+        grouping = column_paired_grouping(4)
+        sigma2 = ro.noise_power(900.0, 40e6)
+        # the second offset puts user 0 on the y = 4 wall; users 1 and 2 stay clear
+        offsets = [(0.0, 0.0), (0.0, 0.87)]
+        with caplog.at_level(logging.WARNING, logger="risopt.optimizer"):
+            result = perturbation_study(
+                scene, MODEL, grouping, 1.0, sigma2, offsets=offsets
+            )
+        assert result.combinations == 8
+        assert result.skipped == 4
+        assert result.combination_indices == [0, 1, 2, 3]
+        combos = list(itertools.product(range(2), repeat=3))
+        assert [r.getMessage() for r in caplog.records] == [
+            f"combination {combo} skipped: src or dst lies on a wall segment"
+            for combo in combos[4:]
+        ]
+        users = scene.user_positions + np.array([offsets[c] for c in combos[3]])
+        expected = resynthesized_improvement(scene, grouping, users, sigma2)
+        assert result.improvements[3] == expected
+
+
+def resynthesized_improvement(scene, grouping, users, sigma2, p_bs=1.0):
+    """One combination as computed by re-synthesizing the whole scene at the
+    moved users and sweeping every 1-bit state on its h_u and g_l."""
+    states = list(ro.enumerate_1bit_configs(len(grouping)))
+    blocks = list(_onebit_blocks(synthesize_components(scene), MODEL, grouping, states))
+    moved = synthesize_components(with_users(scene, users))
+    _, baseline = ro.duality_beamformer(moved.h_u, p_bs, sigma2)
+    rates = [
+        report.min_rate
+        for _, report in _onebit_solves(moved.h_u, moved.g_l, blocks, p_bs, sigma2)
+    ]
+    return max(rates) - baseline.min_rate

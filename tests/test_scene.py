@@ -1,18 +1,25 @@
 """Image-method ray tracer: toy geometries, oracles, and properties."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import risopt as ro
 from risopt.constants import SPEED_OF_LIGHT
 from risopt.scene import (
+    PAIR_CHUNK,
     PropagationPath,
     SceneDescription,
     Wall,
     default_scene,
+    field_matrix,
+    grid_scene,
     path_gain,
     synthesize_components,
     trace_paths,
+    trace_users,
+    with_users,
 )
 
 
@@ -299,6 +306,26 @@ class TestCoherentSumLinearity:
         assert first_b == pytest.approx(2.0 * first_a, rel=1e-12)
 
 
+def absorbing_boxes_scene():
+    def box(x0, y0, x1, y1):
+        return (
+            Wall(p1=(x0, y0), p2=(x0, y1), reflection=0.0),
+            Wall(p1=(x0, y1), p2=(x1, y1), reflection=0.0),
+            Wall(p1=(x1, y1), p2=(x1, y0), reflection=0.0),
+            Wall(p1=(x1, y0), p2=(x0, y0), reflection=0.0),
+        )
+
+    # BS and user each sealed inside their own absorbing box
+    return SceneDescription(
+        walls=box(1, -1, 3, 3) + box(5.5, 0, 7, 2),
+        bs_elements=[(2.0, 1.0)],
+        ris_ports=[(4.0, 0.0)],
+        user_positions=[(6.0, 1.0)],
+        frequency=5.8e9,
+        max_reflection_order=0,
+    )
+
+
 class TestSynthesizeComponents:
     def test_free_space_single_pair_matches_direct_gain(self):
         scene = SceneDescription(
@@ -347,25 +374,8 @@ class TestSynthesizeComponents:
         assert np.all(np.abs(comps.g_l) > 0)
 
     def test_fully_occluded_scene_warns_and_zeroes(self):
-        def box(x0, y0, x1, y1):
-            return (
-                Wall(p1=(x0, y0), p2=(x0, y1), reflection=0.0),
-                Wall(p1=(x0, y1), p2=(x1, y1), reflection=0.0),
-                Wall(p1=(x1, y1), p2=(x1, y0), reflection=0.0),
-                Wall(p1=(x1, y0), p2=(x0, y0), reflection=0.0),
-            )
-
-        # BS and user each sealed inside their own absorbing box
-        scene = SceneDescription(
-            walls=box(1, -1, 3, 3) + box(5.5, 0, 7, 2),
-            bs_elements=[(2.0, 1.0)],
-            ris_ports=[(4.0, 0.0)],
-            user_positions=[(6.0, 1.0)],
-            frequency=5.8e9,
-            max_reflection_order=0,
-        )
         with pytest.warns(UserWarning, match="zero"):
-            comps = synthesize_components(scene)
+            comps = synthesize_components(absorbing_boxes_scene())
         assert np.all(comps.h_u == 0)
         assert np.all(comps.h_0 == 0)
 
@@ -385,6 +395,131 @@ class TestSynthesizeComponents:
         assert np.array_equal(with_panel.h_0, without.h_0)
         assert np.array_equal(with_panel.g_l, without.g_l)
         assert not np.array_equal(with_panel.h_u, without.h_u)
+
+
+def traced_field(scene, src, dst, walls):
+    """Oracle: path gains of trace_paths summed in its (order, length) order."""
+    total = 0.0 + 0.0j
+    for path in trace_paths(scene, src, dst, walls=walls):
+        total += path_gain(path, scene.frequency)
+    return total
+
+
+def traced_components(scene, users=None):
+    """(h_u, h_0, g_l) of a scene, one trace_paths call per pair."""
+    users = scene.user_positions if users is None else users
+
+    def field(sources, dests, walls):
+        return np.array(
+            [[traced_field(scene, s, d, walls) for s in sources] for d in dests]
+        )
+
+    return (
+        field(scene.bs_elements, users, scene.user_walls),
+        field(scene.bs_elements, scene.ris_ports, scene.walls),
+        field(scene.ris_ports, users, scene.walls),
+    )
+
+
+def assert_fields_agree(got, want):
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+class TestFieldMatrix:
+    """The vectorized tracer against a sum of path_gain over trace_paths."""
+
+    @pytest.mark.parametrize(
+        "scene",
+        [
+            default_scene(),
+            default_scene(n_ports=2, max_reflection_order=1, with_grid=False),
+            default_scene(n_ports=4, max_reflection_order=3, with_grid=False),
+        ],
+        ids=["default", "light", "order3"],
+    )
+    def test_components_match_scalar_tracer(self, scene):
+        comps = synthesize_components(scene)
+        for got, want in zip(
+            (comps.h_u, comps.h_0, comps.g_l), traced_components(scene)
+        ):
+            assert_fields_agree(got, want)
+
+    def test_default_scene_is_bit_identical(self):
+        # the row dot products round like np.linalg.norm's, so the fields
+        # (and the --reproducible outputs built on them) do not move at all
+        scene = default_scene()
+        comps = synthesize_components(scene)
+        for got, want in zip(
+            (comps.h_u, comps.h_0, comps.g_l), traced_components(scene)
+        ):
+            assert got.tobytes() == want.tobytes()
+
+    def test_grid_matches_scalar_tracer(self):
+        scene = grid_scene(default_scene())
+        comps = synthesize_components(scene)
+        assert comps.h_u.shape == (324, 3) and comps.g_l.shape == (324, 20)
+        sample = np.arange(0, 324, 13)  # the scalar tracer is slow
+        h_u, h_0, g_l = traced_components(scene, scene.user_positions[sample])
+        assert_fields_agree(comps.h_u[sample], h_u)
+        assert_fields_agree(comps.h_0, h_0)
+        assert_fields_agree(comps.g_l[sample], g_l)
+
+    def test_fully_blocked_scene_matches_scalar_tracer(self):
+        # order 2 adds the absorbing walls' zero-gain bounces inside the boxes
+        scene = replace(absorbing_boxes_scene(), max_reflection_order=2)
+        with pytest.warns(UserWarning, match="zero"):
+            comps = synthesize_components(scene)
+        for got, want in zip(
+            (comps.h_u, comps.h_0, comps.g_l), traced_components(scene)
+        ):
+            assert got.tobytes() == want.tobytes()  # no -0.0 either
+
+    def test_partial_last_chunk(self, rng):
+        scene = default_scene(n_ports=4, max_reflection_order=2, with_grid=False)
+        dests = rng.uniform(0.3, 2.9, (PAIR_CHUNK + 3, 2))
+        got = field_matrix(scene, scene.bs_elements[:1], dests, scene.user_walls)
+        want = np.array(
+            [[traced_field(scene, scene.bs_elements[0], d, scene.user_walls)]
+             for d in dests]
+        )
+        assert_fields_agree(got, want)
+
+    def test_rectangle_room_order_three(self):
+        scene = SceneDescription(
+            walls=rectangle_walls(6.0, 4.0, complex(-0.5, 0.2)),
+            bs_elements=[(1.2, 1.1), (0.4, 3.3)],
+            ris_ports=[(3.0, 2.0)],
+            user_positions=[(4.3, 2.7), (5.5, 0.2), (2.0, 2.0)],
+            frequency=5.8e9,
+            max_reflection_order=3,
+        )
+        got = field_matrix(scene, scene.bs_elements, scene.user_positions, scene.walls)
+        want = traced_components(scene)[0]
+        assert_fields_agree(got, want)
+
+    def test_trace_users_rows_match_moved_scene(self):
+        scene = default_scene(n_ports=4, max_reflection_order=1, with_grid=False)
+        moved = scene.user_positions + np.array([0.05, -0.03])
+        h_u, g_l = trace_users(scene, moved)
+        comps = synthesize_components(with_users(scene, moved))
+        assert h_u.tobytes() == comps.h_u.tobytes()
+        assert g_l.tobytes() == comps.g_l.tobytes()
+
+    @pytest.mark.parametrize(
+        "dests, message",
+        [
+            ([(2.0, 2.0), (0.0, 1.0)], "coincide"),
+            ([(2.0, 2.0), (1.0, 0.0)], "on a wall"),
+        ],
+        ids=["coincident", "on-wall"],
+    )
+    def test_rejects_what_trace_paths_rejects(self, dests, message):
+        scene = simple_scene((Wall(p1=(-10, 0), p2=(10, 0)),))
+        with pytest.raises(ro.GeometryError, match=message):
+            trace_paths(scene, (0.0, 1.0), dests[1])
+        with pytest.raises(ro.GeometryError, match=message):
+            field_matrix(scene, [(0.0, 1.0)], dests, scene.walls)
 
 
 class TestSceneValidation:
