@@ -11,7 +11,6 @@ import numpy as np
 
 import risopt as ro
 from risopt.fileio import write_csv
-from risopt.scene import grid_scene
 
 OUT = "demo-out"
 os.makedirs(OUT, exist_ok=True)
@@ -32,16 +31,16 @@ print(f"min rate {np.log2(1 + trace.initial_sinr_min):.6f}"
 print("optimized capacitances (pF):",
       np.round(trace.final_config.capacitances * 1e12, 3))
 
-z_loads = ro.load_impedances(
-    ro.DEFAULT_VARACTOR, trace.final_config, components.frequency
+# the grid points' channel: their traced rows through the optimized loads
+effective = ro.assemble_from_config(
+    components, ro.DEFAULT_VARACTOR, trace.final_config
 )
-grid_components = ro.synthesize_components(grid_scene(scene))
 points = scene.grid.points()
+h_u, g_l = ro.trace_users(scene, points)
+h_grid = h_u + g_l @ effective.solved_h0
 
 for beam in range(3):
-    gains = ro.evaluate_gain_map(
-        grid_components, z_loads, trace.final_beamformer, beam
-    )
+    gains = ro.evaluate_gain_map(h_grid, trace.final_beamformer, beam)
     db = ro.gain_map_db(gains)
     write_csv(
         os.path.join(OUT, f"gain_map_beam{beam + 1}.csv"),
@@ -56,13 +55,10 @@ print(f"maps written to {OUT}/gain_map_beam*.csv")
 
 # the beam contrast is sharpest at the exact user positions (the focusing
 # spot is wavelength-scale, finer than the grid spacing)
-user_components = ro.synthesize_components(
-    ro.with_users(scene, scene.user_positions)
-)
 print("\nnormalized gain at the three user positions (dB):")
 for beam in range(3):
     at_users = ro.gain_map_db(
-        ro.evaluate_gain_map(user_components, z_loads, trace.final_beamformer, beam)
+        ro.evaluate_gain_map(effective.matrix, trace.final_beamformer, beam)
     )
     own = at_users[beam]
     others = np.delete(at_users, beam)

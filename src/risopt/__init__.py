@@ -37,7 +37,6 @@ from .channel import (
     evaluate_gain_map,
     gain_map_db,
     group_channel_derivative,
-    received_signals,
 )
 from .coupling import mutual_impedance_sidebyside, synthesize_mutual_impedance
 from .errors import (
@@ -84,7 +83,6 @@ from .ris import (
     capacitance_from_bias,
     column_paired_grouping,
     enumerate_1bit_configs,
-    expand_group_config,
     identity_grouping,
     load_impedances,
     onebit_configuration,
@@ -96,7 +94,6 @@ from .scene import (
     Wall,
     default_scene,
     field_matrix,
-    grid_scene,
     path_gain,
     synthesize_components,
     trace_paths,

@@ -17,8 +17,10 @@ import numpy as np
 from .constants import BOLTZMANN
 from .errors import DualityError, InfeasibleUserError
 
-DEFAULT_BALANCE_TOL = 1e-6
-DEFAULT_BALANCE_MAX_ITER = 50
+# Fixed-point balance stop rule: the minimum SINR changes by less than
+# BALANCE_TOL between iterations, or BALANCE_MAX_ITER iterations have run.
+BALANCE_TOL = 1e-6
+BALANCE_MAX_ITER = 50
 
 POWER_CONSERVATION_TOL = 1e-8
 
@@ -85,14 +87,17 @@ class UplinkPowers:
 
 @dataclass
 class SinrReport:
-    """Per-user SINR/rate summary for one channel + beamformer."""
+    """Per-user SINR/rate summary for one channel + beamformer.
+
+    Rates are spectral efficiencies in bps/Hz; the serialized report states
+    that as ``"bandwidth": 1.0``.
+    """
 
     sinr: np.ndarray  # linear
-    rates: np.ndarray  # bandwidth * log2(1 + sinr)
+    rates: np.ndarray  # log2(1 + sinr), bps/Hz
     min_rate: float
     avg_received_power: float  # mean over users of sum_j |Y[k, j]|^2
     noise_power: float
-    bandwidth: float = 1.0
 
     def to_dict(self) -> dict:
         return {
@@ -101,12 +106,13 @@ class SinrReport:
             "min_rate": float(self.min_rate),
             "avg_received_power": float(self.avg_received_power),
             "noise_power": float(self.noise_power),
-            "bandwidth": float(self.bandwidth),
+            "bandwidth": 1.0,
         }
 
 
-def rates_from_sinr(sinr: np.ndarray, bandwidth: float = 1.0) -> np.ndarray:
-    return bandwidth * np.log2(1.0 + np.asarray(sinr, dtype=float))
+def rates_from_sinr(sinr: np.ndarray) -> np.ndarray:
+    """Spectral efficiency log2(1 + SINR) in bps/Hz."""
+    return np.log2(1.0 + np.asarray(sinr, dtype=float))
 
 
 def downlink_sinr(y: np.ndarray, sigma2: float) -> np.ndarray:
@@ -120,10 +126,10 @@ def downlink_sinr(y: np.ndarray, sigma2: float) -> np.ndarray:
     return desired / (interference + sigma2)
 
 
-def sinr_report(y: np.ndarray, sigma2: float, bandwidth: float = 1.0) -> SinrReport:
+def sinr_report(y: np.ndarray, sigma2: float) -> SinrReport:
     """Assemble the report the CLI and optimizer serialize."""
     sinr = downlink_sinr(y, sigma2)
-    rates = rates_from_sinr(sinr, bandwidth)
+    rates = rates_from_sinr(sinr)
     received = (np.abs(y) ** 2).sum(axis=1)
     return SinrReport(
         sinr=sinr,
@@ -131,7 +137,6 @@ def sinr_report(y: np.ndarray, sigma2: float, bandwidth: float = 1.0) -> SinrRep
         min_rate=float(rates.min()),
         avg_received_power=float(received.mean()),
         noise_power=sigma2,
-        bandwidth=bandwidth,
     )
 
 
@@ -175,26 +180,19 @@ class BalanceResult:
     converged: bool
 
 
-def fixed_point_power_balance(
-    h,
-    p_bs: float,
-    sigma2: float,
-    eps_u: float = DEFAULT_BALANCE_TOL,
-    t_u: int = DEFAULT_BALANCE_MAX_ITER,
-) -> BalanceResult:
+def fixed_point_power_balance(h, p_bs: float, sigma2: float) -> BalanceResult:
     """Balance the per-user uplink SINRs under the sum-power constraint.
 
     Starting from a uniform split, each iteration recomputes the MMSE
     combiners, then scales q_k by min_i SINR_i / SINR_k and renormalizes to
-    the budget.  Stops when the minimum SINR changes by less than ``eps_u``
-    between iterations or after ``t_u`` iterations.
+    the budget.  Stops when the minimum SINR changes by less than
+    BALANCE_TOL between iterations (``converged``) or after BALANCE_MAX_ITER
+    iterations.
     """
     hm = _channel_matrix(h)
     k, m = hm.shape
     if p_bs <= 0:
         raise ValueError("power budget must be positive")
-    if t_u < 1:
-        raise ValueError("need at least one balancing iteration")
     if k > m:
         warnings.warn(
             f"K={k} users exceed M={m} antennas; balancing may converge to "
@@ -213,7 +211,7 @@ def fixed_point_power_balance(
     sinr = None
     iterations = 0
     converged = False
-    for iterations in range(1, t_u + 1):
+    for iterations in range(1, BALANCE_MAX_ITER + 1):
         w = mmse_combiner(hm, q, sigma2)
         sinr = uplink_sinr(hm, w, q, sigma2)
         smin = float(sinr.min())
@@ -221,7 +219,7 @@ def fixed_point_power_balance(
             raise InfeasibleUserError(
                 "a user SINR collapsed to zero during balancing"
             )
-        if prev_min is not None and abs(smin - prev_min) < eps_u:
+        if prev_min is not None and abs(smin - prev_min) < BALANCE_TOL:
             converged = True
             break
         prev_min = smin
@@ -241,14 +239,14 @@ def downlink_power_recovery(
     w_ul: np.ndarray,
     sinr_ul: np.ndarray,
     sigma2: float,
-    p_bs: float | None = None,
+    p_bs: float,
 ) -> np.ndarray:
     """Per-beam downlink powers reproducing the uplink SINRs.
 
     Solves p_k G(k,k) - SINR_k sum_{j != k} p_j G(k,j) = SINR_k sigma2 with
     G(k,j) = |h_k . w_j|^2.  Duality guarantees nonnegative powers and, for
-    unit-norm combiners, total power equal to the uplink budget; both are
-    checked and violations raise DualityError.
+    unit-norm combiners, total power equal to the uplink budget ``p_bs``;
+    both are checked and violations raise DualityError.
     """
     hm = _channel_matrix(h)
     sinr_ul = np.asarray(sinr_ul, dtype=float)
@@ -263,28 +261,21 @@ def downlink_power_recovery(
         p = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise DualityError(f"downlink power system is singular: {exc}") from exc
-    scale = p_bs if p_bs is not None else max(abs(p).max(), 1.0)
-    if np.any(p < -1e-10 * scale):
+    if np.any(p < -1e-10 * p_bs):
         raise DualityError(
             f"negative downlink power recovered: {p.min()!r}"
         )
     p = np.maximum(p, 0.0)
-    if p_bs is not None:
-        drift = abs(p.sum() - p_bs) / p_bs
-        if drift > POWER_CONSERVATION_TOL:
-            raise DualityError(
-                f"duality power conservation violated: sum(p) drifts by {drift:.3e}"
-            )
+    drift = abs(p.sum() - p_bs) / p_bs
+    if drift > POWER_CONSERVATION_TOL:
+        raise DualityError(
+            f"duality power conservation violated: sum(p) drifts by {drift:.3e}"
+        )
     return p
 
 
 def duality_beamformer(
-    h,
-    p_bs: float,
-    sigma2: float,
-    bandwidth: float = 1.0,
-    eps_u: float = DEFAULT_BALANCE_TOL,
-    t_u: int = DEFAULT_BALANCE_MAX_ITER,
+    h, p_bs: float, sigma2: float
 ) -> tuple[BeamformerMatrix, SinrReport]:
     """Max-min downlink beamformer for one channel state.
 
@@ -294,14 +285,14 @@ def duality_beamformer(
     1e-6 relative between the two is surfaced as a warning.
     """
     hm = _channel_matrix(h)
-    balance = fixed_point_power_balance(hm, p_bs, sigma2, eps_u=eps_u, t_u=t_u)
+    balance = fixed_point_power_balance(hm, p_bs, sigma2)
     norms = np.linalg.norm(balance.combiner, axis=0)
     unit = balance.combiner / norms
     p = downlink_power_recovery(hm, unit, balance.sinr, sigma2, p_bs=p_bs)
     weights = unit * np.sqrt(p)
     beamformer = BeamformerMatrix(weights, power_budget=p_bs).finalized()
     y = hm @ beamformer.weights
-    report = sinr_report(y, sigma2, bandwidth)
+    report = sinr_report(y, sigma2)
     rel = np.abs(report.sinr - balance.sinr) / np.maximum(balance.sinr, 1e-300)
     if np.any(rel > 1e-6):
         warnings.warn(

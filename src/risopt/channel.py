@@ -14,7 +14,7 @@ with respect to each load capacitance.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -91,27 +91,15 @@ class EffectiveChannel:
     """
 
     matrix: np.ndarray
-    config_fingerprint: str
     lu: tuple
     solved_h0: np.ndarray  # (N, M) block (diag(Z_L) - Z_ll)^-1 H_0
-    _inverse: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def cached_inverse(self) -> np.ndarray:
-        """Explicit N x N inverse, materialized lazily from the LU factors."""
-        if self._inverse is None:
-            n = self.solved_h0.shape[0]
-            self._inverse = lu_solve(self.lu, np.eye(n, dtype=complex))
-        return self._inverse
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return lu_solve(self.lu, rhs)
 
 
 def assemble_effective_channel(
-    components: ChannelComponents,
-    z_loads: np.ndarray,
-    fingerprint: str = "",
+    components: ChannelComponents, z_loads: np.ndarray
 ) -> EffectiveChannel:
     """Assemble H_eff = H_u + G_l (diag(Z_L) - Z_ll)^-1 H_0.
 
@@ -129,18 +117,12 @@ def assemble_effective_channel(
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise SingularChannelError(
             f"load/coupling system condition number {cond:.3e} exceeds "
-            f"{CONDITION_LIMIT:.0e} (configuration {fingerprint or 'unnamed'})",
-            fingerprint=fingerprint or None,
+            f"{CONDITION_LIMIT:.0e}"
         )
     lu = lu_factor(z)
     solved_h0 = lu_solve(lu, components.h_0)
     matrix = components.h_u + components.g_l @ solved_h0
-    return EffectiveChannel(
-        matrix=matrix,
-        config_fingerprint=fingerprint,
-        lu=lu,
-        solved_h0=solved_h0,
-    )
+    return EffectiveChannel(matrix=matrix, lu=lu, solved_h0=solved_h0)
 
 
 def assemble_from_config(
@@ -150,24 +132,7 @@ def assemble_from_config(
 ) -> EffectiveChannel:
     """Convenience wrapper: capacitances -> load impedances -> assembly."""
     z_loads = load_impedances(model, config, components.frequency)
-    return assemble_effective_channel(
-        components, z_loads, fingerprint=config.fingerprint()
-    )
-
-
-def received_signals(channel, beamformer) -> np.ndarray:
-    """K x K received-signal matrix Y with Y[k, j] = H_eff[k] . w_j.
-
-    The diagonal holds the desired signals and the off-diagonal entries the
-    multi-user interference amplitudes.
-    """
-    h = channel.matrix if hasattr(channel, "matrix") else np.asarray(channel)
-    w = beamformer.weights if hasattr(beamformer, "weights") else np.asarray(beamformer)
-    if h.shape[1] != w.shape[0]:
-        raise ValueError(
-            f"antenna-dimension mismatch: channel {h.shape} vs weights {w.shape}"
-        )
-    return h @ w
+    return assemble_effective_channel(components, z_loads)
 
 
 def capacitance_impedance_slope(capacitance: float, frequency: float) -> complex:
@@ -226,17 +191,13 @@ def group_channel_derivative(
     return total
 
 
-def evaluate_gain_map(
-    grid_components: ChannelComponents,
-    z_loads: np.ndarray | None,
-    beamformer,
-    beam_index: int,
-) -> np.ndarray:
-    """Per-grid-point power gain |H_eff[g] . w_k|^2 / power_budget.
+def evaluate_gain_map(h: np.ndarray, beamformer, beam_index: int) -> np.ndarray:
+    """Per-grid-point power gain |h[g] . w_k|^2 / power_budget.
 
-    ``grid_components`` must be synthesized with the observation grid points
-    standing in as users.  Returns the linear dimensionless gain; use
-    gain_map_db for the dB rendering.
+    ``h`` is the (G, M) channel from the BS to the G observation points: the
+    grid rows of H_u alone without a RIS, or h_u + g_l (diag(Z_L) - Z_ll)^-1
+    H_0 with one.  Returns the linear dimensionless gain; use gain_map_db for
+    the dB rendering.
     """
     w = beamformer.weights if hasattr(beamformer, "weights") else np.asarray(beamformer)
     budget = getattr(beamformer, "power_budget", None)
@@ -244,11 +205,7 @@ def evaluate_gain_map(
         budget = float(np.linalg.norm(w) ** 2)
     if not 0 <= beam_index < w.shape[1]:
         raise ValueError(f"beam index {beam_index} out of range")
-    if z_loads is None:
-        h = grid_components.h_u
-    else:
-        h = assemble_effective_channel(grid_components, z_loads).matrix
-    fields = h @ w[:, beam_index]
+    fields = np.asarray(h) @ w[:, beam_index]
     power = np.abs(fields) ** 2
     if budget > 0:
         power = power / budget
@@ -258,10 +215,12 @@ def evaluate_gain_map(
 GAIN_FLOOR_DB = -300.0
 
 
-def gain_map_db(gains: np.ndarray, floor: float = GAIN_FLOOR_DB) -> np.ndarray:
-    """10 log10 of a linear gain map, clamped at a finite floor."""
+def gain_map_db(gains: np.ndarray) -> np.ndarray:
+    """10 log10 of a linear gain map, clamped at GAIN_FLOOR_DB."""
     gains = np.asarray(gains, dtype=float)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # log of exact zeros handled by the floor
         db = 10.0 * np.log10(gains)
-    return np.maximum(np.nan_to_num(db, nan=floor, neginf=floor), floor)
+    return np.maximum(
+        np.nan_to_num(db, nan=GAIN_FLOOR_DB, neginf=GAIN_FLOOR_DB), GAIN_FLOOR_DB
+    )

@@ -42,7 +42,12 @@ import sys
 from dataclasses import dataclass
 
 from .beamforming import duality_beamformer, noise_power
-from .channel import GAIN_FLOOR_DB, evaluate_gain_map, gain_map_db
+from .channel import (
+    GAIN_FLOOR_DB,
+    assemble_from_config,
+    evaluate_gain_map,
+    gain_map_db,
+)
 from .errors import ChannelFileError, GeometryError, RisOptError, SceneFileError
 from .fileio import (
     atomic_write_text,
@@ -66,8 +71,14 @@ from .optimizer import (
     perturbation_study,
     user_offset_grid,
 )
-from .ris import DEFAULT_VARACTOR, column_paired_grouping, identity_grouping, load_impedances
-from .scene import default_scene, grid_scene, synthesize_components, trace_paths
+from .ris import DEFAULT_VARACTOR, column_paired_grouping, identity_grouping
+from .scene import (
+    default_scene,
+    field_matrix,
+    synthesize_components,
+    trace_paths,
+    trace_users,
+)
 
 MODES = ("no-ris", "continuous", "onebit-exhaustive")
 DEFAULT_MODES = {"sweep": "no-ris", "optimize": "continuous", "gainmap": "continuous"}
@@ -342,19 +353,26 @@ def run_gain_map(ws: Workspace) -> list:
     cfg = ws.cfg
     if ws.scene is None or ws.scene.grid is None:
         raise SceneFileError("gainmap needs a scene with an observation grid")
+    scene = ws.scene
+    if scene.dims[1:] != ws.components.dims[1:]:
+        raise SceneFileError(
+            f"the scene has {scene.dims[1]} antennas and {scene.dims[2]} ports, "
+            f"the channel file {ws.components.dims[1]} and {ws.components.dims[2]}"
+        )
     mode = cfg.modes[0]
     beamformer, _, config, _ = _solve(ws, mode, cfg.powers_watts()[-1])
-    z_loads = (
-        None
-        if config is None
-        else load_impedances(ws.model, config, ws.components.frequency)
-    )
-    grid_components = synthesize_components(grid_scene(ws.scene))
-    points = ws.scene.grid.points()
+    points = scene.grid.points()
+    if config is None:  # without a RIS the map reads only the BS-to-grid field
+        h = field_matrix(scene, scene.bs_elements, points, scene.user_walls)
+    else:
+        # the grid rows under the port side the beamformer was solved on
+        h_u, g_l = trace_users(scene, points)
+        block = assemble_from_config(ws.components, ws.model, config).solved_h0
+        h = h_u + g_l @ block
     k_users = ws.components.dims[0]
     files = []
     for beam in range(k_users):
-        gains = evaluate_gain_map(grid_components, z_loads, beamformer, beam)
+        gains = evaluate_gain_map(h, beamformer, beam)
         db = gain_map_db(gains)
         cols = {
             "x_m": [float(x) for x, _ in points],

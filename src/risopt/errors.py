@@ -20,10 +20,6 @@ class ChannelFileError(RisOptError):
 class SingularChannelError(RisOptError):
     """The load/coupling system is singular or too ill-conditioned to invert."""
 
-    def __init__(self, message: str, fingerprint: str | None = None):
-        super().__init__(message)
-        self.fingerprint = fingerprint
-
 
 class InfeasibleUserError(RisOptError):
     """A user has an identically zero channel row; power balancing cannot proceed."""

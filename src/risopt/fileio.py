@@ -21,6 +21,7 @@ from .ris import CONTROL_MODES, RisConfiguration, VaractorModel
 from .scene import (
     DEFAULT_PANEL_ANGLE_DEG,
     DEFAULT_PANEL_REFLECTION,
+    DEFAULT_WALL_REFLECTION,
     ObservationGrid,
     SceneDescription,
     Wall,
@@ -280,7 +281,8 @@ def load_scene(path) -> SceneDescription:
                     p1=_point(wdoc.get("p1"), f"walls[{i}].p1"),
                     p2=_point(wdoc.get("p2"), f"walls[{i}].p2"),
                     reflection=_complex_field(
-                        wdoc.get("reflection", -0.6), f"walls[{i}].reflection"
+                        wdoc.get("reflection", DEFAULT_WALL_REFLECTION),
+                        f"walls[{i}].reflection",
                     ),
                 )
             )
@@ -421,24 +423,34 @@ def save_varactor_model(model: VaractorModel, path) -> None:
     atomic_write_text(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
+# varactor file field -> (VaractorModel field, factor to SI, required)
+_VARACTOR_FIELDS = {
+    "c_j_pf": ("c_j", 1e-12, True),
+    "v_j_volts": ("v_j", 1.0, True),
+    "m": ("m", 1.0, True),
+    "c_par_pf": ("c_par", 1e-12, True),
+    "r_v_ohms": ("r_v", 1.0, False),
+    "l_v_nh": ("l_v", 1e-9, False),
+    "c_min_pf": ("c_min", 1e-12, False),
+    "c_max_pf": ("c_max", 1e-12, False),
+}
+
+
 def load_varactor_model(path) -> VaractorModel:
+    """Read a varactor file; an optional field it omits keeps the
+    VaractorModel default."""
     try:
         with open(path) as handle:
             doc = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise SceneFileError(f"cannot parse varactor file {path}: {exc}") from exc
+    kwargs = {}
     try:
-        return VaractorModel(
-            c_j=float(doc["c_j_pf"]) * 1e-12,
-            v_j=float(doc["v_j_volts"]),
-            m=float(doc["m"]),
-            c_par=float(doc["c_par_pf"]) * 1e-12,
-            r_v=float(doc.get("r_v_ohms", 2.0)),
-            l_v=float(doc.get("l_v_nh", 0.2)) * 1e-9,
-            c_min=float(doc.get("c_min_pf", 0.20)) * 1e-12,
-            c_max=float(doc.get("c_max_pf", 1.20)) * 1e-12,
-        )
-    except KeyError as exc:
-        raise SceneFileError(f"field {exc} missing from varactor file") from exc
+        for key, (name, factor, required) in _VARACTOR_FIELDS.items():
+            if key in doc:
+                kwargs[name] = float(doc[key]) * factor
+            elif required:
+                raise SceneFileError(f"field '{key}' missing from varactor file")
+        return VaractorModel(**kwargs)
     except (TypeError, ValueError) as exc:
         raise SceneFileError(str(exc)) from exc

@@ -51,34 +51,35 @@ DEFAULT_OFFSETS_X = (-0.075, 0.0, 0.075)
 DEFAULT_OFFSETS_Y = (-0.092, 0.0, 0.092)
 
 
+# Armijo backtracking on one group capacitance: the first trial step is
+# ARMIJO_STEP farads (0.2 pF), each rejected trial shrinks it by ARMIJO_SHRINK,
+# and the search gives up once it falls below ARMIJO_STEP_MIN (1e-6 pF).  A
+# trial is accepted when it gains at least ARMIJO_SIGMA * step * |gradient|.
+ARMIJO_SIGMA = 0.05
+ARMIJO_SHRINK = 0.4
+ARMIJO_STEP = 0.2e-12
+ARMIJO_STEP_MIN = 1e-18
+
+
 @dataclass(frozen=True)
 class BcdSettings:
-    """Line-search and stopping parameters for the coordinate ascent.
+    """Stopping rule and random start of the coordinate ascent.
 
-    Steps are in farads; the defaults correspond to a 0.2 pF initial step and
-    a 1e-6 pF floor.  ``eps_g`` stops the sweep loop when the minimum-SINR
-    improvement of a full sweep falls below it; the printed default 1e-25
-    effectively means "run until the sweep budget or a zero-progress sweep".
+    ``t_g`` is the sweep budget.  ``eps_g`` stops the sweep loop when the
+    minimum-SINR improvement of a full sweep falls below it; the default
+    1e-25 effectively means "run until the sweep budget or a zero-progress
+    sweep".  ``rng_seed`` draws the random start when no initial
+    configuration is given.  The line search's constants are the module's
+    ARMIJO_* values.
     """
 
-    sigma_armijo: float = 0.05
-    eta: float = 0.4
-    rho_0: float = 0.2e-12
-    rho_min: float = 1e-18
     eps_g: float = 1e-25
     t_g: int = 50
     rng_seed: int = 0
-    restarts: int = 1
 
     def __post_init__(self):
-        if not 0 < self.sigma_armijo < 1:
-            raise ValueError("sigma_armijo must be in (0, 1)")
-        if not 0 < self.eta < 1:
-            raise ValueError("eta must be in (0, 1)")
-        if not 0 < self.rho_min <= self.rho_0:
-            raise ValueError("need 0 < rho_min <= rho_0")
-        if self.t_g < 0 or self.restarts < 1:
-            raise ValueError("t_g must be >= 0 and restarts >= 1")
+        if self.t_g < 0:
+            raise ValueError("t_g must be >= 0")
 
 
 @dataclass
@@ -101,7 +102,6 @@ class OptimizationTrace:
     final_sinr_min: float = 0.0
     sweeps_run: int = 0
     converged: bool = False
-    restart_index: int = 0
     final_config: RisConfiguration | None = None
     final_beamformer: BeamformerMatrix | None = None
     final_report: SinrReport | None = None
@@ -119,7 +119,6 @@ class OptimizationTrace:
             "final_sinr_min": self.final_sinr_min,
             "sweeps_run": self.sweeps_run,
             "converged": self.converged,
-            "restart_index": self.restart_index,
             "sweep_deltas": [float(d) for d in self.sweep_deltas],
             "steps": [
                 {
@@ -246,26 +245,22 @@ class OptimizerState:
             self.sinr_min = trial_sinr_min
 
 
-def _armijo_search(objective, current_value, c, g, settings, c_min, c_max):
+def _armijo_search(objective, current_value, c, g, c_min, c_max):
     """Backtracking search along sign(g); returns (new_c, new_value) or None."""
     d = 1.0 if g > 0 else -1.0
-    rho = settings.rho_0
-    while rho >= settings.rho_min:
+    rho = ARMIJO_STEP
+    while rho >= ARMIJO_STEP_MIN:
         trial = min(max(c + rho * d, c_min), c_max)
         if trial != c:
             value = objective(trial)
-            if value >= current_value + settings.sigma_armijo * rho * g * d:
+            if value >= current_value + ARMIJO_SIGMA * rho * g * d:
                 return trial, value
-        rho *= settings.eta
+        rho *= ARMIJO_SHRINK
     return None
 
 
 def armijo_coordinate_step(
-    state: OptimizerState,
-    group: int,
-    g_suppressed: float,
-    settings: BcdSettings,
-    sweep: int = 0,
+    state: OptimizerState, group: int, g_suppressed: float, sweep: int = 0
 ) -> StepRecord | None:
     """One projected Armijo update of a single group capacitance.
 
@@ -283,7 +278,6 @@ def armijo_coordinate_step(
             before,
             c,
             g_suppressed,
-            settings,
             state.model.c_min,
             state.model.c_max,
         )
@@ -304,9 +298,7 @@ def armijo_coordinate_step(
     )
 
 
-def bcd_sweep(
-    state: OptimizerState, settings: BcdSettings, sweep: int = 0
-) -> tuple[float, list]:
+def bcd_sweep(state: OptimizerState, sweep: int = 0) -> tuple[float, list]:
     """One full pass over all groups in fixed index order."""
     start = state.sinr_min
     records = []
@@ -323,7 +315,7 @@ def bcd_sweep(
         g_tilde = suppress_boundary_gradient(
             g, state.group_value(group), state.model.c_min, state.model.c_max
         )
-        record = armijo_coordinate_step(state, group, g_tilde, settings, sweep)
+        record = armijo_coordinate_step(state, group, g_tilde, sweep)
         if record is not None:
             records.append(record)
     return state.sinr_min - start, records
@@ -361,38 +353,22 @@ def alternating_optimize(
     uniformly random configuration over ``grouping`` drawn from the settings
     seed.  Repeats coordinate sweeps, recomputing the beamformer after every
     accepted step, until the per-sweep improvement drops below ``eps_g`` or
-    the sweep budget is exhausted.  With restarts > 1 the best of several
-    seeded runs is returned.
+    the sweep budget is exhausted.
     """
     _, _, n = components.dims
-    if initial_config is None and grouping is None:
+    if initial_config is not None:
+        config = initial_config.as_continuous()
+    elif grouping is not None:
+        rng = np.random.default_rng(settings.rng_seed)
+        config = random_configuration(model, grouping, rng, n)
+    else:
         raise ValueError("need an initial configuration or a grouping")
-
-    best: OptimizationTrace | None = None
-    for restart in range(settings.restarts):
-        if initial_config is not None:
-            config = initial_config.as_continuous()
-        else:
-            rng = np.random.default_rng(settings.rng_seed + restart)
-            config = random_configuration(model, grouping, rng, n)
-        trace = _optimize_once(components, model, config, p_bs, sigma2, settings)
-        trace.restart_index = restart
-        if best is None or trace.final_sinr_min > best.final_sinr_min:
-            best = trace
-        if initial_config is not None:
-            break  # warm starts are deterministic; restarts add nothing
-    return best
-
-
-def _optimize_once(
-    components, model, config, p_bs, sigma2, settings
-) -> OptimizationTrace:
     trace = OptimizationTrace()
     try:
         state = OptimizerState(components, model, config, p_bs, sigma2)
         trace.initial_sinr_min = state.sinr_min
         for sweep in range(1, settings.t_g + 1):
-            delta, records = bcd_sweep(state, settings, sweep)
+            delta, records = bcd_sweep(state, sweep)
             trace.steps.extend(records)
             trace.sweep_deltas.append(delta)
             trace.sweeps_run = sweep

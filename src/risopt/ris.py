@@ -10,7 +10,6 @@ convention, so capacitance increases with the stated voltage.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,25 +149,8 @@ class RisConfiguration:
                         f"group {g} value {vals.pop()!r} is not c_on or c_off"
                     )
 
-    @property
-    def n_elements(self) -> int:
-        return self.capacitances.size
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.grouping)
-
     def group_keys(self) -> list:
         return sorted(self.grouping)
-
-    def fingerprint(self) -> str:
-        """Stable hash of the configuration (mode + exact capacitance bits)."""
-        h = hashlib.sha256()
-        h.update(self.control_mode.encode())
-        h.update(np.ascontiguousarray(self.capacitances).tobytes())
-        for g in self.group_keys():
-            h.update(repr((g, tuple(self.grouping[g]))).encode())
-        return h.hexdigest()[:16]
 
     def as_continuous(self) -> "RisConfiguration":
         """Same capacitances and grouping under continuous control.
@@ -193,12 +175,6 @@ class RisConfiguration:
             grouping=dict(self.grouping),
             c_on=self.c_on,
             c_off=self.c_off,
-        )
-
-    def group_values(self) -> np.ndarray:
-        """Read back one capacitance per group (groups are value-constant)."""
-        return np.array(
-            [self.capacitances[self.grouping[g][0]] for g in self.group_keys()]
         )
 
 
@@ -231,42 +207,21 @@ def column_paired_grouping(n_columns: int, n_rows: int = 1) -> dict:
     return grouping
 
 
-def expand_group_config(config: RisConfiguration, group_values) -> np.ndarray:
-    """Broadcast one value per group onto the full element vector."""
-    group_values = np.asarray(group_values, dtype=float)
-    keys = config.group_keys()
-    if group_values.shape != (len(keys),):
-        raise ValueError(
-            f"expected {len(keys)} group values, got {group_values.shape}"
-        )
-    caps = np.array(config.capacitances, dtype=float)
-    for value, g in zip(group_values, keys):
-        caps[list(config.grouping[g])] = value
-    return caps
-
-
-def onebit_configuration(
-    grouping: dict,
-    states,
-    n_elements: int,
-    c_on: float = C_ON,
-    c_off: float = C_OFF,
-) -> RisConfiguration:
-    """Build a column-paired 1-bit configuration from per-group ON/OFF states."""
+def onebit_configuration(grouping: dict, states, n_elements: int) -> RisConfiguration:
+    """Column-paired 1-bit configuration from per-group states: C_ON where a
+    state is set, C_OFF elsewhere."""
     states = np.asarray(states)
     keys = sorted(grouping)
     if states.shape != (len(keys),):
         raise ValueError(f"expected {len(keys)} states, got {states.shape}")
     # ungrouped elements (empty grouping) rest in the OFF state
-    caps = np.full(n_elements, c_off, dtype=float)
+    caps = np.full(n_elements, C_OFF, dtype=float)
     for state, g in zip(states, keys):
-        caps[list(grouping[g])] = c_on if state else c_off
+        caps[list(grouping[g])] = C_ON if state else C_OFF
     return RisConfiguration(
         capacitances=caps,
         control_mode="column-paired-1bit",
         grouping=dict(grouping),
-        c_on=c_on,
-        c_off=c_off,
     )
 
 

@@ -43,6 +43,8 @@ GEOM_EPS = 1e-9  # meters; tolerance for on-wall and intersection tests
 
 MAX_REFLECTION_ORDER = 5
 
+DEFAULT_WALL_REFLECTION = -0.6
+
 
 @dataclass(frozen=True)
 class Wall:
@@ -50,7 +52,7 @@ class Wall:
 
     p1: tuple
     p2: tuple
-    reflection: complex = -0.6
+    reflection: complex = DEFAULT_WALL_REFLECTION
 
     def __post_init__(self):
         p1 = np.asarray(self.p1, dtype=float)
@@ -229,11 +231,7 @@ def _wall_sequences(walls, order):
 
 
 def trace_paths(
-    scene: SceneDescription,
-    src,
-    dst,
-    walls=None,
-    max_order: int | None = None,
+    scene: SceneDescription, src, dst, walls=None
 ) -> list[PropagationPath]:
     """All specular paths from src to dst up to the scene's reflection order.
 
@@ -246,9 +244,6 @@ def trace_paths(
     dst = np.asarray(dst, dtype=float)
     if walls is None:
         walls = scene.walls
-    order_cap = scene.max_reflection_order if max_order is None else max_order
-    if order_cap > MAX_REFLECTION_ORDER:
-        raise ValueError(f"reflection order capped at {MAX_REFLECTION_ORDER}")
     if np.linalg.norm(dst - src) <= GEOM_EPS:
         raise GeometryError("src and dst coincide")
     for wall in walls:
@@ -265,7 +260,7 @@ def trace_paths(
             )
         )
 
-    for order in range(1, order_cap + 1):
+    for order in range(1, scene.max_reflection_order + 1):
         for seq in _wall_sequences(walls, order):
             candidate = _validate_sequence(src, dst, walls, seq)
             if candidate is not None:
@@ -601,17 +596,10 @@ def synthesize_components(scene: SceneDescription) -> ChannelComponents:
 
 
 def with_users(scene: SceneDescription, user_positions) -> SceneDescription:
-    """Same scene with the user set replaced (perturbation studies, grids)."""
+    """Same scene with the user set replaced."""
     return replace(
         scene, user_positions=np.atleast_2d(np.asarray(user_positions, dtype=float))
     )
-
-
-def grid_scene(scene: SceneDescription) -> SceneDescription:
-    """Scene whose 'users' are the observation grid points."""
-    if scene.grid is None:
-        raise ValueError("scene has no observation grid")
-    return with_users(scene, scene.grid.points())
 
 
 # --- default site -----------------------------------------------------------
@@ -622,7 +610,6 @@ DEFAULT_FREQUENCY = 5.8e9
 # panel specularly couples the BS region to the user region.
 DEFAULT_PANEL_ANGLE_DEG = 103.0
 
-DEFAULT_WALL_REFLECTION = -0.6
 DEFAULT_PANEL_REFLECTION = -0.6
 
 DEFAULT_USERS = ((1.30, 3.13), (1.80, 2.38), (2.30, 1.63))
@@ -676,10 +663,10 @@ def default_scene(
         n_ports=n_ports, frequency=frequency
     )
     walls = (
-        Wall(p1=(-1.0, -4.0), p2=(-1.0, 4.0), reflection=DEFAULT_WALL_REFLECTION),
-        Wall(p1=(-1.0, -4.0), p2=(7.0, -4.0), reflection=DEFAULT_WALL_REFLECTION),
-        Wall(p1=(7.0, -4.0), p2=(7.0, 1.0), reflection=DEFAULT_WALL_REFLECTION),
-        Wall(p1=(-1.0, 4.0), p2=(3.0, 4.0), reflection=DEFAULT_WALL_REFLECTION),
+        Wall(p1=(-1.0, -4.0), p2=(-1.0, 4.0)),
+        Wall(p1=(-1.0, -4.0), p2=(7.0, -4.0)),
+        Wall(p1=(7.0, -4.0), p2=(7.0, 1.0)),
+        Wall(p1=(-1.0, 4.0), p2=(3.0, 4.0)),
     )
     grid = (
         ObservationGrid(origin=(0.5, 0.5), spacing=(0.15, 0.15), counts=(18, 18))

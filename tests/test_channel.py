@@ -15,7 +15,6 @@ from risopt.channel import (
     evaluate_gain_map,
     gain_map_db,
     group_channel_derivative,
-    received_signals,
 )
 from risopt.ris import DEFAULT_VARACTOR, RisConfiguration, column_paired_grouping
 
@@ -66,19 +65,10 @@ class TestAssembly:
         oracle = comps.h_u + comps.g_l @ np.linalg.inv(z) @ comps.h_0
         assert np.linalg.norm(h.matrix - oracle) / np.linalg.norm(oracle) <= 1e-10
 
-    def test_cached_inverse_invariant(self, rng):
-        comps = random_components(rng)
-        z_loads = complex_normal(rng, 20) * 10 + 40.0
-        h = assemble_effective_channel(comps, z_loads)
-        z = np.diag(z_loads) - comps.z_ll
-        n = 20
-        residual = np.linalg.norm(z @ h.cached_inverse - np.eye(n))
-        assert residual <= 1e-9 * n
-
     def test_singular_system_raises(self):
         comps = scalar_components(1.0, 2.0, 3.0, 1.0 + 0j)
         with pytest.raises(ro.SingularChannelError):
-            assemble_effective_channel(comps, np.array([1.0 + 0j]), fingerprint="bad")
+            assemble_effective_channel(comps, np.array([1.0 + 0j]))
 
     def test_unloaded_limit_returns_baseline(self, rng):
         comps = random_components(rng)
@@ -89,41 +79,6 @@ class TestAssembly:
         h = assemble_effective_channel(comps, z_loads)
         rel = np.linalg.norm(h.matrix - comps.h_u) / np.linalg.norm(comps.h_u)
         assert rel <= 1e-6
-
-    def test_fingerprint_consistency(self, rng):
-        comps = random_components(rng)
-        caps = rng.uniform(0.3e-12, 1.1e-12, 20)
-        a = assemble_from_config(comps, DEFAULT_VARACTOR, RisConfiguration(caps))
-        b = assemble_from_config(comps, DEFAULT_VARACTOR, RisConfiguration(caps.copy()))
-        assert a.config_fingerprint == b.config_fingerprint
-        assert np.array_equal(a.matrix, b.matrix)
-
-
-class TestReceivedSignals:
-    def test_identity_channel_identity_weights(self):
-        h = np.eye(3, dtype=complex)
-        w = BeamformerMatrix(np.eye(3, dtype=complex), power_budget=3.0)
-        assert np.array_equal(received_signals(h, w), np.eye(3))
-
-    def test_single_user_inner_product(self, rng):
-        h = complex_normal(rng, 1, 4)
-        w = complex_normal(rng, 4, 1)
-        y = received_signals(h, w)
-        assert y.shape == (1, 1)
-        assert y[0, 0] == pytest.approx(np.dot(h[0], w[:, 0]), rel=1e-15)
-
-    def test_matches_triple_loop_oracle(self, rng):
-        h = complex_normal(rng, 3, 5)
-        w = complex_normal(rng, 5, 3)
-        y = received_signals(h, w)
-        for k in range(3):
-            for j in range(3):
-                expected = sum(h[k, m] * w[m, j] for m in range(5))
-                assert abs(y[k, j] - expected) <= 1e-14 * abs(expected)
-
-    def test_dimension_mismatch(self, rng):
-        with pytest.raises(ValueError):
-            received_signals(complex_normal(rng, 3, 5), complex_normal(rng, 4, 3))
 
 
 class TestChannelDerivative:
@@ -237,7 +192,7 @@ class TestGainMap:
         )
         comps = ro.synthesize_components(scene)
         w = BeamformerMatrix(np.array([[1.0 + 0j]]), power_budget=1.0)
-        gains = evaluate_gain_map(comps, None, w, 0)
+        gains = evaluate_gain_map(comps.h_u, w, 0)
         assert np.all(np.diff(gains) < 0)
         assert gains[0] / gains[-1] == pytest.approx(
             (distances[-1] / distances[0]) ** 2, rel=1e-12
@@ -246,7 +201,7 @@ class TestGainMap:
     def test_zero_beamformer_all_zero_map(self, rng):
         comps = random_components(rng, k=5)
         w = BeamformerMatrix(np.zeros((3, 2), dtype=complex), power_budget=0.0)
-        gains = evaluate_gain_map(comps, None, w, 0)
+        gains = evaluate_gain_map(comps.h_u, w, 0)
         assert np.all(gains == 0.0)
         assert np.all(gain_map_db(gains) == -300.0)
 
@@ -254,7 +209,7 @@ class TestGainMap:
         comps = random_components(rng)
         w = BeamformerMatrix(complex_normal(rng, 3, 3), power_budget=1.0)
         with pytest.raises(ValueError):
-            evaluate_gain_map(comps, None, w, 3)
+            evaluate_gain_map(comps.h_u, w, 3)
 
 
 class TestComponentValidation:

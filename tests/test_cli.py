@@ -331,8 +331,74 @@ class TestGainmapCommand:
 
         comps = random_components(rng, k=4, m=3, n=6)
         w = BeamformerMatrix(np.zeros((3, 2), dtype=complex), power_budget=0.0)
-        db = gain_map_db(evaluate_gain_map(comps, None, w, 0))
+        db = gain_map_db(evaluate_gain_map(comps.h_u, w, 0))
         assert np.all(db == -300.0)
+
+    def test_channel_file_of_another_array_is_config_error(
+        self, small_scene_path, tmp_path, capsys
+    ):
+        # the 4-port scene supplies the grid rows, the file a 20-port RIS
+        save_components(
+            ro.synthesize_components(default_scene()), tmp_path / "channels.json"
+        )
+        code = main(
+            [
+                "gainmap", "--scene", small_scene_path,
+                "--channels", str(tmp_path / "channels.json"), "--mode", "no-ris",
+                "--out", str(tmp_path / "out"), "--reproducible",
+            ]
+        )
+        assert code == 2
+        assert "4 ports, the channel file 3 and 20" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("port_side", ["scene", "channel-file"])
+    def test_ris_map_uses_the_solved_port_side(
+        self, port_side, small_scene_path, tmp_path
+    ):
+        # oracle: the grid points synthesized as users, with the h_0 and z_ll
+        # that the beamformer was solved on (a channel file's, when given)
+        from risopt.channel import (
+            ChannelComponents,
+            assemble_from_config,
+            evaluate_gain_map,
+            gain_map_db,
+        )
+        from risopt.coupling import synthesize_mutual_impedance
+        from risopt.fileio import load_scene
+        from risopt.optimizer import exhaustive_1bit_search
+        from risopt.ris import DEFAULT_VARACTOR, column_paired_grouping
+
+        scene = load_scene(small_scene_path)
+        comps = ro.synthesize_components(scene)
+        argv = ["gainmap", "--scene", small_scene_path]
+        if port_side == "channel-file":
+            z_ll = synthesize_mutual_impedance(
+                4, scene.ris_spacing, scene.frequency, 60.0 + 30.0j
+            )
+            comps = ChannelComponents(
+                comps.h_u, comps.h_0, comps.g_l, z_ll, comps.frequency
+            )
+            save_components(comps, tmp_path / "channels.json")
+            argv += ["--channels", str(tmp_path / "channels.json")]
+        out = tmp_path / "out"
+        argv += ["--mode", "onebit-exhaustive", "--out", str(out), "--reproducible"]
+        assert main(argv) == 0
+
+        result = exhaustive_1bit_search(
+            comps, DEFAULT_VARACTOR, column_paired_grouping(4), 1.0,
+            ExperimentConfig().sigma2,
+        )
+        grid = ro.synthesize_components(with_users(scene, scene.grid.points()))
+        h = assemble_from_config(
+            ChannelComponents(grid.h_u, comps.h_0, grid.g_l, comps.z_ll, comps.frequency),
+            DEFAULT_VARACTOR,
+            result.best_config,
+        ).matrix
+        for beam in range(3):
+            _, cols = read_csv(out / f"gainmap_beam{beam + 1}.csv")
+            want = gain_map_db(evaluate_gain_map(h, result.best_beamformer, beam))
+            assert cols["gain_db"] == [float(v) for v in want]
 
 
 class TestOptimizeCommand:
@@ -468,6 +534,40 @@ class TestSynthesisCalls:
 
             monkeypatch.setattr(module, "synthesize_components", counting)
         return calls
+
+    def test_no_ris_gainmap_traces_only_the_bs_to_grid_field(
+        self, synth_calls, small_scene_path, tmp_path, monkeypatch
+    ):
+        import risopt.cli as cli_module
+        import risopt.scene as scene_module
+        from risopt.fileio import load_scene
+
+        traced = []  # (sources, destinations) of every field_matrix call
+        real = scene_module.field_matrix
+
+        def recording(scene, sources, dests, walls):
+            traced.append((np.asarray(sources), np.asarray(dests)))
+            return real(scene, sources, dests, walls)
+
+        for module in (cli_module, scene_module):
+            monkeypatch.setattr(module, "field_matrix", recording)
+        code = main(
+            [
+                "gainmap", "--scene", small_scene_path, "--mode", "no-ris",
+                "--out", str(tmp_path / "out"), "--reproducible",
+            ]
+        )
+        assert code == 0
+        assert len(synth_calls) == 1  # the users' channel, not the grid's
+        scene = load_scene(small_scene_path)
+        grid = scene.grid.points()
+        grid_sources = [
+            sources
+            for sources, dests in traced
+            if dests.shape == grid.shape and np.array_equal(dests, grid)
+        ]
+        assert len(grid_sources) == 1
+        assert np.array_equal(grid_sources[0], scene.bs_elements)
 
     def test_scene_trace_synthesizes_nothing(self, synth_calls, tmp_path):
         code = main(

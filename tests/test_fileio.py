@@ -176,6 +176,17 @@ class TestVaractorFile:
         with pytest.raises(ro.SceneFileError):
             load_varactor_model(path)
 
+    def test_omitted_fields_keep_the_model_defaults(self, tmp_path):
+        path = tmp_path / "varactor.json"
+        path.write_text(
+            json.dumps({"c_j_pf": 0.2, "v_j_volts": 8.0, "m": 0.5, "c_par_pf": 0.1})
+        )
+        loaded = load_varactor_model(path)
+        default = ro.VaractorModel(
+            c_j=loaded.c_j, v_j=loaded.v_j, m=loaded.m, c_par=loaded.c_par
+        )
+        assert loaded == default  # exact: r_v, l_v, c_min and c_max
+
 
 class TestCsv:
     def test_round_trip(self, tmp_path):

@@ -14,7 +14,6 @@ from risopt.ris import (
     capacitance_from_bias,
     column_paired_grouping,
     enumerate_1bit_configs,
-    expand_group_config,
     load_impedances,
     onebit_configuration,
 )
@@ -129,46 +128,6 @@ class TestGrouping:
                 grouping={0: (0, 1), 1: (1, 2, 3)},  # overlapping
             )
 
-    def test_expand_all_on(self):
-        config = onebit_configuration(column_paired_grouping(20), np.ones(10), 20)
-        caps = expand_group_config(config, np.full(10, C_ON))
-        assert np.all(caps == C_ON)
-
-    def test_expand_alternating_pairs(self):
-        grouping = column_paired_grouping(20)
-        config = onebit_configuration(grouping, np.zeros(10), 20)
-        values = np.where(np.arange(10) % 2 == 0, C_ON, C_OFF)
-        caps = expand_group_config(config, values)
-        # columns 1-2 ON, 3-4 OFF, ... (pairs of adjacent columns)
-        assert np.all(caps[0:2] == C_ON)
-        assert np.all(caps[2:4] == C_OFF)
-        assert np.all(caps[4:6] == C_ON)
-
-    def test_expand_single_group(self):
-        config = RisConfiguration(
-            capacitances=np.full(6, C_ON), grouping={0: tuple(range(6))}
-        )
-        caps = expand_group_config(config, [0.7e-12])
-        assert np.all(caps == 0.7e-12)
-
-    def test_expand_length_mismatch(self):
-        config = RisConfiguration(capacitances=np.full(4, C_ON))
-        with pytest.raises(ValueError):
-            expand_group_config(config, [C_ON])
-
-    def test_group_readback_identity(self, rng):
-        grouping = column_paired_grouping(12)
-        config = RisConfiguration(
-            capacitances=np.full(12, C_ON),
-            control_mode="continuous-per-column",
-            grouping=grouping,
-        )
-        values = rng.uniform(0.3e-12, 1.0e-12, 6)
-        expanded = config.replace_capacitances(
-            expand_group_config(config, values)
-        )
-        assert np.array_equal(expanded.group_values(), values)
-
 
 class TestOneBitMode:
     def test_states_enforced(self):
@@ -186,14 +145,6 @@ class TestOneBitMode:
                 control_mode="column-paired-1bit",
                 grouping={0: (0, 1)},
             )
-
-    def test_fingerprint_stable_and_distinct(self):
-        grouping = column_paired_grouping(8)
-        a = onebit_configuration(grouping, (1, 0, 1, 0), 8)
-        b = onebit_configuration(grouping, (1, 0, 1, 0), 8)
-        c = onebit_configuration(grouping, (0, 0, 1, 0), 8)
-        assert a.fingerprint() == b.fingerprint()
-        assert a.fingerprint() != c.fingerprint()
 
     def test_as_continuous_preserves_values(self):
         grouping = column_paired_grouping(8)

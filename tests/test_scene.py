@@ -14,7 +14,6 @@ from risopt.scene import (
     Wall,
     default_scene,
     field_matrix,
-    grid_scene,
     path_gain,
     synthesize_components,
     trace_paths,
@@ -456,7 +455,8 @@ class TestFieldMatrix:
             assert got.tobytes() == want.tobytes()
 
     def test_grid_matches_scalar_tracer(self):
-        scene = grid_scene(default_scene())
+        scene = default_scene()
+        scene = with_users(scene, scene.grid.points())
         comps = synthesize_components(scene)
         assert comps.h_u.shape == (324, 3) and comps.g_l.shape == (324, 20)
         sample = np.arange(0, 324, 13)  # the scalar tracer is slow
