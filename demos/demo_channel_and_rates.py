@@ -23,7 +23,7 @@ print(f"thermal noise kTB = {sigma2:.4e} W")
 
 # a mid-range RIS state: every load at the ON capacitance
 config = ro.RisConfiguration(np.full(n, ro.C_ON))
-z_loads = ro.load_impedances(ro.DEFAULT_VARACTOR, config, scene.frequency)
+z_loads = ro.load_impedances(ro.DEFAULT_VARACTOR, config.capacitances, scene.frequency)
 effective = ro.assemble_effective_channel(components, z_loads)
 
 print("\n p_dbm   no-RIS R_min   all-ON RIS R_min   (bps/Hz)")

@@ -18,7 +18,6 @@ The package splits into:
 from .beamforming import (
     BeamformerMatrix,
     SinrReport,
-    UplinkPowers,
     downlink_power_recovery,
     downlink_sinr,
     duality_beamformer,

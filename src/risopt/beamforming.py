@@ -68,24 +68,6 @@ class BeamformerMatrix:
 
 
 @dataclass
-class UplinkPowers:
-    """Virtual-uplink per-user transmit powers summing to the BS budget."""
-
-    q: np.ndarray
-    power_budget: float
-
-    def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=float)
-        if np.any(self.q < 0):
-            raise ValueError("uplink powers must be nonnegative")
-        total = self.q.sum()
-        if self.power_budget > 0 and abs(total - self.power_budget) > 1e-10 * self.power_budget:
-            raise ValueError(
-                f"uplink powers sum to {total!r}, budget is {self.power_budget!r}"
-            )
-
-
-@dataclass
 class SinrReport:
     """Per-user SINR/rate summary for one channel + beamformer.
 
@@ -115,15 +97,26 @@ def rates_from_sinr(sinr: np.ndarray) -> np.ndarray:
     return np.log2(1.0 + np.asarray(sinr, dtype=float))
 
 
+def _sinr(power: np.ndarray, noise) -> np.ndarray:
+    """Each diagonal entry of the K x K power matrix over the rest of its row
+    plus ``noise``; 0 where that denominator is 0.
+
+    The downlink SINR is this ratio over |Y|^2 and the virtual-uplink SINR
+    the same ratio over the transposed, power-weighted gains.
+    """
+    desired = np.diag(power)
+    denom = power.sum(axis=1) - desired + noise
+    out = np.zeros_like(desired)
+    nonzero = denom > 0
+    out[nonzero] = desired[nonzero] / denom[nonzero]
+    return out
+
+
 def downlink_sinr(y: np.ndarray, sigma2: float) -> np.ndarray:
     """Per-user SINR from the K x K received matrix: desired vs leaked power."""
     if sigma2 <= 0:
         raise ValueError("noise power must be positive")
-    y = np.asarray(y, dtype=complex)
-    power = np.abs(y) ** 2
-    desired = np.diag(power)
-    interference = power.sum(axis=1) - desired
-    return desired / (interference + sigma2)
+    return _sinr(np.abs(np.asarray(y, dtype=complex)) ** 2, sigma2)
 
 
 def sinr_report(y: np.ndarray, sigma2: float) -> SinrReport:
@@ -140,7 +133,7 @@ def sinr_report(y: np.ndarray, sigma2: float) -> SinrReport:
     )
 
 
-def mmse_combiner(h, q, sigma2: float) -> np.ndarray:
+def mmse_combiner(h, q: np.ndarray, sigma2: float) -> np.ndarray:
     """Uplink MMSE receive combiners, one column per user.
 
     w_k = sqrt(q_k) (sigma2 I + sum_j q_j h_j^H h_j)^-1 h_k^H.  The Gram sum
@@ -148,32 +141,24 @@ def mmse_combiner(h, q, sigma2: float) -> np.ndarray:
     sigma2 > 0.
     """
     hm = _channel_matrix(h)
-    qv = q.q if isinstance(q, UplinkPowers) else np.asarray(q, dtype=float)
+    q = np.asarray(q, dtype=float)
     k, m = hm.shape
-    gram = sigma2 * np.eye(m, dtype=complex) + (hm.conj().T * qv) @ hm
+    gram = sigma2 * np.eye(m, dtype=complex) + (hm.conj().T * q) @ hm
     combiners = np.linalg.solve(gram, hm.conj().T)
-    return combiners * np.sqrt(qv)
+    return combiners * np.sqrt(q)
 
 
-def uplink_sinr(h, w_ul: np.ndarray, q, sigma2: float) -> np.ndarray:
+def uplink_sinr(h, w_ul: np.ndarray, q: np.ndarray, sigma2: float) -> np.ndarray:
     """Virtual-uplink SINR per user for given combiners and powers."""
     hm = _channel_matrix(h)
-    qv = q.q if isinstance(q, UplinkPowers) else np.asarray(q, dtype=float)
-    v = hm @ w_ul  # v[j, k] = h_j . w_k
-    power = np.abs(v) ** 2
-    desired = qv * np.diag(power)
-    interference = (qv[:, None] * power).sum(axis=0) - desired
-    noise = sigma2 * (np.abs(w_ul) ** 2).sum(axis=0)
-    denom = interference + noise
-    out = np.zeros_like(desired)
-    nonzero = denom > 0
-    out[nonzero] = desired[nonzero] / denom[nonzero]
-    return out
+    q = np.asarray(q, dtype=float)
+    power = q[:, None] * np.abs(hm @ w_ul) ** 2  # [j, k]: user j into combiner k
+    return _sinr(power.T, sigma2 * (np.abs(w_ul) ** 2).sum(axis=0))
 
 
 @dataclass
 class BalanceResult:
-    powers: UplinkPowers
+    powers: np.ndarray  # virtual-uplink per-user powers q, summing to the budget
     combiner: np.ndarray  # M x K, unnormalized MMSE columns
     sinr: np.ndarray
     iterations: int
@@ -226,7 +211,7 @@ def fixed_point_power_balance(h, p_bs: float, sigma2: float) -> BalanceResult:
         q = q * (smin / sinr)
         q = q * (p_bs / q.sum())
     return BalanceResult(
-        powers=UplinkPowers(q=q, power_budget=p_bs),
+        powers=q,
         combiner=w,
         sinr=sinr,
         iterations=iterations,

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
+from .beamforming import BeamformerMatrix
 from .errors import SingularChannelError
 from .ris import RisConfiguration, VaractorModel, load_impedances
 
@@ -94,9 +95,6 @@ class EffectiveChannel:
     lu: tuple
     solved_h0: np.ndarray  # (N, M) block (diag(Z_L) - Z_ll)^-1 H_0
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return lu_solve(self.lu, rhs)
-
 
 def assemble_effective_channel(
     components: ChannelComponents, z_loads: np.ndarray
@@ -131,7 +129,7 @@ def assemble_from_config(
     config: RisConfiguration,
 ) -> EffectiveChannel:
     """Convenience wrapper: capacitances -> load impedances -> assembly."""
-    z_loads = load_impedances(model, config, components.frequency)
+    z_loads = load_impedances(model, config.capacitances, components.frequency)
     return assemble_effective_channel(components, z_loads)
 
 
@@ -163,7 +161,7 @@ def channel_derivative(
         effective = assemble_from_config(components, model, config)
     e_n = np.zeros(n, dtype=complex)
     e_n[element] = 1.0
-    left = components.g_l @ effective.solve(e_n)  # (K,)
+    left = components.g_l @ lu_solve(effective.lu, e_n)  # (K,)
     right = effective.solved_h0[element, :]  # (M,)
     slope = capacitance_impedance_slope(
         float(config.capacitances[element]), components.frequency
@@ -191,7 +189,9 @@ def group_channel_derivative(
     return total
 
 
-def evaluate_gain_map(h: np.ndarray, beamformer, beam_index: int) -> np.ndarray:
+def evaluate_gain_map(
+    h: np.ndarray, beamformer: BeamformerMatrix, beam_index: int
+) -> np.ndarray:
     """Per-grid-point power gain |h[g] . w_k|^2 / power_budget.
 
     ``h`` is the (G, M) channel from the BS to the G observation points: the
@@ -199,16 +199,12 @@ def evaluate_gain_map(h: np.ndarray, beamformer, beam_index: int) -> np.ndarray:
     H_0 with one.  Returns the linear dimensionless gain; use gain_map_db for
     the dB rendering.
     """
-    w = beamformer.weights if hasattr(beamformer, "weights") else np.asarray(beamformer)
-    budget = getattr(beamformer, "power_budget", None)
-    if budget is None:
-        budget = float(np.linalg.norm(w) ** 2)
+    w = beamformer.weights
     if not 0 <= beam_index < w.shape[1]:
         raise ValueError(f"beam index {beam_index} out of range")
-    fields = np.asarray(h) @ w[:, beam_index]
-    power = np.abs(fields) ** 2
-    if budget > 0:
-        power = power / budget
+    power = np.abs(np.asarray(h) @ w[:, beam_index]) ** 2
+    if beamformer.power_budget > 0:
+        power = power / beamformer.power_budget
     return power
 
 

@@ -11,7 +11,7 @@ and ``--reproducible``; any other flag is a usage error):
                       --temperature-k --bin-width --offset-x --offset-y
     sweep, optimize,  --scene --channels --ris-config --varactor --mode
     gainmap           --power-dbm --bandwidth-hz --temperature-k --seed
-                      --max-sweeps --eps-g
+                      --max-sweeps
 
 ``--mode`` is one of ``no-ris``, ``continuous`` and ``onebit-exhaustive``.
 ``sweep`` repeats ``--mode`` (default ``no-ris``) and ``--power-dbm``
@@ -104,7 +104,6 @@ class ExperimentConfig:
     out_dir: str = "risopt-out"
     reproducible: bool = False
     max_sweeps: int = BcdSettings().t_g
-    eps_g: float = BcdSettings().eps_g
     bin_width: float = DEFAULT_HISTOGRAM_BIN
     offsets_x: tuple = DEFAULT_OFFSETS_X
     offsets_y: tuple = DEFAULT_OFFSETS_Y
@@ -223,7 +222,7 @@ def _solve(ws: Workspace, mode: str, p_bs: float):
         ws.initial_config,
         p_bs,
         cfg.sigma2,
-        BcdSettings(t_g=cfg.max_sweeps, eps_g=cfg.eps_g, rng_seed=cfg.seed),
+        BcdSettings(t_g=cfg.max_sweeps, rng_seed=cfg.seed),
         grouping=identity_grouping(n),
     )
     return trace.final_beamformer, trace.final_report, trace.final_config, trace
@@ -503,12 +502,6 @@ FLAGS = {
     "--max-sweeps": dict(
         type=int, help="coordinate-sweep budget for continuous optimization"
     ),
-    "--eps-g": dict(
-        type=float,
-        help="per-sweep improvement threshold stopping the optimizer "
-        "(default keeps sweeping until the budget or zero progress; "
-        "1e-9 is a practical alternative)",
-    ),
     "--bin-width": dict(type=float, help="histogram bin width in bps/Hz"),
     "--offset-x": dict(
         dest="offsets_x", action=_Values, type=float, help="per-user x offset grid"
@@ -529,7 +522,7 @@ FLAGS = {
 _SOLVE_FLAGS = (
     "--scene", "--channels", "--ris-config", "--varactor", "--mode",
     "--power-dbm", "--bandwidth-hz", "--temperature-k", "--seed",
-    "--max-sweeps", "--eps-g",
+    "--max-sweeps",
 )
 
 # command -> (help, the flags it reads besides --out and --reproducible,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import ChannelComponents
 from .errors import ChannelFileError, SceneFileError
-from .ris import CONTROL_MODES, RisConfiguration, VaractorModel
+from .ris import C_OFF, C_ON, CONTROL_MODES, RisConfiguration, VaractorModel
 from .scene import (
     DEFAULT_PANEL_ANGLE_DEG,
     DEFAULT_PANEL_REFLECTION,
@@ -98,6 +98,19 @@ def read_csv(path) -> tuple[list, dict]:
     return comments, columns
 
 
+def _read_object(path, kind: str, error) -> dict:
+    """Parse a JSON file that must hold one object; any defect raises
+    ``error`` naming the ``kind`` of file."""
+    try:
+        with open(path) as handle:
+            doc = json.load(handle)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise error(f"cannot parse {kind} file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{kind} file must contain a JSON object")
+    return doc
+
+
 def _complex_to_pair(z: complex) -> list:
     return [float(np.real(z)), float(np.imag(z))]
 
@@ -149,13 +162,7 @@ def save_components(components: ChannelComponents, path) -> None:
 
 def load_components(path) -> ChannelComponents:
     """Read and validate a channel file; raises ChannelFileError on any defect."""
-    try:
-        with open(path) as handle:
-            doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ChannelFileError(f"cannot parse channel file {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ChannelFileError("channel file must contain a JSON object")
+    doc = _read_object(path, "channel", ChannelFileError)
     for name in ("k", "m", "n"):
         if name not in doc or not isinstance(doc[name], int) or doc[name] < 1:
             raise ChannelFileError(f"field '{name}': missing or not a positive integer")
@@ -175,7 +182,8 @@ def load_components(path) -> ChannelComponents:
             h_u=h_u, h_0=h_0, g_l=g_l, z_ll=z_ll, frequency=float(frequency)
         )
     except ValueError as exc:
-        raise ChannelFileError(f"field 'z_ll': {exc}") from exc
+        # every ChannelComponents check names its matrix first
+        raise ChannelFileError(f"field '{str(exc).split()[0]}': {exc}") from exc
 
 
 def _require(doc: dict, name: str, kind, context: str):
@@ -261,13 +269,7 @@ def _ports_angle_deg(ports: np.ndarray) -> float:
 
 def load_scene(path) -> SceneDescription:
     """Read a scene file; the RIS block is expanded to ports plus panel wall."""
-    try:
-        with open(path) as handle:
-            doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SceneFileError(f"cannot parse scene file {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SceneFileError("scene file must contain a JSON object")
+    doc = _read_object(path, "scene", SceneFileError)
     frequency = _require(doc, "frequency_hz", float, "scene")
     max_order = _require(doc, "max_order", int, "scene")
     walls_doc = _require(doc, "walls", list, "scene")
@@ -362,22 +364,21 @@ def load_scene(path) -> SceneDescription:
 
 
 def save_ris_config(config: RisConfiguration, path) -> None:
+    """Write a RIS config file; it also records the fixed 1-bit states."""
     doc = {
         "mode": config.control_mode,
         "capacitances_pf": [float(c) * 1e12 for c in config.capacitances],
         "groups": {str(g): list(map(int, m)) for g, m in config.grouping.items()},
-        "c_on_pf": float(config.c_on) * 1e12,
-        "c_off_pf": float(config.c_off) * 1e12,
+        "c_on_pf": C_ON * 1e12,
+        "c_off_pf": C_OFF * 1e12,
     }
     atomic_write_text(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def load_ris_config(path) -> RisConfiguration:
-    try:
-        with open(path) as handle:
-            doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SceneFileError(f"cannot parse RIS config file {path}: {exc}") from exc
+    """Read a RIS config file; ``c_on_pf``/``c_off_pf``, when present, must
+    name the fixed 1-bit states C_ON/C_OFF."""
+    doc = _read_object(path, "RIS config", SceneFileError)
     mode = doc.get("mode")
     if mode not in CONTROL_MODES:
         raise SceneFileError(f"field 'mode': expected one of {CONTROL_MODES}")
@@ -386,24 +387,29 @@ def load_ris_config(path) -> RisConfiguration:
         isinstance(c, (int, float)) for c in caps
     ):
         raise SceneFileError("field 'capacitances_pf': expected a list of numbers")
+    for key, state in (("c_on_pf", C_ON), ("c_off_pf", C_OFF)):
+        value = doc.get(key)
+        if key in doc and (
+            not isinstance(value, (int, float)) or value * 1e-12 != state
+        ):
+            raise SceneFileError(
+                f"field '{key}': the 1-bit states are fixed at "
+                f"{C_ON * 1e12!r} and {C_OFF * 1e12!r} pF"
+            )
+    groups = doc.get("groups", {})
+    if not isinstance(groups, dict):
+        raise SceneFileError("field 'groups': expected an object")
     grouping = {}
-    if "groups" in doc:
-        for key, members in doc["groups"].items():
-            try:
-                grouping[int(key)] = tuple(int(i) for i in members)
-            except (TypeError, ValueError) as exc:
-                raise SceneFileError(f"field 'groups.{key}': {exc}") from exc
-    kwargs = {}
-    if "c_on_pf" in doc:
-        kwargs["c_on"] = float(doc["c_on_pf"]) * 1e-12
-    if "c_off_pf" in doc:
-        kwargs["c_off"] = float(doc["c_off_pf"]) * 1e-12
+    for key, members in groups.items():
+        try:
+            grouping[int(key)] = tuple(int(i) for i in members)
+        except (TypeError, ValueError) as exc:
+            raise SceneFileError(f"field 'groups.{key}': {exc}") from exc
     try:
         return RisConfiguration(
             capacitances=np.asarray(caps, dtype=float) * 1e-12,
             control_mode=mode,
             grouping=grouping,
-            **kwargs,
         )
     except ValueError as exc:
         raise SceneFileError(str(exc)) from exc
@@ -439,11 +445,7 @@ _VARACTOR_FIELDS = {
 def load_varactor_model(path) -> VaractorModel:
     """Read a varactor file; an optional field it omits keeps the
     VaractorModel default."""
-    try:
-        with open(path) as handle:
-            doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SceneFileError(f"cannot parse varactor file {path}: {exc}") from exc
+    doc = _read_object(path, "varactor", SceneFileError)
     kwargs = {}
     try:
         for key, (name, factor, required) in _VARACTOR_FIELDS.items():

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -60,20 +60,21 @@ ARMIJO_SHRINK = 0.4
 ARMIJO_STEP = 0.2e-12
 ARMIJO_STEP_MIN = 1e-18
 
+# The sweep loop stops once a full sweep improves the minimum SINR by less
+# than SWEEP_TOL; 1e-25 effectively means "run until the sweep budget or a
+# zero-progress sweep".
+SWEEP_TOL = 1e-25
+
 
 @dataclass(frozen=True)
 class BcdSettings:
-    """Stopping rule and random start of the coordinate ascent.
+    """Sweep budget and random start of the coordinate ascent.
 
-    ``t_g`` is the sweep budget.  ``eps_g`` stops the sweep loop when the
-    minimum-SINR improvement of a full sweep falls below it; the default
-    1e-25 effectively means "run until the sweep budget or a zero-progress
-    sweep".  ``rng_seed`` draws the random start when no initial
-    configuration is given.  The line search's constants are the module's
-    ARMIJO_* values.
+    ``t_g`` is the sweep budget.  ``rng_seed`` draws the random start when no
+    initial configuration is given.  The stop tolerance is the module's
+    SWEEP_TOL and the line search's constants are its ARMIJO_* values.
     """
 
-    eps_g: float = 1e-25
     t_g: int = 50
     rng_seed: int = 0
 
@@ -146,7 +147,7 @@ def min_sinr_gradient(
     components: ChannelComponents,
     model: VaractorModel,
     config: RisConfiguration,
-    w,
+    w: BeamformerMatrix,
     sigma2: float,
     group: int,
     effective: EffectiveChannel | None = None,
@@ -162,7 +163,7 @@ def min_sinr_gradient(
     entries of row k*, and dy comes from the analytic channel derivative.
     Group gradients sum the member-element channel derivatives.
     """
-    weights = w.weights if hasattr(w, "weights") else np.asarray(w)
+    weights = w.weights
     if effective is None:
         effective = assemble_from_config(components, model, config)
     y = effective.matrix @ weights
@@ -219,7 +220,7 @@ class OptimizerState:
     def _config_with(self, group: int, value: float) -> RisConfiguration:
         caps = np.array(self.config.capacitances)
         caps[list(self.config.grouping[group])] = value
-        return self.config.replace_capacitances(caps)
+        return replace(self.config, capacitances=caps)
 
     def commit(self, group: int, value: float, trial_sinr_min: float) -> None:
         """Adopt an accepted step and recompute the beamformer via duality.
@@ -352,7 +353,7 @@ def alternating_optimize(
     Starts from ``initial_config`` when given (warm start), otherwise from a
     uniformly random configuration over ``grouping`` drawn from the settings
     seed.  Repeats coordinate sweeps, recomputing the beamformer after every
-    accepted step, until the per-sweep improvement drops below ``eps_g`` or
+    accepted step, until the per-sweep improvement drops below SWEEP_TOL or
     the sweep budget is exhausted.
     """
     _, _, n = components.dims
@@ -364,25 +365,20 @@ def alternating_optimize(
     else:
         raise ValueError("need an initial configuration or a grouping")
     trace = OptimizationTrace()
-    try:
-        state = OptimizerState(components, model, config, p_bs, sigma2)
-        trace.initial_sinr_min = state.sinr_min
-        for sweep in range(1, settings.t_g + 1):
-            delta, records = bcd_sweep(state, sweep)
-            trace.steps.extend(records)
-            trace.sweep_deltas.append(delta)
-            trace.sweeps_run = sweep
-            if abs(delta) < settings.eps_g:
-                trace.converged = True
-                break
-        trace.final_sinr_min = state.sinr_min
-        trace.final_config = state.config
-        trace.final_beamformer = state.beamformer
-        trace.final_report = state.report
-    except RisOptError as exc:
-        # callers that catch the error still get the progress made so far
-        exc.partial_trace = trace
-        raise
+    state = OptimizerState(components, model, config, p_bs, sigma2)
+    trace.initial_sinr_min = state.sinr_min
+    for sweep in range(1, settings.t_g + 1):
+        delta, records = bcd_sweep(state, sweep)
+        trace.steps.extend(records)
+        trace.sweep_deltas.append(delta)
+        trace.sweeps_run = sweep
+        if abs(delta) < SWEEP_TOL:
+            trace.converged = True
+            break
+    trace.final_sinr_min = state.sinr_min
+    trace.final_config = state.config
+    trace.final_beamformer = state.beamformer
+    trace.final_report = state.report
     return trace
 
 

@@ -10,7 +10,7 @@ convention, so capacitance increases with the stated voltage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -114,14 +114,12 @@ class RisConfiguration:
 
     ``grouping`` maps group index -> tuple of element indices and must
     partition 0..N-1.  In 1-bit mode every capacitance is one of
-    {c_on, c_off} and all members of a group share one value.
+    {C_ON, C_OFF} and all members of a group share one value.
     """
 
     capacitances: np.ndarray  # (N,) farads
     control_mode: str = "continuous-per-element"
     grouping: dict | None = None  # None -> per-element; {} -> nothing tunable
-    c_on: float = C_ON
-    c_off: float = C_OFF
 
     def __post_init__(self):
         caps = np.asarray(self.capacitances, dtype=float)
@@ -133,20 +131,18 @@ class RisConfiguration:
         if self.control_mode not in CONTROL_MODES:
             raise ValueError(f"unknown control mode {self.control_mode!r}")
         if self.grouping is None:
-            object.__setattr__(
-                self, "grouping", {i: (i,) for i in range(caps.size)}
-            )
+            object.__setattr__(self, "grouping", identity_grouping(caps.size))
         if self.grouping:
             _check_partition(self.grouping, caps.size)
         if self.control_mode == "column-paired-1bit":
-            states = {self.c_on, self.c_off}
+            states = {C_ON, C_OFF}
             for g, members in self.grouping.items():
                 vals = {float(caps[i]) for i in members}
                 if len(vals) != 1:
                     raise ValueError(f"group {g} members do not share one value")
                 if not vals <= states:
                     raise ValueError(
-                        f"group {g} value {vals.pop()!r} is not c_on or c_off"
+                        f"group {g} value {vals.pop()!r} is not C_ON or C_OFF"
                     )
 
     def group_keys(self) -> list:
@@ -160,22 +156,7 @@ class RisConfiguration:
         """
         if self.control_mode != "column-paired-1bit":
             return self
-        return RisConfiguration(
-            capacitances=np.array(self.capacitances),
-            control_mode="continuous-per-column",
-            grouping=dict(self.grouping),
-            c_on=self.c_on,
-            c_off=self.c_off,
-        )
-
-    def replace_capacitances(self, capacitances: np.ndarray) -> "RisConfiguration":
-        return RisConfiguration(
-            capacitances=np.asarray(capacitances, dtype=float).copy(),
-            control_mode=self.control_mode,
-            grouping=dict(self.grouping),
-            c_on=self.c_on,
-            c_off=self.c_off,
-        )
+        return replace(self, control_mode="continuous-per-column")
 
 
 def _check_partition(grouping: dict, n: int) -> None:
@@ -243,20 +224,16 @@ def enumerate_1bit_configs(n_groups: int):
 
 
 def load_impedances(
-    model: VaractorModel, config, frequency: float
+    model: VaractorModel, capacitances: np.ndarray, frequency: float
 ) -> np.ndarray:
-    """Series R-L-C load impedances for every element: R + jwL + 1/(jwC)."""
-    caps = (
-        config.capacitances
-        if isinstance(config, RisConfiguration)
-        else np.asarray(config, dtype=float)
-    )
-    if np.any(caps == 0):
-        raise ValueError("zero capacitance has no finite load impedance")
-    if isinstance(config, RisConfiguration):
-        lo, hi = model.c_min, model.c_max
-        tol = 1e-15
-        if np.any(caps < lo * (1 - tol)) or np.any(caps > hi * (1 + tol)):
-            raise ValueError("configuration violates the model tuning range")
+    """Series R-L-C load impedances for every element: R + jwL + 1/(jwC).
+
+    Every capacitance must lie in the model's tuning range (to 1e-15
+    relative), which also keeps 1/(jwC) finite.
+    """
+    caps = np.asarray(capacitances, dtype=float)
+    tol = 1e-15
+    if np.any(caps < model.c_min * (1 - tol)) or np.any(caps > model.c_max * (1 + tol)):
+        raise ValueError("capacitances violate the model tuning range")
     omega = 2.0 * np.pi * frequency
     return model.r_v + 1j * omega * model.l_v + 1.0 / (1j * omega * caps)

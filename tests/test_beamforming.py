@@ -176,13 +176,13 @@ class TestFixedPointBalance:
     def test_single_user_gets_full_budget(self, rng):
         h = complex_normal(rng, 1, 3)
         result = fixed_point_power_balance(h, 2.0, 0.1)
-        assert result.powers.q[0] == pytest.approx(2.0, rel=1e-12)
+        assert result.powers[0] == pytest.approx(2.0, rel=1e-12)
 
     def test_symmetric_users_split_evenly(self):
         # two users whose channels differ by a unitary relabeling
         h = np.array([[1.0, 0.2j, 0.0], [0.0, 0.2j, 1.0]])
         result = fixed_point_power_balance(h, 1.0, 0.05)
-        assert result.powers.q[0] == pytest.approx(0.5, rel=1e-6)
+        assert result.powers[0] == pytest.approx(0.5, rel=1e-6)
         spread = result.sinr.max() - result.sinr.min()
         assert spread <= 1e-6 * result.sinr.min()
 
@@ -205,7 +205,7 @@ class TestFixedPointBalance:
     def test_budget_preserved(self, rng):
         h = complex_normal(rng, 4, 5)
         result = fixed_point_power_balance(h, 3.7, 0.2)
-        assert result.powers.q.sum() == pytest.approx(3.7, rel=1e-10)
+        assert result.powers.sum() == pytest.approx(3.7, rel=1e-10)
 
     def test_zero_channel_row_is_infeasible(self, rng):
         h = complex_normal(rng, 3, 3)

@@ -685,6 +685,32 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [1, 2],
+            {"mode": "continuous-per-element", "capacitances_pf": [0.5] * 4,
+             "groups": [1]},
+            {"mode": "continuous-per-element", "capacitances_pf": [0.5] * 4,
+             "c_on_pf": 0.6},
+        ],
+        ids=["list", "groups-list", "other-on-state"],
+    )
+    def test_malformed_ris_config_is_config_error(
+        self, doc, small_scene_path, tmp_path, capsys
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        code = main(
+            [
+                "optimize", "--scene", small_scene_path, "--mode", "no-ris",
+                "--ris-config", str(path), "--out", str(tmp_path / "out"),
+                "--reproducible",
+            ]
+        )
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_corrupt_channel_file_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{")

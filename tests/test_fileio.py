@@ -20,7 +20,13 @@ from risopt.fileio import (
     save_varactor_model,
     write_csv,
 )
-from risopt.ris import C_OFF, C_ON, DEFAULT_VARACTOR, onebit_configuration
+from risopt.ris import (
+    C_OFF,
+    C_ON,
+    DEFAULT_VARACTOR,
+    RisConfiguration,
+    onebit_configuration,
+)
 from risopt.ris import column_paired_grouping
 from risopt.scene import default_scene, synthesize_components
 
@@ -91,6 +97,36 @@ class TestChannelFile:
         with pytest.raises(ro.ChannelFileError, match="h_0"):
             load_components(path)
 
+    def test_non_finite_entry_names_its_matrix(self, rng, tmp_path):
+        # Python's json reads and writes NaN
+        comps = random_components(rng, k=2, m=2, n=3)
+        path = tmp_path / "channels.json"
+        save_components(comps, path)
+        doc = json.loads(path.read_text())
+        doc["h_u"][0][1][0] = float("nan")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(
+            ro.ChannelFileError, match="^field 'h_u': h_u contains non-finite"
+        ):
+            load_components(path)
+
+
+@pytest.mark.parametrize(
+    "loader, error",
+    [
+        (load_components, ro.ChannelFileError),
+        (load_scene, ro.SceneFileError),
+        (load_ris_config, ro.SceneFileError),
+        (load_varactor_model, ro.SceneFileError),
+    ],
+    ids=["channel", "scene", "ris-config", "varactor"],
+)
+def test_file_that_is_not_an_object_rejected(loader, error, tmp_path):
+    path = tmp_path / "file.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(error, match="must contain a JSON object"):
+        loader(path)
+
 
 class TestSceneFile:
     def test_round_trip_preserves_synthesis(self, tmp_path):
@@ -150,14 +186,37 @@ class TestRisConfigFile:
         assert loaded.control_mode == config.control_mode
         assert np.allclose(loaded.capacitances, config.capacitances, rtol=1e-12)
         assert loaded.grouping == config.grouping
-        assert loaded.c_on == pytest.approx(C_ON)
-        assert loaded.c_off == pytest.approx(C_OFF)
 
     def test_unknown_mode_rejected(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"mode": "psychic", "capacitances_pf": [0.5]}))
         with pytest.raises(ro.SceneFileError, match="mode"):
             load_ris_config(path)
+
+    def test_groups_that_are_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "config.json"
+        doc = {"mode": "continuous-per-element", "capacitances_pf": [0.5], "groups": [1]}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ro.SceneFileError, match="field 'groups'"):
+            load_ris_config(path)
+
+    @pytest.mark.parametrize("key", ["c_on_pf", "c_off_pf"])
+    def test_other_onebit_states_rejected(self, key, tmp_path):
+        path = tmp_path / "config.json"
+        config = RisConfiguration(np.full(4, C_ON))
+        save_ris_config(config, path)
+        doc = json.loads(path.read_text())
+        doc[key] = 0.6
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ro.SceneFileError, match=key):
+            load_ris_config(path)
+
+    def test_written_states_are_the_onebit_constants(self, tmp_path):
+        path = tmp_path / "config.json"
+        save_ris_config(RisConfiguration(np.full(4, C_OFF)), path)
+        doc = json.loads(path.read_text())
+        assert doc["c_on_pf"] * 1e-12 == C_ON
+        assert doc["c_off_pf"] * 1e-12 == C_OFF
 
 
 class TestVaractorFile:

@@ -25,7 +25,7 @@ def optimized_default():
 
 def test_each_beam_serves_its_own_user(optimized_default):
     comps, trace = optimized_default
-    z = ro.load_impedances(DEFAULT_VARACTOR, trace.final_config, comps.frequency)
+    z = ro.load_impedances(DEFAULT_VARACTOR, trace.final_config.capacitances, comps.frequency)
     effective = ro.assemble_effective_channel(comps, z)
     power = np.abs(effective.matrix @ trace.final_beamformer.weights) ** 2
     for k in range(3):
@@ -38,7 +38,7 @@ def test_gain_map_peaks_at_intended_user(optimized_default):
     comps, trace = optimized_default
     # virtual users at the exact user positions stand in for grid cells
     scene = default_scene()
-    z = ro.load_impedances(DEFAULT_VARACTOR, trace.final_config, comps.frequency)
+    z = ro.load_impedances(DEFAULT_VARACTOR, trace.final_config.capacitances, comps.frequency)
     user_grid_components = synthesize_components(
         with_users(scene, scene.user_positions)
     )

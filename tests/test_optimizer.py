@@ -291,13 +291,12 @@ class TestAlternatingOptimize:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(opt, "duality_beamformer", flaky)
-        with pytest.raises(ro.DualityError) as err:
+        with pytest.raises(ro.DualityError):
             alternating_optimize(
                 comps, MODEL, None, 1.0, 1e-2,
                 BcdSettings(t_g=3, rng_seed=1),
                 grouping=identity_grouping(6),
             )
-        assert hasattr(err.value, "partial_trace")
 
 
 class TestExhaustiveSearch:

@@ -96,10 +96,15 @@ class TestLoadImpedances:
         with pytest.raises(ValueError):
             load_impedances(DEFAULT_VARACTOR, np.array([0.0]), FREQ)
 
+    def test_raw_capacitances_range_checked(self):
+        # below the 0.2 pF tuning floor, though finite and positive
+        with pytest.raises(ValueError, match="tuning range"):
+            load_impedances(DEFAULT_VARACTOR, np.array([C_ON, 0.1e-12]), FREQ)
+
     def test_configuration_bounds_enforced(self):
         config = RisConfiguration(capacitances=np.array([5e-12]))
         with pytest.raises(ValueError):
-            load_impedances(DEFAULT_VARACTOR, config, FREQ)
+            load_impedances(DEFAULT_VARACTOR, config.capacitances, FREQ)
 
 
 class TestGrouping:
