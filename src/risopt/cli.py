@@ -27,7 +27,8 @@ with --reproducible the volatile timestamp header is suppressed so repeated
 runs are byte-identical.
 
 Exit codes: 0 success, 2 configuration error (a rejected scene geometry, such
-as a point on a wall, included), 3 numerical failure.
+as a point on a wall, a non-finite number flag and a negative ``--seed``
+included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .beamforming import duality_beamformer, noise_power
 from .channel import (
@@ -111,16 +114,24 @@ class ExperimentConfig:
     dst: tuple | None = None
 
     def __post_init__(self):
+        # every number a flag parses (float or point) must be finite
+        for flag, spec in FLAGS.items():
+            value = getattr(self, spec.get("dest", flag[2:].replace("-", "_")))
+            if spec.get("type") in (float, _parse_point) and value is not None:
+                if not np.isfinite(value).all():
+                    raise ValueError(f"{flag} must be finite, got {value}")
         if not self.powers_dbm:
             raise ValueError("power list must be nonempty")
         if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth must be positive")
+            raise ValueError("--bandwidth-hz must be positive")
         if self.temperature_k <= 0:
-            raise ValueError("temperature must be positive")
+            raise ValueError("--temperature-k must be positive")
         if self.bin_width <= 0:
-            raise ValueError("bin width must be positive")
+            raise ValueError("--bin-width must be positive")
         if self.max_sweeps < 0:
-            raise ValueError("max sweeps must be >= 0")
+            raise ValueError("--max-sweeps must be >= 0")
+        if self.seed < 0:
+            raise ValueError("--seed must be >= 0")
         for mode in self.modes:
             if mode not in MODES:
                 raise ValueError(f"unrecognized mode {mode!r}; choose from {MODES}")

@@ -4,20 +4,25 @@ Complex numbers are stored as two-element [re, im] arrays inside row-major
 nested lists.  Floats are serialized with repr (shortest round-trip form), so
 a save/load cycle is bit-exact on the decimal text representation.  Loading
 validates dimensions and structural invariants and reports the offending
-field by name.
+field by name.  Every scalar field is read through one finite-number reader
+(``_number``) or one integer reader (``_integer``), which refuse booleans,
+strings, NaN and infinities; a value rule lives on the dataclass a file
+becomes, or in its loader where no dataclass checks it.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 
 import numpy as np
 
 from .channel import ChannelComponents
+from .coupling import DEFAULT_SELF_IMPEDANCE
 from .errors import ChannelFileError, SceneFileError
-from .ris import C_OFF, C_ON, CONTROL_MODES, RisConfiguration, VaractorModel
+from .ris import C_OFF, C_ON, RisConfiguration, VaractorModel
 from .scene import (
     DEFAULT_PANEL_ANGLE_DEG,
     DEFAULT_PANEL_REFLECTION,
@@ -111,6 +116,55 @@ def _read_object(path, kind: str, error) -> dict:
     return doc
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, but not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(value, name: str, error) -> float:
+    """A finite number as a float; anything else (a boolean, a string, NaN,
+    an infinity, a missing field) raises ``error`` naming the field."""
+    if not (_is_number(value) and abs(value) <= sys.float_info.max):
+        raise error(f"field '{name}': expected a finite number")
+    return float(value)
+
+
+def _integer(value, name: str, error, minimum: int | None = None) -> int:
+    """An integer that is not a boolean, and at least ``minimum`` if given."""
+    if isinstance(value, bool) or not isinstance(value, int) or (
+        minimum is not None and value < minimum
+    ):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise error(f"field '{name}': expected an integer{bound}")
+    return value
+
+
+def _container(value, kind: type, name: str):
+    """``value`` if it is a JSON array (``kind`` list) or object (dict)."""
+    if not isinstance(value, kind):
+        what = "a list" if kind is list else "an object"
+        raise SceneFileError(f"field '{name}': expected {what}")
+    return value
+
+
+def _pair(value, name: str) -> list:
+    if not isinstance(value, list) or len(value) != 2:
+        raise SceneFileError(f"field '{name}': expected a list of two numbers")
+    return value
+
+
+def _point(value, name: str) -> tuple:
+    """An [x, y] pair of finite numbers."""
+    return tuple(_number(v, name, SceneFileError) for v in _pair(value, name))
+
+
+def _complex(value, name: str) -> complex:
+    """A finite number or a finite [re, im] pair."""
+    if isinstance(value, list):
+        return complex(*_point(value, name))
+    return complex(_number(value, name, SceneFileError))
+
+
 def _complex_to_pair(z: complex) -> list:
     return [float(np.real(z)), float(np.imag(z))]
 
@@ -120,6 +174,8 @@ def _matrix_to_pairs(matrix: np.ndarray) -> list:
 
 
 def _pairs_to_matrix(data, rows: int, cols: int, name: str) -> np.ndarray:
+    """Entries must be [re, im] pairs of numbers; their finiteness is left to
+    ChannelComponents, which names the matrix."""
     if not isinstance(data, list) or len(data) != rows:
         raise ChannelFileError(
             f"field '{name}': expected {rows} rows, got "
@@ -132,10 +188,8 @@ def _pairs_to_matrix(data, rows: int, cols: int, name: str) -> np.ndarray:
                 f"field '{name}': row {i} must have {cols} entries"
             )
         for j, pair in enumerate(row):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(isinstance(v, (int, float)) for v in pair)
+            if not (
+                isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair))
             ):
                 raise ChannelFileError(
                     f"field '{name}': entry ({i}, {j}) is not a [re, im] pair"
@@ -163,62 +217,22 @@ def save_components(components: ChannelComponents, path) -> None:
 def load_components(path) -> ChannelComponents:
     """Read and validate a channel file; raises ChannelFileError on any defect."""
     doc = _read_object(path, "channel", ChannelFileError)
-    for name in ("k", "m", "n"):
-        if name not in doc or not isinstance(doc[name], int) or doc[name] < 1:
-            raise ChannelFileError(f"field '{name}': missing or not a positive integer")
-    for name in ("frequency_hz", "h_u", "h_0", "g_l", "z_ll"):
+    k, m, n = (_integer(doc.get(name), name, ChannelFileError, 1) for name in "kmn")
+    frequency = _number(doc.get("frequency_hz"), "frequency_hz", ChannelFileError)
+    for name in ("h_u", "h_0", "g_l", "z_ll"):
         if name not in doc:
             raise ChannelFileError(f"field '{name}': missing")
-    k, m, n = doc["k"], doc["m"], doc["n"]
-    frequency = doc["frequency_hz"]
-    if not isinstance(frequency, (int, float)) or frequency <= 0:
-        raise ChannelFileError("field 'frequency_hz': must be a positive number")
     h_u = _pairs_to_matrix(doc["h_u"], k, m, "h_u")
     h_0 = _pairs_to_matrix(doc["h_0"], n, m, "h_0")
     g_l = _pairs_to_matrix(doc["g_l"], k, n, "g_l")
     z_ll = _pairs_to_matrix(doc["z_ll"], n, n, "z_ll")
     try:
         return ChannelComponents(
-            h_u=h_u, h_0=h_0, g_l=g_l, z_ll=z_ll, frequency=float(frequency)
+            h_u=h_u, h_0=h_0, g_l=g_l, z_ll=z_ll, frequency=frequency
         )
     except ValueError as exc:
-        # every ChannelComponents check names its matrix first
+        # every ChannelComponents check names its matrix or the frequency first
         raise ChannelFileError(f"field '{str(exc).split()[0]}': {exc}") from exc
-
-
-def _require(doc: dict, name: str, kind, context: str):
-    if name not in doc:
-        raise SceneFileError(f"field '{name}' missing from {context}")
-    value = doc[name]
-    if kind is float:
-        if not isinstance(value, (int, float)):
-            raise SceneFileError(f"field '{name}': expected a number")
-        return float(value)
-    if not isinstance(value, kind):
-        raise SceneFileError(f"field '{name}': expected {kind.__name__}")
-    return value
-
-
-def _point(value, name: str):
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or not all(isinstance(v, (int, float)) for v in value)
-    ):
-        raise SceneFileError(f"field '{name}': expected an [x, y] point")
-    return (float(value[0]), float(value[1]))
-
-
-def _complex_field(value, name: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) for v in value)
-    ):
-        return complex(value[0], value[1])
-    raise SceneFileError(f"field '{name}': expected a number or [re, im] pair")
 
 
 def save_scene(scene: SceneDescription, path) -> None:
@@ -270,82 +284,69 @@ def _ports_angle_deg(ports: np.ndarray) -> float:
 def load_scene(path) -> SceneDescription:
     """Read a scene file; the RIS block is expanded to ports plus panel wall."""
     doc = _read_object(path, "scene", SceneFileError)
-    frequency = _require(doc, "frequency_hz", float, "scene")
-    max_order = _require(doc, "max_order", int, "scene")
-    walls_doc = _require(doc, "walls", list, "scene")
+    frequency = _number(doc.get("frequency_hz"), "frequency_hz", SceneFileError)
+    max_order = _integer(doc.get("max_order"), "max_order", SceneFileError)
     walls = []
-    for i, wdoc in enumerate(walls_doc):
-        if not isinstance(wdoc, dict):
-            raise SceneFileError(f"field 'walls[{i}]': expected an object")
+    for i, wdoc in enumerate(_container(doc.get("walls"), list, "walls")):
+        name = f"walls[{i}]"
+        _container(wdoc, dict, name)
         try:
             walls.append(
                 Wall(
-                    p1=_point(wdoc.get("p1"), f"walls[{i}].p1"),
-                    p2=_point(wdoc.get("p2"), f"walls[{i}].p2"),
-                    reflection=_complex_field(
+                    p1=_point(wdoc.get("p1"), f"{name}.p1"),
+                    p2=_point(wdoc.get("p2"), f"{name}.p2"),
+                    reflection=_complex(
                         wdoc.get("reflection", DEFAULT_WALL_REFLECTION),
-                        f"walls[{i}].reflection",
+                        f"{name}.reflection",
                     ),
                 )
             )
         except ValueError as exc:
-            raise SceneFileError(f"field 'walls[{i}]': {exc}") from exc
-    bs = [_point(p, f"bs[{i}]") for i, p in enumerate(_require(doc, "bs", list, "scene"))]
-    users = [
-        _point(p, f"users[{i}]")
-        for i, p in enumerate(_require(doc, "users", list, "scene"))
-    ]
-    ris_doc = _require(doc, "ris", dict, "scene")
-    origin = _point(ris_doc.get("origin", [0.0, 0.0]), "ris.origin")
-    n_ports = ris_doc.get("n_ports")
-    if not isinstance(n_ports, int) or n_ports < 1:
-        raise SceneFileError("field 'ris.n_ports': expected a positive integer")
+            raise SceneFileError(f"field '{name}': {exc}") from exc
+    bs, users = (
+        [
+            _point(p, f"{key}[{i}]")
+            for i, p in enumerate(_container(doc.get(key), list, key))
+        ]
+        for key in ("bs", "users")
+    )
+    ris_doc = _container(doc.get("ris"), dict, "ris")
     spacing = ris_doc.get("spacing")
-    if spacing is not None and (
-        not isinstance(spacing, (int, float)) or spacing <= 0
-    ):
-        raise SceneFileError("field 'ris.spacing': expected a positive number")
-    angle = ris_doc.get("orientation_deg", DEFAULT_PANEL_ANGLE_DEG)
-    if not isinstance(angle, (int, float)):
-        raise SceneFileError("field 'ris.orientation_deg': expected a number")
-    reflection = _complex_field(
-        ris_doc.get("reflection", _complex_to_pair(DEFAULT_PANEL_REFLECTION)),
-        "ris.reflection",
+    if spacing is not None:
+        spacing = _number(spacing, "ris.spacing", SceneFileError)
+        if spacing <= 0:
+            raise SceneFileError("field 'ris.spacing': expected a positive number")
+    reflection = _complex(
+        ris_doc.get("reflection", DEFAULT_PANEL_REFLECTION), "ris.reflection"
     )
     ports, panel = make_ris_line(
-        center=origin,
-        n_ports=n_ports,
-        spacing=float(spacing) if spacing is not None else None,
-        angle_deg=float(angle),
+        center=_point(ris_doc.get("origin", [0.0, 0.0]), "ris.origin"),
+        n_ports=_integer(ris_doc.get("n_ports"), "ris.n_ports", SceneFileError, 1),
+        spacing=spacing,
+        angle_deg=_number(
+            ris_doc.get("orientation_deg", DEFAULT_PANEL_ANGLE_DEG),
+            "ris.orientation_deg",
+            SceneFileError,
+        ),
         frequency=frequency,
         reflection=reflection,
     )
     if reflection == 0:
         panel = None
     grid = None
-    if "grid" in doc and doc["grid"]:
-        gdoc = doc["grid"]
-        if not isinstance(gdoc, dict):
-            raise SceneFileError("field 'grid': expected an object")
-        counts = gdoc.get("counts")
-        if (
-            not isinstance(counts, list)
-            or len(counts) != 2
-            or not all(isinstance(c, int) and c > 0 for c in counts)
-        ):
-            raise SceneFileError("field 'grid.counts': expected two positive integers")
+    if doc.get("grid"):
+        gdoc = _container(doc["grid"], dict, "grid")
         spacing_g = gdoc.get("spacing", [0.1, 0.1])
-        if isinstance(spacing_g, (int, float)):
-            spacing_g = [spacing_g, spacing_g]
         grid = ObservationGrid(
             origin=_point(gdoc.get("origin"), "grid.origin"),
-            spacing=(float(spacing_g[0]), float(spacing_g[1])),
-            counts=(counts[0], counts[1]),
-        )
-    kwargs = {}
-    if "ris" in doc and "self_impedance" in ris_doc:
-        kwargs["ris_self_impedance"] = _complex_field(
-            ris_doc["self_impedance"], "ris.self_impedance"
+            spacing=_point(
+                spacing_g if isinstance(spacing_g, list) else [spacing_g] * 2,
+                "grid.spacing",
+            ),
+            counts=tuple(
+                _integer(c, "grid.counts", SceneFileError, 1)
+                for c in _pair(gdoc.get("counts"), "grid.counts")
+            ),
         )
     try:
         return SceneDescription(
@@ -357,7 +358,10 @@ def load_scene(path) -> SceneDescription:
             max_reflection_order=max_order,
             grid=grid,
             unloaded_panel=panel,
-            **kwargs,
+            ris_self_impedance=_complex(
+                ris_doc.get("self_impedance", _complex_to_pair(DEFAULT_SELF_IMPEDANCE)),
+                "ris.self_impedance",
+            ),
         )
     except ValueError as exc:
         raise SceneFileError(str(exc)) from exc
@@ -379,36 +383,32 @@ def load_ris_config(path) -> RisConfiguration:
     """Read a RIS config file; ``c_on_pf``/``c_off_pf``, when present, must
     name the fixed 1-bit states C_ON/C_OFF."""
     doc = _read_object(path, "RIS config", SceneFileError)
-    mode = doc.get("mode")
-    if mode not in CONTROL_MODES:
-        raise SceneFileError(f"field 'mode': expected one of {CONTROL_MODES}")
-    caps = doc.get("capacitances_pf")
-    if not isinstance(caps, list) or not all(
-        isinstance(c, (int, float)) for c in caps
-    ):
-        raise SceneFileError("field 'capacitances_pf': expected a list of numbers")
+    caps = [
+        _number(c, f"capacitances_pf[{i}]", SceneFileError)
+        for i, c in enumerate(
+            _container(doc.get("capacitances_pf"), list, "capacitances_pf")
+        )
+    ]
     for key, state in (("c_on_pf", C_ON), ("c_off_pf", C_OFF)):
-        value = doc.get(key)
-        if key in doc and (
-            not isinstance(value, (int, float)) or value * 1e-12 != state
-        ):
+        if key in doc and _number(doc[key], key, SceneFileError) * 1e-12 != state:
             raise SceneFileError(
                 f"field '{key}': the 1-bit states are fixed at "
                 f"{C_ON * 1e12!r} and {C_OFF * 1e12!r} pF"
             )
-    groups = doc.get("groups", {})
-    if not isinstance(groups, dict):
-        raise SceneFileError("field 'groups': expected an object")
     grouping = {}
-    for key, members in groups.items():
+    for key, members in _container(doc.get("groups", {}), dict, "groups").items():
+        name = f"groups.{key}"
         try:
-            grouping[int(key)] = tuple(int(i) for i in members)
-        except (TypeError, ValueError) as exc:
-            raise SceneFileError(f"field 'groups.{key}': {exc}") from exc
+            group = int(key)
+        except ValueError as exc:
+            raise SceneFileError(f"field '{name}': {exc}") from exc
+        grouping[group] = tuple(
+            _integer(i, name, SceneFileError) for i in _container(members, list, name)
+        )
     try:
         return RisConfiguration(
             capacitances=np.asarray(caps, dtype=float) * 1e-12,
-            control_mode=mode,
+            control_mode=doc.get("mode"),
             grouping=grouping,
         )
     except ValueError as exc:
@@ -446,13 +446,12 @@ def load_varactor_model(path) -> VaractorModel:
     """Read a varactor file; an optional field it omits keeps the
     VaractorModel default."""
     doc = _read_object(path, "varactor", SceneFileError)
-    kwargs = {}
+    kwargs = {
+        name: _number(doc.get(key), key, SceneFileError) * factor
+        for key, (name, factor, required) in _VARACTOR_FIELDS.items()
+        if required or key in doc
+    }
     try:
-        for key, (name, factor, required) in _VARACTOR_FIELDS.items():
-            if key in doc:
-                kwargs[name] = float(doc[key]) * factor
-            elif required:
-                raise SceneFileError(f"field '{key}' missing from varactor file")
         return VaractorModel(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise SceneFileError(str(exc)) from exc

@@ -629,6 +629,6 @@ def perturbation_study(
         combination_indices=indices,
         combinations=len(combos),
         skipped=skipped,
-        histogram=rate_histogram(improvements, bin_width) if improvements.size else [],
+        histogram=rate_histogram(improvements, bin_width),
         summary=summary,
     )

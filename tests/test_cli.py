@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import risopt as ro
-from risopt.cli import ExperimentConfig, main
+from risopt.cli import COMMANDS, FLAGS, ExperimentConfig, _parse_point, main
 from risopt.fileio import (
     load_components,
     load_ris_config,
@@ -648,6 +648,48 @@ class TestExitCodes:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "flag",
+        [f for f, spec in FLAGS.items() if spec.get("type") in (float, _parse_point)],
+    )
+    def test_non_finite_number_flag_rejected_before_any_work(
+        self, flag, value, tmp_path, monkeypatch, capsys
+    ):
+        import risopt.cli as cli_module
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("workspace built for a rejected configuration")
+
+        monkeypatch.setattr(cli_module, "Workspace", unreachable)
+        # the first command that reads the flag, with any other flag it requires
+        command = next(c for c, (_, flags, _) in COMMANDS.items() if flag in flags)
+        given = {f: "1,1" for f in COMMANDS[command][1] if FLAGS[f].get("required")}
+        given[flag] = f"{value},0" if FLAGS[flag]["type"] is _parse_point else value
+        argv = command.split() + [arg for pair in given.items() for arg in pair]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out), "--reproducible"]) == 2
+        assert f"{flag} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_rejected_before_any_work(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import risopt.cli as cli_module
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("workspace built for a rejected configuration")
+
+        monkeypatch.setattr(cli_module, "Workspace", unreachable)
+        code = main(
+            [
+                "sweep", "--mode", "no-ris", "--mode", "continuous",
+                "--seed", "-1", "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        assert "--seed must be >= 0" in capsys.readouterr().err
 
     def test_trace_point_on_wall_is_config_error(self, tmp_path, capsys):
         # (1.3, 4) lies on the built-in scene's y = 4 wall

@@ -261,3 +261,88 @@ class TestCsv:
     def test_length_mismatch_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_csv(tmp_path / "bad.csv", {"a": [1.0], "b": [1.0, 2.0]})
+
+
+def _default_file(kind, path):
+    """Write the default file of each kind: the built-in scene, the channel
+    file of its 4-port order-1 variant (few matrix entries), a 1-bit RIS
+    configuration as `exhaustive` writes it, and the default varactor."""
+    if kind == "scene":
+        save_scene(default_scene(), path)
+    elif kind == "channel":
+        scene = default_scene(n_ports=4, max_reflection_order=1)
+        save_components(synthesize_components(scene), path)
+    elif kind == "ris-config":
+        states = (1, 0, 0, 1, 1, 0, 1, 0, 0, 1)
+        save_ris_config(
+            onebit_configuration(column_paired_grouping(20), states, 20), path
+        )
+    else:
+        save_varactor_model(DEFAULT_VARACTOR, path)
+
+
+_LOADERS = {
+    "scene": (load_scene, ro.SceneFileError),
+    "channel": (load_components, ro.ChannelFileError),
+    "ris-config": (load_ris_config, ro.SceneFileError),
+    "varactor": (load_varactor_model, ro.SceneFileError),
+}
+_MATRICES = ("h_u", "h_0", "g_l", "z_ll")
+
+
+def _numeric_leaves(node, path=""):
+    """(path, container, key) of every number in a JSON document; a path
+    reads like ``walls[0].p1[1]``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(node, dict):
+            sub = f"{path}.{key}" if path else key
+        else:
+            sub = f"{path}[{key}]"
+        if isinstance(value, (dict, list)):
+            yield from _numeric_leaves(value, sub)
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield sub, node, key
+
+
+@pytest.mark.parametrize("bad", [True, "1", float("nan"), float("inf")],
+                         ids=["true", "string", "nan", "infinity"])
+@pytest.mark.parametrize("kind", list(_LOADERS))
+def test_every_numeric_field_refuses_non_numbers(kind, bad, tmp_path):
+    # each number of the default file is replaced in turn; the error must
+    # name its field: the leaf itself or the [x, y] / [re, im] pair holding it
+    path = tmp_path / "file.json"
+    _default_file(kind, path)
+    doc = json.loads(path.read_text())
+    loader, error = _LOADERS[kind]
+    leaves = list(_numeric_leaves(doc))
+    assert leaves
+    for leaf, container, key in leaves:
+        saved = container[key]
+        container[key] = bad
+        path.write_text(json.dumps(doc))
+        container[key] = saved
+        with pytest.raises(error) as exc:
+            loader(path)
+        named = str(exc.value).partition("field '")[2].partition("'")[0]
+        matrix = leaf.split("[")[0]
+        if matrix in _MATRICES:
+            assert named == matrix, (leaf, str(exc.value))
+            if isinstance(bad, float):  # NaN/Infinity: ChannelComponents says so
+                assert f"{matrix} contains non-finite" in str(exc.value)
+            else:
+                assert "is not a [re, im] pair" in str(exc.value)
+        else:
+            assert named in (leaf, leaf.rsplit("[", 1)[0]), (leaf, str(exc.value))
+
+
+@pytest.mark.parametrize("members", [[0.9, 1.2], ["0", "1"], [False, True]],
+                         ids=["fractions", "strings", "booleans"])
+def test_group_members_must_be_integers(members, tmp_path):
+    path = tmp_path / "config.json"
+    save_ris_config(RisConfiguration(np.full(2, C_ON)), path)
+    doc = json.loads(path.read_text())
+    doc["groups"] = {"0": members}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ro.SceneFileError, match="field 'groups.0'"):
+        load_ris_config(path)
