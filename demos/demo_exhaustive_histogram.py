@@ -34,12 +34,13 @@ print(f"best 1-bit      : {result.best_min_rate:.4f} bps/Hz "
       f"(states {''.join(map(str, result.best_states))})")
 print(f"{result.fraction_beating_baseline:.1%} of configurations beat the baseline")
 
+histogram = ro.rate_histogram(rates)
 write_csv(
     os.path.join(OUT, "exhaustive_histogram.csv"),
     {
-        "bin_left": [b[0] for b in result.histogram],
-        "bin_right": [b[1] for b in result.histogram],
-        "count": [b[2] for b in result.histogram],
+        "bin_left": [b[0] for b in histogram],
+        "bin_right": [b[1] for b in histogram],
+        "count": [b[2] for b in histogram],
     },
     comments=(
         f"min achievable rate histogram, bin width {DEFAULT_HISTOGRAM_BIN} bps/Hz",

@@ -72,6 +72,7 @@ from .optimizer import (
     alternating_optimize,
     exhaustive_1bit_search,
     perturbation_study,
+    rate_histogram,
     user_offset_grid,
 )
 from .ris import DEFAULT_VARACTOR, column_paired_grouping, identity_grouping
@@ -122,6 +123,15 @@ class ExperimentConfig:
                     raise ValueError(f"{flag} must be finite, got {value}")
         if not self.powers_dbm:
             raise ValueError("power list must be nonempty")
+        try:
+            valid = all(0 < w < math.inf for w in self.powers_watts())
+        except OverflowError:  # 10 ** x beyond the float range
+            valid = False
+        if not valid:
+            raise ValueError(
+                "--power-dbm must give a finite power above 0 W, "
+                f"got {list(self.powers_dbm)} dBm"
+            )
         if self.bandwidth_hz <= 0:
             raise ValueError("--bandwidth-hz must be positive")
         if self.temperature_k <= 0:
@@ -224,7 +234,6 @@ def _solve(ws: Workspace, mode: str, p_bs: float):
             _paired_grouping(n),
             p_bs,
             cfg.sigma2,
-            bin_width=cfg.bin_width,
         )
         return result.best_beamformer, result.best_report, result.best_config, result
     trace = alternating_optimize(
@@ -295,7 +304,7 @@ def run_exhaustive(ws: Workspace) -> list:
         _histogram_csv(
             ws,
             "histogram.csv",
-            result.histogram,
+            rate_histogram(result.rates, cfg.bin_width),
             "exhaustive",
             (f"bin width {cfg.bin_width} bps/Hz over min achievable rate",),
         )
@@ -333,7 +342,6 @@ def run_perturbation(ws: Workspace) -> list:
         cfg.powers_watts()[-1],
         cfg.sigma2,
         offsets=user_offset_grid(cfg.offsets_x, cfg.offsets_y),
-        bin_width=cfg.bin_width,
     )
     files = []
     cols = {
@@ -353,7 +361,12 @@ def run_perturbation(ws: Workspace) -> list:
     )
     files.append(path)
     files.append(
-        _histogram_csv(ws, "histogram.csv", result.histogram, "perturb")
+        _histogram_csv(
+            ws,
+            "histogram.csv",
+            rate_histogram(result.improvements, cfg.bin_width),
+            "perturb",
+        )
     )
     files.append(ws.write_json("summary.json", result.summary, "perturb"))
     return files

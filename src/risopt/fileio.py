@@ -319,36 +319,36 @@ def load_scene(path) -> SceneDescription:
     reflection = _complex(
         ris_doc.get("reflection", DEFAULT_PANEL_REFLECTION), "ris.reflection"
     )
-    ports, panel = make_ris_line(
-        center=_point(ris_doc.get("origin", [0.0, 0.0]), "ris.origin"),
-        n_ports=_integer(ris_doc.get("n_ports"), "ris.n_ports", SceneFileError, 1),
-        spacing=spacing,
-        angle_deg=_number(
-            ris_doc.get("orientation_deg", DEFAULT_PANEL_ANGLE_DEG),
-            "ris.orientation_deg",
-            SceneFileError,
-        ),
-        frequency=frequency,
-        reflection=reflection,
-    )
-    if reflection == 0:
-        panel = None
-    grid = None
-    if doc.get("grid"):
-        gdoc = _container(doc["grid"], dict, "grid")
-        spacing_g = gdoc.get("spacing", [0.1, 0.1])
-        grid = ObservationGrid(
-            origin=_point(gdoc.get("origin"), "grid.origin"),
-            spacing=_point(
-                spacing_g if isinstance(spacing_g, list) else [spacing_g] * 2,
-                "grid.spacing",
-            ),
-            counts=tuple(
-                _integer(c, "grid.counts", SceneFileError, 1)
-                for c in _pair(gdoc.get("counts"), "grid.counts")
-            ),
-        )
     try:
+        ports, panel = make_ris_line(
+            center=_point(ris_doc.get("origin", [0.0, 0.0]), "ris.origin"),
+            n_ports=_integer(ris_doc.get("n_ports"), "ris.n_ports", SceneFileError, 1),
+            spacing=spacing,
+            angle_deg=_number(
+                ris_doc.get("orientation_deg", DEFAULT_PANEL_ANGLE_DEG),
+                "ris.orientation_deg",
+                SceneFileError,
+            ),
+            frequency=frequency,
+            reflection=reflection,
+        )
+        if reflection == 0:
+            panel = None
+        grid = None
+        if doc.get("grid"):
+            gdoc = _container(doc["grid"], dict, "grid")
+            spacing_g = gdoc.get("spacing", [0.1, 0.1])
+            grid = ObservationGrid(
+                origin=_point(gdoc.get("origin"), "grid.origin"),
+                spacing=_point(
+                    spacing_g if isinstance(spacing_g, list) else [spacing_g] * 2,
+                    "grid.spacing",
+                ),
+                counts=tuple(
+                    _integer(c, "grid.counts", SceneFileError, 1)
+                    for c in _pair(gdoc.get("counts"), "grid.counts")
+                ),
+            )
         return SceneDescription(
             walls=tuple(walls),
             bs_elements=np.asarray(bs, dtype=float),

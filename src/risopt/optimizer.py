@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -395,65 +394,39 @@ class ExhaustiveResult:
     best_report: SinrReport
     baseline_min_rate: float  # no-RIS duality on h_u
     fraction_beating_baseline: float
-    histogram: list  # (bin_left, bin_right, count)
-    failures: int
 
     @property
     def rates(self) -> np.ndarray:
         return np.array([r for _, r in self.entries if r is not None])
 
+    @property
+    def failures(self) -> int:
+        return len(self.entries) - len(self.ranked)
+
 
 def rate_histogram(rates, bin_width: float = DEFAULT_HISTOGRAM_BIN) -> list:
-    """Fixed-width histogram with bin edges anchored at zero."""
-    rates = np.asarray(sorted(rates), dtype=float)
+    """Fixed-width histogram with bin edges anchored at zero: each rate r is
+    counted in bin floor(r / bin_width), whose edges are b * bin_width."""
+    rates = np.asarray(rates, dtype=float)
     if rates.size == 0:
         return []
     if bin_width <= 0:
         raise ValueError("bin width must be positive")
-    first = math.floor(rates[0] / bin_width)
-    last = math.floor(rates[-1] / bin_width)
-    bins = []
-    for b in range(first, last + 1):
-        left = b * bin_width
-        right = (b + 1) * bin_width
-        count = int(np.sum((rates >= left) & (rates < right)))
-        if b == last:  # close the top bin so the maximum is counted
-            count = int(np.sum((rates >= left) & (rates <= right)))
-        bins.append((left, right, count))
-    return bins
+    bins = np.floor(rates / bin_width).astype(int)
+    first = int(bins.min())
+    counts = np.bincount(bins - first)
+    return [
+        ((first + i) * bin_width, (first + i + 1) * bin_width, int(count))
+        for i, count in enumerate(counts)
+    ]
 
 
-def _onebit_blocks(components, model, grouping, states_list):
-    """Solved block (diag(Z_L) - Z_ll)^-1 H_0 of each 1-bit state, lazily.
-
-    Yields the RisOptError instead of the block when the load/coupling
-    system of a state cannot be solved.
-    """
+def _onebit_block(components, model, grouping, states):
+    """Solved block (diag(Z_L) - Z_ll)^-1 H_0 of one 1-bit state; raises the
+    RisOptError of a load/coupling system that cannot be solved."""
     _, _, n = components.dims
-    for states in states_list:
-        config = onebit_configuration(grouping, states, n)
-        try:
-            block = assemble_from_config(components, model, config).solved_h0
-        except RisOptError as exc:
-            block = exc
-        yield block
-
-
-def _onebit_solves(h_u, g_l, blocks, p_bs, sigma2):
-    """Duality solve of H_eff = h_u + g_l @ block for each block, lazily.
-
-    Yields (beamformer, report) per block, or the RisOptError that the block
-    carries or its solve raised; each caller decides whether to go on.
-    """
-    for block in blocks:
-        if isinstance(block, RisOptError):
-            yield block
-            continue
-        try:
-            outcome = duality_beamformer(h_u + g_l @ block, p_bs, sigma2)
-        except RisOptError as exc:
-            outcome = exc
-        yield outcome
+    config = onebit_configuration(grouping, states, n)
+    return assemble_from_config(components, model, config).solved_h0
 
 
 def exhaustive_1bit_search(
@@ -462,42 +435,40 @@ def exhaustive_1bit_search(
     grouping: dict,
     p_bs: float,
     sigma2: float,
-    bin_width: float = DEFAULT_HISTOGRAM_BIN,
 ) -> ExhaustiveResult:
     """Evaluate every binary configuration with a full duality solve each.
 
-    Enumeration order is deterministic (lexicographic).  Per-configuration
-    failures are recorded as missing entries rather than aborting the sweep.
-    The winner's beamformer and report are the ones its sweep solve produced.
+    Enumeration order is deterministic (lexicographic).  A configuration
+    whose block or solve fails is logged and recorded as a missing entry
+    rather than aborting the sweep.  The winner's beamformer and report are
+    the ones its sweep solve produced.
     """
     _, _, n = components.dims
-    states_list = list(enumerate_1bit_configs(len(grouping)))
-    blocks = _onebit_blocks(components, model, grouping, states_list)
-    solves = _onebit_solves(components.h_u, components.g_l, blocks, p_bs, sigma2)
-    rates = []
+    h_u, g_l = components.h_u, components.g_l
+    entries = []
     best = None  # (states, rate, beamformer, report); ties keep the first
-    for states, outcome in zip(states_list, solves):
-        if isinstance(outcome, RisOptError):
-            logger.warning("configuration %s failed: %s", states, outcome)
-            rates.append(None)
+    for states in enumerate_1bit_configs(len(grouping)):
+        try:
+            block = _onebit_block(components, model, grouping, states)
+            beamformer, report = duality_beamformer(h_u + g_l @ block, p_bs, sigma2)
+        except RisOptError as exc:
+            logger.warning("configuration %s failed: %s", states, exc)
+            entries.append((states, None))
             continue
-        beamformer, report = outcome
         rate = float(report.min_rate)
-        rates.append(rate)
+        entries.append((states, rate))
         if best is None or rate > best[1]:
             best = (states, rate, beamformer, report)
     if best is None:
         raise RisOptError("every 1-bit configuration failed to evaluate")
-    entries = list(zip(states_list, rates))
     ranked = sorted(
         ((s, r) for s, r in entries if r is not None),
         key=lambda item: (-item[1], item[0]),
     )
     best_states, best_rate, best_beamformer, best_report = best
-    _, baseline_report = duality_beamformer(components.h_u, p_bs, sigma2)
+    _, baseline_report = duality_beamformer(h_u, p_bs, sigma2)
     baseline = float(baseline_report.min_rate)
-    good_rates = [r for _, r in ranked]
-    fraction = float(np.mean([r > baseline for r in good_rates]))
+    fraction = float(np.mean([r > baseline for _, r in ranked]))
     return ExhaustiveResult(
         entries=entries,
         ranked=ranked,
@@ -508,8 +479,6 @@ def exhaustive_1bit_search(
         best_report=best_report,
         baseline_min_rate=baseline,
         fraction_beating_baseline=fraction,
-        histogram=rate_histogram(good_rates, bin_width),
-        failures=sum(1 for r in rates if r is None),
     )
 
 
@@ -521,7 +490,6 @@ class PerturbationResult:
     combination_indices: list  # index in itertools.product order, per improvement
     combinations: int
     skipped: int
-    histogram: list
     summary: dict
 
 
@@ -554,7 +522,6 @@ def perturbation_study(
     p_bs: float,
     sigma2: float,
     offsets=None,
-    bin_width: float = DEFAULT_HISTOGRAM_BIN,
 ) -> PerturbationResult:
     """Exhaustive 1-bit improvement over the no-RIS baseline for every
     combination of per-user location offsets.
@@ -564,23 +531,21 @@ def perturbation_study(
     solved block (diag(Z_L) - Z_ll)^-1 H_0 of every 1-bit state is built
     from it (a block that cannot be built raises), and every moved user
     position, K x len(offsets) of them, is traced once.  Each combination
-    gathers its users' h_u and g_l rows and runs the exhaustive sweep's
-    solves on them.  A combination with a position that the tracer rejects
-    (on a wall, or coincident with an antenna or port) is skipped with that
-    GeometryError; a combination also stops at its first failed solve and is
-    skipped.
+    gathers its users' h_u and g_l rows and keeps the best min rate of the
+    duality solves of h_u + g_l @ block over the blocks.  A combination with
+    a position that the tracer rejects (on a wall, or coincident with an
+    antenna or port) is skipped with that GeometryError; a combination also
+    stops at its first failed solve and is skipped.
     """
     if offsets is None:
         offsets = user_offset_grid()
     base_components = synthesize_components(scene)
     k = scene.user_positions.shape[0]
 
-    states_list = list(enumerate_1bit_configs(len(grouping)))
-    blocks = []
-    for block in _onebit_blocks(base_components, model, grouping, states_list):
-        if isinstance(block, RisOptError):
-            raise block
-        blocks.append(block)
+    blocks = [
+        _onebit_block(base_components, model, grouping, states)
+        for states in enumerate_1bit_configs(len(grouping))
+    ]
 
     # position u * len(offsets) + c is user u moved by offsets[c]
     positions = [
@@ -603,12 +568,11 @@ def perturbation_study(
                 h_u = np.array([rows[i][0] for i in picks])
                 g_l = np.array([rows[i][1] for i in picks])
             _, baseline_report = duality_beamformer(h_u, p_bs, sigma2)
-            rates = []
-            for outcome in _onebit_solves(h_u, g_l, blocks, p_bs, sigma2):
-                if isinstance(outcome, RisOptError):
-                    raise outcome
-                rates.append(outcome[1].min_rate)
-            improvements.append(max(rates) - baseline_report.min_rate)
+            best = max(
+                duality_beamformer(h_u + g_l @ block, p_bs, sigma2)[1].min_rate
+                for block in blocks
+            )
+            improvements.append(best - baseline_report.min_rate)
             indices.append(index)
         except RisOptError as exc:
             logger.warning("combination %s skipped: %s", combo, exc)
@@ -629,6 +593,5 @@ def perturbation_study(
         combination_indices=indices,
         combinations=len(combos),
         skipped=skipped,
-        histogram=rate_histogram(improvements, bin_width),
         summary=summary,
     )

@@ -95,6 +95,14 @@ class ObservationGrid:
         return np.asarray(pts, dtype=float)
 
 
+def wavelength(frequency: float) -> float:
+    """Free-space wavelength of a scene frequency; the one check that the
+    frequency is positive."""
+    if not frequency > 0:
+        raise ValueError(f"frequency_hz must be positive, got {frequency}")
+    return SPEED_OF_LIGHT / frequency
+
+
 @dataclass(frozen=True)
 class SceneDescription:
     """2D scene: walls, BS array, RIS port line, users, optional grid.
@@ -123,16 +131,11 @@ class SceneDescription:
                 raise ValueError(f"{name} must be a nonempty list of 2D points")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite positions")
-        if self.frequency <= 0:
-            raise ValueError("frequency must be positive")
+        wavelength(self.frequency)
         if not 0 <= self.max_reflection_order <= MAX_REFLECTION_ORDER:
             raise ValueError(
                 f"max_reflection_order must be in [0, {MAX_REFLECTION_ORDER}]"
             )
-
-    @property
-    def wavelength(self) -> float:
-        return SPEED_OF_LIGHT / self.frequency
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -154,7 +157,7 @@ class SceneDescription:
     def ris_spacing(self) -> float:
         ports = self.ris_ports
         if ports.shape[0] < 2:
-            return self.wavelength / 2.0
+            return wavelength(self.frequency) / 2.0
         return float(np.linalg.norm(ports[1] - ports[0]))
 
 
@@ -445,18 +448,16 @@ class _Sequence:
 
 
 def _sequences(sources, walls, order_cap):
-    """Every wall sequence up to ``order_cap``, by order, in trace_paths order."""
+    """Every wall sequence up to ``order_cap`` in trace_paths order, starting
+    with the direct path's empty sequence."""
     images = {(): sources}
-    by_order = []
-    for order in range(1, order_cap + 1):
-        sequences = []
+    sequences = []
+    for order in range(order_cap + 1):
         for seq in _wall_sequences(walls, order):
             if seq not in images:
                 images[seq] = _mirror_points(images[seq[:-1]], walls[seq[-1]])
             sequences.append(_Sequence(seq, walls, images))
-        if sequences:  # none when there are fewer walls than the order needs
-            by_order.append(sequences)
-    return by_order
+    return sequences
 
 
 def _sequence_lengths(seq: _Sequence, si, src, dst, walls: _WallArrays):
@@ -495,30 +496,25 @@ def _sequence_lengths(seq: _Sequence, si, src, dst, walls: _WallArrays):
     return lengths
 
 
-def _chunk_field(scene, si, src, dst, walls, wall_arrays, by_order):
+def _chunk_field(scene, si, src, dst, wall_arrays, sequences):
     """Coherent field of each (src, dst) row pair: the path gains summed in
     the (order, length) order that trace_paths sorts them into."""
-    direct = np.full(si.shape[0], np.inf)
-    clear = _legs_clear(src, dst, wall_arrays, list(range(len(walls))))
-    direct[clear] = _norm(dst[clear] - src[clear])
-    blocks = [(direct[:, None], [1.0 + 0.0j])]
-    for sequences in by_order:
-        lengths = np.stack(
-            [_sequence_lengths(seq, si, src, dst, wall_arrays) for seq in sequences],
-            axis=1,
+    lengths = np.stack(
+        [_sequence_lengths(seq, si, src, dst, wall_arrays) for seq in sequences],
+        axis=1,
+    )
+    gains = np.zeros(lengths.shape, dtype=complex)
+    for col, seq in enumerate(sequences):
+        found = np.isfinite(lengths[:, col])
+        gains[found, col] = _path_gains(
+            seq.product, lengths[found, col], scene.frequency
         )
-        blocks.append((lengths, [seq.product for seq in sequences]))
+    orders = np.broadcast_to([len(seq.seq) for seq in sequences], lengths.shape)
+    # stable: paths of equal order and length keep trace_paths order
+    rank = np.lexsort((lengths, orders), axis=1)
     total = np.zeros(si.shape[0], dtype=complex)
-    for lengths, products in blocks:
-        gains = np.zeros(lengths.shape, dtype=complex)
-        for col, product in enumerate(products):
-            found = np.isfinite(lengths[:, col])
-            gains[found, col] = _path_gains(
-                product, lengths[found, col], scene.frequency
-            )
-        rank = np.argsort(lengths, axis=1, kind="stable")
-        for column in np.take_along_axis(gains, rank, axis=1).T:
-            total += column  # adding the 0 of a missing path changes nothing
+    for column in np.take_along_axis(gains, rank, axis=1).T:
+        total += column  # adding the 0 of a missing path changes nothing
     return total
 
 
@@ -538,7 +534,7 @@ def field_matrix(scene: SceneDescription, sources, dests, walls) -> np.ndarray:
     src_on_wall = _on_any_wall(sources, walls)
     dst_on_wall = _on_any_wall(dests, walls)
     wall_arrays = _WallArrays(walls)
-    by_order = _sequences(sources, walls, scene.max_reflection_order)
+    sequences = _sequences(sources, walls, scene.max_reflection_order)
     field = np.zeros(n_dst * n_src, dtype=complex)
     for start in range(0, field.size, PAIR_CHUNK):
         pairs = np.arange(start, min(start + PAIR_CHUNK, field.size))
@@ -553,7 +549,7 @@ def field_matrix(scene: SceneDescription, sources, dests, walls) -> np.ndarray:
                 if coincide[first]
                 else "src or dst lies on a wall segment"
             )
-        field[pairs] = _chunk_field(scene, si, src, dst, walls, wall_arrays, by_order)
+        field[pairs] = _chunk_field(scene, si, src, dst, wall_arrays, sequences)
     return field.reshape(n_dst, n_src)
 
 
@@ -625,7 +621,7 @@ def make_ris_line(
     reflection: complex = DEFAULT_PANEL_REFLECTION,
 ):
     """Uniform port line centered at ``center`` plus its panel reflector wall."""
-    lam = SPEED_OF_LIGHT / frequency
+    lam = wavelength(frequency)
     if spacing is None:
         spacing = lam / 2.0
     center = np.asarray(center, dtype=float)
@@ -655,7 +651,7 @@ def default_scene(
     walls placed so all direct links stay clear.  All wall coefficients are
     declared assumptions, not measured values.
     """
-    lam = SPEED_OF_LIGHT / frequency
+    lam = wavelength(frequency)
     bs_center = np.asarray(DEFAULT_BS_CENTER, dtype=float)
     offsets = (np.arange(3) - 1.0) * lam / 2.0
     bs = bs_center + np.stack([offsets, np.zeros(3)], axis=1)

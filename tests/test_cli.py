@@ -721,6 +721,42 @@ class TestExitCodes:
         assert code == 2
         assert "lies on a wall" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("frequency", [0, -1])
+    def test_non_positive_scene_frequency_is_config_error(
+        self, frequency, small_scene_path, tmp_path, capsys
+    ):
+        with pytest.raises(ValueError, match="frequency_hz"):
+            default_scene(frequency=frequency)
+        doc = json.loads(open(small_scene_path).read())
+        doc["frequency_hz"] = frequency
+        path = tmp_path / "bad_scene.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code = main(
+            ["channel", "convert", "--scene", str(path), "--out", str(out)]
+        )
+        assert code == 2
+        assert "frequency_hz must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("power", ["4000", "1e308", "-4000"])
+    def test_out_of_range_power_rejected_before_any_work(
+        self, power, tmp_path, monkeypatch, capsys
+    ):
+        import risopt.cli as cli_module
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("workspace built for a rejected configuration")
+
+        monkeypatch.setattr(cli_module, "Workspace", unreachable)
+        out = tmp_path / "out"
+        code = main(
+            ["sweep", "--mode", "no-ris", "--power-dbm", power, "--out", str(out)]
+        )
+        assert code == 2
+        assert "--power-dbm must give a finite power" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_scene_file_is_config_error(self, tmp_path):
         code = main(
             ["sweep", "--scene", str(tmp_path / "nope.json"), "--out", str(tmp_path)]

@@ -2,6 +2,7 @@
 
 import itertools
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -14,8 +15,7 @@ from risopt.optimizer import (
     BcdSettings,
     OptimizerState,
     _armijo_search,
-    _onebit_blocks,
-    _onebit_solves,
+    _onebit_block,
     alternating_optimize,
     armijo_coordinate_step,
     bcd_sweep,
@@ -314,7 +314,7 @@ class TestExhaustiveSearch:
         result = exhaustive_1bit_search(comps, MODEL, {}, 1.0, 1e-2)
         assert len(result.entries) == 1
         assert result.entries[0][0] == ()
-        assert len(result.histogram) == 1  # single-bar histogram
+        assert len(rate_histogram(result.rates)) == 1  # single-bar histogram
 
     def test_counts_and_ordering(self, rng):
         comps = random_components(rng, k=2, m=3, n=8)
@@ -324,7 +324,7 @@ class TestExhaustiveSearch:
         assert result.failures == 0
         ranked_rates = [r for _, r in result.ranked]
         assert ranked_rates == sorted(ranked_rates, reverse=True)
-        assert sum(c for _, _, c in result.histogram) == 16
+        assert sum(c for _, _, c in rate_histogram(result.rates)) == 16
         # best config expands the best states
         assert np.array_equal(
             result.best_config.capacitances,
@@ -356,6 +356,65 @@ class TestExhaustiveSearch:
             config = ro.onebit_configuration(grouping, states, 12)
             assert config.capacitances.size == 12
 
+    def test_failed_configurations_are_logged_and_skipped(
+        self, rng, monkeypatch, caplog
+    ):
+        # one state's block raises, another state's solve raises; each is
+        # recorded as missing and the winner comes from the rest
+        import risopt.optimizer as opt
+
+        comps = random_components(rng, k=2, m=3, n=8)
+        grouping = column_paired_grouping(8)
+        reference = exhaustive_1bit_search(comps, MODEL, grouping, 1.0, 1e-2)
+        states = [s for s, _ in reference.entries]
+        singular, unsolvable = states[5], states[9]
+        singular_caps = ro.onebit_configuration(grouping, singular, 8).capacitances
+        unsolvable_h = assemble_from_config(
+            comps, MODEL, ro.onebit_configuration(grouping, unsolvable, 8)
+        ).matrix
+        real_assemble, real_duality = opt.assemble_from_config, opt.duality_beamformer
+
+        def assemble(components, model, config):
+            if np.array_equal(config.capacitances, singular_caps):
+                raise ro.SingularChannelError("synthetic singular system")
+            return real_assemble(components, model, config)
+
+        def duality(h, *args, **kwargs):
+            if np.array_equal(h, unsolvable_h):
+                raise ro.DualityError("synthetic recovery failure")
+            return real_duality(h, *args, **kwargs)
+
+        monkeypatch.setattr(opt, "assemble_from_config", assemble)
+        monkeypatch.setattr(opt, "duality_beamformer", duality)
+        with caplog.at_level(logging.WARNING, logger="risopt.optimizer"):
+            result = exhaustive_1bit_search(comps, MODEL, grouping, 1.0, 1e-2)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"configuration {singular} failed: synthetic singular system",
+            f"configuration {unsolvable} failed: synthetic recovery failure",
+        ]
+        assert result.failures == 2
+        assert [s for s, r in result.entries if r is None] == [singular, unsolvable]
+        assert result.ranked == [
+            (s, r) for s, r in reference.ranked if s not in (singular, unsolvable)
+        ]
+        assert result.best_states == result.ranked[0][0]
+        assert result.best_min_rate == result.ranked[0][1]
+
+    def test_every_configuration_failing_raises(self, rng, monkeypatch):
+        import risopt.optimizer as opt
+
+        def singular(*args, **kwargs):
+            raise ro.SingularChannelError("synthetic singular system")
+
+        monkeypatch.setattr(opt, "assemble_from_config", singular)
+        comps = random_components(rng, k=2, m=2, n=4)
+        with pytest.raises(
+            ro.RisOptError, match="every 1-bit configuration failed to evaluate"
+        ):
+            exhaustive_1bit_search(
+                comps, MODEL, column_paired_grouping(4), 1.0, 1e-2
+            )
+
 
 class TestRateHistogram:
     def test_bins_and_counts(self):
@@ -373,6 +432,24 @@ class TestRateHistogram:
         assert sum(c for _, _, c in bins) == 3
         for left, right, count in bins:
             assert right > left
+
+    def test_rates_next_to_bin_edges_land_in_their_bin(self):
+        # every rate within 4 ulps of an edge k * w: each one alone is
+        # counted once, in bin floor(r / w) with edges b * w, and all of
+        # them together are each counted once
+        w = 0.05
+        rates = []
+        for k in range(2001):
+            below = above = k * w
+            rates.append(below)
+            for _ in range(4):
+                below = np.nextafter(below, -np.inf)
+                above = np.nextafter(above, np.inf)
+                rates += [float(below), float(above)]
+        for r in rates:
+            b = math.floor(r / w)
+            assert rate_histogram([r], w) == [(b * w, (b + 1) * w, 1)], r
+        assert sum(c for _, _, c in rate_histogram(rates, w)) == len(rates)
 
     def test_empty_and_invalid(self):
         assert rate_histogram([]) == []
@@ -475,16 +552,29 @@ class TestPerturbationStudy:
         expected = resynthesized_improvement(scene, grouping, users, sigma2)
         assert result.improvements[3] == expected
 
+    def test_failed_block_raises(self, monkeypatch):
+        import risopt.optimizer as opt
+
+        def singular(*args, **kwargs):
+            raise ro.SingularChannelError("synthetic singular system")
+
+        monkeypatch.setattr(opt, "assemble_from_config", singular)
+        with pytest.raises(ro.SingularChannelError, match="synthetic"):
+            perturbation_study(
+                light_scene(), MODEL, column_paired_grouping(4), 1.0,
+                ro.noise_power(900.0, 40e6), offsets=[(0.0, 0.0)],
+            )
+
 
 def resynthesized_improvement(scene, grouping, users, sigma2, p_bs=1.0):
     """One combination as computed by re-synthesizing the whole scene at the
     moved users and sweeping every 1-bit state on its h_u and g_l."""
-    states = list(ro.enumerate_1bit_configs(len(grouping)))
-    blocks = list(_onebit_blocks(synthesize_components(scene), MODEL, grouping, states))
+    base = synthesize_components(scene)
     moved = synthesize_components(with_users(scene, users))
     _, baseline = ro.duality_beamformer(moved.h_u, p_bs, sigma2)
-    rates = [
-        report.min_rate
-        for _, report in _onebit_solves(moved.h_u, moved.g_l, blocks, p_bs, sigma2)
-    ]
+    rates = []
+    for states in ro.enumerate_1bit_configs(len(grouping)):
+        block = _onebit_block(base, MODEL, grouping, states)
+        _, report = ro.duality_beamformer(moved.h_u + moved.g_l @ block, p_bs, sigma2)
+        rates.append(report.min_rate)
     return max(rates) - baseline.min_rate
