@@ -141,24 +141,21 @@ def capacitance_impedance_slope(capacitance: float, frequency: float) -> complex
 
 def channel_derivative(
     components: ChannelComponents,
-    model: VaractorModel,
     config: RisConfiguration,
     element: int,
-    effective: EffectiveChannel | None = None,
+    effective: EffectiveChannel,
 ) -> np.ndarray:
     """Analytic K x M derivative of H_eff w.r.t. one element capacitance.
 
     Uses d(Z^-1)/dC = -Z^-1 (dZ/dC) Z^-1 with the rank-1 middle factor
-    e_n e_n^T dZ_L/dC, so only one extra solve against the cached
-    factorization is needed:
+    e_n e_n^T dZ_L/dC, so only one extra solve against the factorization of
+    ``effective``, the channel assembled at ``config``, is needed:
 
         dH_eff/dC_n = -(dZ_L,n/dC) (G_l Z^-1 e_n) (e_n^T Z^-1 H_0)
     """
     k, m, n = components.dims
     if not 0 <= element < n:
         raise ValueError(f"element index {element} out of range for N={n}")
-    if effective is None:
-        effective = assemble_from_config(components, model, config)
     e_n = np.zeros(n, dtype=complex)
     e_n[element] = 1.0
     left = components.g_l @ lu_solve(effective.lu, e_n)  # (K,)
@@ -171,21 +168,16 @@ def channel_derivative(
 
 def group_channel_derivative(
     components: ChannelComponents,
-    model: VaractorModel,
     config: RisConfiguration,
     group: int,
-    effective: EffectiveChannel | None = None,
+    effective: EffectiveChannel,
 ) -> np.ndarray:
     """Derivative w.r.t. a shared group capacitance: sum over member elements."""
-    if effective is None:
-        effective = assemble_from_config(components, model, config)
     members = config.grouping[group]
     k, m, _ = components.dims
     total = np.zeros((k, m), dtype=complex)
     for element in members:
-        total += channel_derivative(
-            components, model, config, int(element), effective=effective
-        )
+        total += channel_derivative(components, config, int(element), effective)
     return total
 
 

@@ -171,14 +171,16 @@ def _paired_grouping(n: int) -> dict:
 
 
 class Workspace:
-    """Shared setup: scene/components/model resolution and file emission.
+    """Shared setup of one command: scene/components/model resolution and
+    file emission under the command's name.
 
-    Channel components are loaded or synthesized only when ``components``
-    is set; the ``--ris-config`` warm start is read once.
+    Channel components are loaded or synthesized only for a command that
+    accepts ``--channels``; the ``--ris-config`` warm start is read once.
     """
 
-    def __init__(self, cfg: ExperimentConfig, components: bool = True):
+    def __init__(self, cfg: ExperimentConfig, command: str):
         self.cfg = cfg
+        self.command = command
         self.model = (
             load_varactor_model(cfg.varactor_path)
             if cfg.varactor_path
@@ -190,14 +192,15 @@ class Workspace:
         )
         if self.scene is None and self.components is None:
             self.scene = default_scene()
-        if self.components is None and components:
+        # a command reads channel components exactly when it accepts a file
+        if self.components is None and "--channels" in COMMANDS[command][1]:
             self.components = synthesize_components(self.scene)
         self.initial_config = (
             load_ris_config(cfg.ris_config_path) if cfg.ris_config_path else None
         )
 
-    def header(self, command: str) -> list:
-        lines = [f"risopt {command}"]
+    def header(self) -> list:
+        lines = [f"risopt {self.command}"]
         if not self.cfg.reproducible:
             lines.append(
                 "generated: " + datetime.datetime.now().isoformat(timespec="seconds")
@@ -208,8 +211,8 @@ class Workspace:
         os.makedirs(self.cfg.out_dir, exist_ok=True)
         return os.path.join(self.cfg.out_dir, name)
 
-    def write_json(self, name: str, payload: dict, command: str) -> str:
-        doc = {"header": self.header(command), **payload}
+    def write_json(self, name: str, payload: dict) -> str:
+        doc = {"header": self.header(), **payload}
         path = self.out_path(name)
         atomic_write_text(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
         return path
@@ -275,7 +278,7 @@ def run_power_sweep(ws: Workspace) -> list:
             cols["mode"].append(mode)
             cols["min_rate_bps_hz"].append(float(min_rate))
             cols["avg_rx_power_db"].append(float(rx_db))
-    comments = ws.header("sweep") + [
+    comments = ws.header() + [
         "min_rate_bps_hz: worst per-user rate log2(1+SINR)",
         "avg_rx_power_db: 10*log10(mean over users of total received signal "
         "power sum_j |y_kj|^2), channels normalized to unit transmit amplitude",
@@ -285,14 +288,20 @@ def run_power_sweep(ws: Workspace) -> list:
     return [path]
 
 
-def _histogram_csv(ws, name, histogram, command, extra_comments=()):
+def _histogram_csv(ws, name, values, extra_comments=()):
+    """Write the ``--bin-width`` histogram of ``values``; a width the
+    histogram refuses is a configuration error, raised before any file."""
+    try:
+        histogram = rate_histogram(values, ws.cfg.bin_width)
+    except ValueError as exc:
+        raise ValueError(f"--bin-width: {exc}") from exc
     cols = {
         "bin_left": [float(left) for left, _, _ in histogram],
         "bin_right": [float(right) for _, right, _ in histogram],
         "count": [int(count) for _, _, count in histogram],
     }
     path = ws.out_path(name)
-    write_csv(path, cols, ws.header(command) + list(extra_comments))
+    write_csv(path, cols, ws.header() + list(extra_comments))
     return path
 
 
@@ -304,8 +313,7 @@ def run_exhaustive(ws: Workspace) -> list:
         _histogram_csv(
             ws,
             "histogram.csv",
-            rate_histogram(result.rates, cfg.bin_width),
-            "exhaustive",
+            result.rates,
             (f"bin width {cfg.bin_width} bps/Hz over min achievable rate",),
         )
     )
@@ -316,7 +324,7 @@ def run_exhaustive(ws: Workspace) -> list:
         ],
         "failures": result.failures,
     }
-    files.append(ws.write_json("ranked.json", ranked_payload, "exhaustive"))
+    files.append(ws.write_json("ranked.json", ranked_payload))
     best_path = ws.out_path("best_config.json")
     save_ris_config(result.best_config, best_path)
     files.append(best_path)
@@ -329,7 +337,7 @@ def run_exhaustive(ws: Workspace) -> list:
         "fraction_beating_baseline": result.fraction_beating_baseline,
         "p_dbm": cfg.powers_dbm[-1],
     }
-    files.append(ws.write_json("summary.json", summary, "exhaustive"))
+    files.append(ws.write_json("summary.json", summary))
     return files
 
 
@@ -343,7 +351,8 @@ def run_perturbation(ws: Workspace) -> list:
         cfg.sigma2,
         offsets=user_offset_grid(cfg.offsets_x, cfg.offsets_y),
     )
-    files = []
+    # the histogram goes first so that a refused --bin-width writes nothing
+    histogram_path = _histogram_csv(ws, "histogram.csv", result.improvements)
     cols = {
         "combination": result.combination_indices,
         "improvement_bps_hz": [float(v) for v in result.improvements],
@@ -352,24 +361,14 @@ def run_perturbation(ws: Workspace) -> list:
     write_csv(
         path,
         cols,
-        ws.header("perturb")
+        ws.header()
         + [
             "improvement: best 1-bit min rate minus no-RIS min rate per combination",
             "combination: index in itertools.product order of the per-user "
             "offset indices; skipped combinations have no row",
         ],
     )
-    files.append(path)
-    files.append(
-        _histogram_csv(
-            ws,
-            "histogram.csv",
-            rate_histogram(result.improvements, cfg.bin_width),
-            "perturb",
-        )
-    )
-    files.append(ws.write_json("summary.json", result.summary, "perturb"))
-    return files
+    return [path, histogram_path, ws.write_json("summary.json", result.summary)]
 
 
 def run_gain_map(ws: Workspace) -> list:
@@ -406,7 +405,7 @@ def run_gain_map(ws: Workspace) -> list:
         write_csv(
             path,
             cols,
-            ws.header("gainmap")
+            ws.header()
             + [
                 f"beam {beam + 1} of {k_users}, mode {mode}",
                 "gain_db: 10*log10(|h_eff . w_k|^2 / power_budget), "
@@ -427,7 +426,7 @@ def run_optimize(ws: Workspace) -> list:
         save_ris_config(config, config_path)
         files.append(config_path)
     if isinstance(run, OptimizationTrace):
-        files.append(ws.write_json("optimize_trace.json", run.to_dict(), "optimize"))
+        files.append(ws.write_json("optimize_trace.json", run.to_dict()))
     payload = {"mode": mode, "p_dbm": cfg.powers_dbm[-1]}
     if isinstance(run, ExhaustiveResult):
         payload["best_states"] = list(run.best_states)
@@ -436,7 +435,7 @@ def run_optimize(ws: Workspace) -> list:
     else:
         payload["report"] = report.to_dict()
         payload["beamformer"] = _beamformer_payload(beamformer)
-    files.append(ws.write_json("optimize_report.json", payload, "optimize"))
+    files.append(ws.write_json("optimize_report.json", payload))
     return files
 
 
@@ -468,7 +467,7 @@ def run_scene_trace(ws: Workspace) -> list:
             for p in paths
         ],
     }
-    return [ws.write_json("paths.json", payload, "scene trace")]
+    return [ws.write_json("paths.json", payload)]
 
 
 def run_channel_convert(ws: Workspace) -> list:
@@ -618,9 +617,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = args.command
     try:
-        cfg = config_from_args(args)
-        # a command reads channel components exactly when it accepts a file
-        ws = Workspace(cfg, components="--channels" in COMMANDS[command][1])
+        ws = Workspace(config_from_args(args), command)
         runner = {
             "scene trace": run_scene_trace,
             "channel convert": run_channel_convert,

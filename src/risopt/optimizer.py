@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .scene import SceneDescription, synthesize_components, trace_users
 logger = logging.getLogger(__name__)
 
 DEFAULT_HISTOGRAM_BIN = 0.05  # bps/Hz
+MAX_HISTOGRAM_BINS = 10_000
 
 # Offsets of the user-location robustness grid, meters.
 DEFAULT_OFFSETS_X = (-0.075, 0.0, 0.075)
@@ -96,15 +97,15 @@ class StepRecord:
 class OptimizationTrace:
     """Full record of one alternating-optimization run."""
 
-    steps: list = field(default_factory=list)
-    sweep_deltas: list = field(default_factory=list)
-    initial_sinr_min: float = 0.0
-    final_sinr_min: float = 0.0
-    sweeps_run: int = 0
-    converged: bool = False
-    final_config: RisConfiguration | None = None
-    final_beamformer: BeamformerMatrix | None = None
-    final_report: SinrReport | None = None
+    steps: list
+    sweep_deltas: list
+    initial_sinr_min: float
+    final_sinr_min: float
+    sweeps_run: int
+    converged: bool
+    final_config: RisConfiguration
+    final_beamformer: BeamformerMatrix
+    final_report: SinrReport
 
     def accepted_sinr_sequence(self) -> np.ndarray:
         """Initial value followed by the post-step minimum SINR of every
@@ -133,12 +134,8 @@ class OptimizationTrace:
             ],
             "final_capacitances_pf": [
                 float(c) * 1e12 for c in self.final_config.capacitances
-            ]
-            if self.final_config is not None
-            else None,
-            "final_report": self.final_report.to_dict()
-            if self.final_report is not None
-            else None,
+            ],
+            "final_report": self.final_report.to_dict(),
         }
 
 
@@ -168,9 +165,7 @@ def min_sinr_gradient(
     y = effective.matrix @ weights
     sinr = downlink_sinr(y, sigma2)
     k_star = int(np.argmin(sinr))
-    dh = group_channel_derivative(
-        components, model, config, group, effective=effective
-    )
+    dh = group_channel_derivative(components, config, group, effective)
     dy_row = dh[k_star, :] @ weights  # (K,)
     y_row = y[k_star, :]
     d_num = 2.0 * np.real(np.conj(y_row[k_star]) * dy_row[k_star])
@@ -203,8 +198,12 @@ class OptimizerState:
         self.sigma2 = sigma2
         self.effective = assemble_from_config(components, model, config)
         self.beamformer, self.report = duality_beamformer(self.effective, p_bs, sigma2)
-        self.sinr_min = float(self.report.sinr.min())
         self.beamformer_recomputes = 1
+
+    @property
+    def sinr_min(self) -> float:
+        """Minimum SINR of the current report."""
+        return float(self.report.sinr.min())
 
     def group_value(self, group: int) -> float:
         return float(self.config.capacitances[self.config.grouping[group][0]])
@@ -234,15 +233,14 @@ class OptimizerState:
         )
         new_w, new_report = duality_beamformer(self.effective, self.p_bs, self.sigma2)
         self.beamformer_recomputes += 1
-        new_min = float(new_report.sinr.min())
-        if new_min >= trial_sinr_min:
+        if float(new_report.sinr.min()) >= trial_sinr_min:
             self.beamformer = new_w
             self.report = new_report
-            self.sinr_min = new_min
         else:
+            # the old beamformer on the re-assembled trial channel: its
+            # minimum SINR is the trial score
             y = self.effective.matrix @ self.beamformer.weights
             self.report = sinr_report(y, self.sigma2)
-            self.sinr_min = trial_sinr_min
 
 
 def _armijo_search(objective, current_value, c, g, c_min, c_max):
@@ -363,22 +361,28 @@ def alternating_optimize(
         config = random_configuration(model, grouping, rng, n)
     else:
         raise ValueError("need an initial configuration or a grouping")
-    trace = OptimizationTrace()
     state = OptimizerState(components, model, config, p_bs, sigma2)
-    trace.initial_sinr_min = state.sinr_min
+    initial_sinr_min = state.sinr_min
+    steps, deltas = [], []
+    converged = False
     for sweep in range(1, settings.t_g + 1):
         delta, records = bcd_sweep(state, sweep)
-        trace.steps.extend(records)
-        trace.sweep_deltas.append(delta)
-        trace.sweeps_run = sweep
+        steps.extend(records)
+        deltas.append(delta)
         if abs(delta) < SWEEP_TOL:
-            trace.converged = True
+            converged = True
             break
-    trace.final_sinr_min = state.sinr_min
-    trace.final_config = state.config
-    trace.final_beamformer = state.beamformer
-    trace.final_report = state.report
-    return trace
+    return OptimizationTrace(
+        steps=steps,
+        sweep_deltas=deltas,
+        initial_sinr_min=initial_sinr_min,
+        final_sinr_min=state.sinr_min,
+        sweeps_run=len(deltas),
+        converged=converged,
+        final_config=state.config,
+        final_beamformer=state.beamformer,
+        final_report=state.report,
+    )
 
 
 @dataclass
@@ -406,27 +410,33 @@ class ExhaustiveResult:
 
 def rate_histogram(rates, bin_width: float = DEFAULT_HISTOGRAM_BIN) -> list:
     """Fixed-width histogram with bin edges anchored at zero: each rate r is
-    counted in bin floor(r / bin_width), whose edges are b * bin_width."""
+    counted in bin floor(r / bin_width), whose edges are b * bin_width.
+
+    Raises ValueError, before allocating anything, for a width that needs
+    more than MAX_HISTOGRAM_BINS bins or gives a bin index beyond 2**52 in
+    magnitude, where neighbouring edges can coincide.
+    """
     rates = np.asarray(rates, dtype=float)
     if rates.size == 0:
         return []
     if bin_width <= 0:
         raise ValueError("bin width must be positive")
-    bins = np.floor(rates / bin_width).astype(int)
+    with np.errstate(over="ignore"):  # an overflow to inf is refused below
+        bins = np.floor(rates / bin_width)
+    if not np.all(np.abs(bins) <= 2.0**52):
+        raise ValueError(f"bin width {bin_width} gives bin indices beyond 2**52")
+    needed = bins.max() - bins.min() + 1
+    if needed > MAX_HISTOGRAM_BINS:
+        raise ValueError(
+            f"bin width {bin_width} needs {needed:.0f} bins, over {MAX_HISTOGRAM_BINS}"
+        )
+    bins = bins.astype(int)
     first = int(bins.min())
     counts = np.bincount(bins - first)
     return [
         ((first + i) * bin_width, (first + i + 1) * bin_width, int(count))
         for i, count in enumerate(counts)
     ]
-
-
-def _onebit_block(components, model, grouping, states):
-    """Solved block (diag(Z_L) - Z_ll)^-1 H_0 of one 1-bit state; raises the
-    RisOptError of a load/coupling system that cannot be solved."""
-    _, _, n = components.dims
-    config = onebit_configuration(grouping, states, n)
-    return assemble_from_config(components, model, config).solved_h0
 
 
 def exhaustive_1bit_search(
@@ -444,36 +454,36 @@ def exhaustive_1bit_search(
     the ones its sweep solve produced.
     """
     _, _, n = components.dims
-    h_u, g_l = components.h_u, components.g_l
     entries = []
-    best = None  # (states, rate, beamformer, report); ties keep the first
+    best = None  # (states, config, rate, beamformer, report); ties keep the first
     for states in enumerate_1bit_configs(len(grouping)):
+        config = onebit_configuration(grouping, states, n)
         try:
-            block = _onebit_block(components, model, grouping, states)
-            beamformer, report = duality_beamformer(h_u + g_l @ block, p_bs, sigma2)
+            h = assemble_from_config(components, model, config).matrix
+            beamformer, report = duality_beamformer(h, p_bs, sigma2)
         except RisOptError as exc:
             logger.warning("configuration %s failed: %s", states, exc)
             entries.append((states, None))
             continue
         rate = float(report.min_rate)
         entries.append((states, rate))
-        if best is None or rate > best[1]:
-            best = (states, rate, beamformer, report)
+        if best is None or rate > best[2]:
+            best = (states, config, rate, beamformer, report)
     if best is None:
         raise RisOptError("every 1-bit configuration failed to evaluate")
     ranked = sorted(
         ((s, r) for s, r in entries if r is not None),
         key=lambda item: (-item[1], item[0]),
     )
-    best_states, best_rate, best_beamformer, best_report = best
-    _, baseline_report = duality_beamformer(h_u, p_bs, sigma2)
+    best_states, best_config, best_rate, best_beamformer, best_report = best
+    _, baseline_report = duality_beamformer(components.h_u, p_bs, sigma2)
     baseline = float(baseline_report.min_rate)
     fraction = float(np.mean([r > baseline for _, r in ranked]))
     return ExhaustiveResult(
         entries=entries,
         ranked=ranked,
         best_states=best_states,
-        best_config=onebit_configuration(grouping, best_states, n),
+        best_config=best_config,
         best_min_rate=best_rate,
         best_beamformer=best_beamformer,
         best_report=best_report,
@@ -540,10 +550,12 @@ def perturbation_study(
     if offsets is None:
         offsets = user_offset_grid()
     base_components = synthesize_components(scene)
-    k = scene.user_positions.shape[0]
+    k, _, n = base_components.dims
 
     blocks = [
-        _onebit_block(base_components, model, grouping, states)
+        assemble_from_config(
+            base_components, model, onebit_configuration(grouping, states, n)
+        ).solved_h0
         for states in enumerate_1bit_configs(len(grouping))
     ]
 

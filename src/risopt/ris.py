@@ -10,6 +10,7 @@ convention, so capacitance increases with the stated voltage.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -219,8 +220,7 @@ def enumerate_1bit_configs(n_groups: int):
             f"{n_groups} groups means 2**{n_groups} configurations; refusing "
             f"(limit {MAX_ENUMERATION_GROUPS}). Use alternating_optimize instead."
         )
-    for i in range(2**n_groups):
-        yield tuple((i >> (n_groups - 1 - b)) & 1 for b in range(n_groups))
+    yield from itertools.product((0, 1), repeat=n_groups)
 
 
 def load_impedances(

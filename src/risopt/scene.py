@@ -28,6 +28,7 @@ excluded from port traces because the ports sit on the panel itself.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -215,22 +216,13 @@ def _point_on_wall(point, wall) -> bool:
 
 
 def _wall_sequences(walls, order):
-    """All wall-index sequences of the given order without immediate repeats."""
-    if order == 0:
-        yield ()
-        return
-    idx = range(len(walls))
-
-    def extend(prefix):
-        if len(prefix) == order:
-            yield prefix
-            return
-        for i in idx:
-            if prefix and prefix[-1] == i:
-                continue
-            yield from extend(prefix + (i,))
-
-    yield from extend(())
+    """All wall-index sequences of the given order without immediate
+    repeats, in lexicographic order."""
+    return (
+        seq
+        for seq in itertools.product(range(len(walls)), repeat=order)
+        if all(a != b for a, b in zip(seq, seq[1:]))
+    )
 
 
 def trace_paths(

@@ -91,7 +91,9 @@ class TestChannelDerivative:
             caps = rng.uniform(0.25e-12, 1.1e-12, 20)
             config = RisConfiguration(caps)
             n = int(rng.integers(0, 20))
-            analytic = channel_derivative(comps, model, config, n)
+            analytic = channel_derivative(
+                comps, config, n, assemble_from_config(comps, model, config)
+            )
             h = 1e-4 * caps[n]
             up, down = caps.copy(), caps.copy()
             up[n] += h
@@ -114,7 +116,9 @@ class TestChannelDerivative:
             frequency=FREQ,
         )
         config = RisConfiguration(rng.uniform(0.3e-12, 1.1e-12, 20))
-        d = channel_derivative(comps, DEFAULT_VARACTOR, config, 7)
+        d = channel_derivative(
+            comps, config, 7, assemble_from_config(comps, DEFAULT_VARACTOR, config)
+        )
         assert np.all(d == 0)
 
     def test_group_derivative_sums_members(self, rng):
@@ -127,12 +131,9 @@ class TestChannelDerivative:
             grouping=grouping,
         )
         effective = assemble_from_config(comps, DEFAULT_VARACTOR, config)
-        total = group_channel_derivative(
-            comps, DEFAULT_VARACTOR, config, 3, effective=effective
-        )
+        total = group_channel_derivative(comps, config, 3, effective)
         by_hand = sum(
-            channel_derivative(comps, DEFAULT_VARACTOR, config, e, effective=effective)
-            for e in grouping[3]
+            channel_derivative(comps, config, e, effective) for e in grouping[3]
         )
         assert np.allclose(total, by_hand, rtol=0, atol=0)
 
@@ -140,7 +141,9 @@ class TestChannelDerivative:
         comps = random_components(rng)
         config = RisConfiguration(rng.uniform(0.3e-12, 1.1e-12, 20))
         with pytest.raises(ValueError):
-            channel_derivative(comps, DEFAULT_VARACTOR, config, 20)
+            channel_derivative(
+                comps, config, 20, assemble_from_config(comps, DEFAULT_VARACTOR, config)
+            )
 
     def test_group_derivative_matches_fd_on_element_grid(self, rng):
         # 6 columns x 3 rows of elements, adjacent columns paired: moving one
@@ -157,7 +160,9 @@ class TestChannelDerivative:
             caps, control_mode="continuous-per-column", grouping=grouping
         )
         group = 1
-        analytic = group_channel_derivative(comps, DEFAULT_VARACTOR, config, group)
+        analytic = group_channel_derivative(
+            comps, config, group, assemble_from_config(comps, DEFAULT_VARACTOR, config)
+        )
         h = 1e-4 * group_caps[group]
 
         def assembled(value):

@@ -691,6 +691,29 @@ class TestExitCodes:
         assert code == 2
         assert "--seed must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 4 rates over about 0.02 bps/Hz need some 21,600 bins of 1e-6
+            ["exhaustive", "--bin-width", "1e-6"],
+            # one improvement at 1e-300 bps/Hz per bin: an index beyond 2**52
+            [
+                "perturb", "--offset-x", "0", "--offset-y", "0",
+                "--bin-width", "1e-300",
+            ],
+        ],
+    )
+    def test_too_fine_bin_width_is_config_error_that_writes_nothing(
+        self, argv, small_scene_path, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        code = main(
+            argv + ["--scene", small_scene_path, "--out", str(out), "--reproducible"]
+        )
+        assert code == 2
+        assert "--bin-width" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_trace_point_on_wall_is_config_error(self, tmp_path, capsys):
         # (1.3, 4) lies on the built-in scene's y = 4 wall
         for flag in ("--src", "--dst"):

@@ -10,12 +10,12 @@ import pytest
 from conftest import random_components
 
 import risopt as ro
+from risopt.beamforming import sinr_report
 from risopt.channel import ChannelComponents, assemble_from_config
 from risopt.optimizer import (
     BcdSettings,
     OptimizerState,
     _armijo_search,
-    _onebit_block,
     alternating_optimize,
     armijo_coordinate_step,
     bcd_sweep,
@@ -102,7 +102,7 @@ class TestMinSinrGradient:
         w, _ = ro.duality_beamformer(effective, 1.0, sigma2)
         g = min_sinr_gradient(comps, MODEL, config, w, sigma2, 4, effective=effective)
         y = (effective.matrix @ w.weights)[0, 0]
-        dh = ro.channel_derivative(comps, MODEL, config, 4, effective=effective)
+        dh = ro.channel_derivative(comps, config, 4, effective=effective)
         dy = (dh @ w.weights)[0, 0]
         expected = 2 * np.real(np.conj(y) * dy) / sigma2
         assert g == pytest.approx(expected, rel=1e-12)
@@ -169,6 +169,68 @@ class TestArmijoSearch:
             lambda c: -1.0, 0.0, 0.5e-12, 1.0, 0.2e-12, 1.2e-12
         )
         assert found is None
+
+    def test_failed_trial_assembly_aborts_the_step(self, rng, monkeypatch, caplog):
+        import risopt.optimizer as opt
+
+        state = make_state(rng, grouping=identity_grouping(20))
+        config, beamformer, report = state.config, state.beamformer, state.report
+
+        def singular(*args, **kwargs):
+            raise ro.SingularChannelError("synthetic singular system")
+
+        monkeypatch.setattr(opt, "assemble_from_config", singular)
+        with caplog.at_level(logging.WARNING, logger="risopt.optimizer"):
+            record = armijo_coordinate_step(state, 0, 1.0)
+        assert record is None
+        assert [r.getMessage() for r in caplog.records] == [
+            "line search aborted for group 0: synthetic singular system"
+        ]
+        assert state.config is config
+        assert state.beamformer is beamformer
+        assert state.report is report
+        assert state.beamformer_recomputes == 1
+
+
+class TestOptimizerStateCommit:
+    def test_worse_resolve_keeps_the_old_beamformer(self, rng, monkeypatch):
+        # the re-solve after a step returns a beamformer with its columns
+        # reversed; the state keeps the previous one on the new channel
+        import risopt.optimizer as opt
+
+        state = make_state(rng, grouping=identity_grouping(20))
+        old_w, before = state.beamformer, state.sinr_min
+        for group in state.config.group_keys():
+            g = min_sinr_gradient(
+                state.components, MODEL, state.config, old_w, state.sigma2,
+                group, effective=state.effective,
+            )
+            found = _armijo_search(
+                lambda value: state.objective_at(group, value),
+                before, state.group_value(group), g, MODEL.c_min, MODEL.c_max,
+            )
+            if found is not None:
+                break
+        assert found is not None
+        value, trial_sinr_min = found
+
+        def reversed_columns(h, p_bs, sigma2):
+            w, _ = ro.duality_beamformer(h, p_bs, sigma2)
+            worse = ro.BeamformerMatrix(w.weights[:, ::-1], w.power_budget)
+            return worse, sinr_report(h.matrix @ worse.weights, sigma2)
+
+        monkeypatch.setattr(opt, "duality_beamformer", reversed_columns)
+        state.commit(group, value, trial_sinr_min)
+        assert state.beamformer is old_w
+        assert state.group_value(group) == value
+        expected = sinr_report(state.effective.matrix @ old_w.weights, state.sigma2)
+        assert np.array_equal(state.report.sinr, expected.sinr)
+        assert state.report.min_rate == expected.min_rate
+        assert state.sinr_min == trial_sinr_min
+        delta, records = bcd_sweep(state)
+        sequence = [before, trial_sinr_min] + [r.sinr_min_after for r in records]
+        assert np.all(np.diff(sequence) >= 0)
+        assert state.beamformer is old_w
 
 
 class TestBcdSweep:
@@ -276,6 +338,12 @@ class TestAlternatingOptimize:
             comps, MODEL, result.best_config, p_bs, sigma2, BcdSettings(t_g=10)
         )
         assert trace.final_report.min_rate >= result.best_min_rate
+
+    def test_needs_a_start(self, rng):
+        with pytest.raises(ValueError, match="initial configuration or a grouping"):
+            alternating_optimize(random_components(rng), MODEL, None, 1.0, 1e-3)
+        with pytest.raises(ValueError, match="t_g"):
+            BcdSettings(t_g=-1)
 
     def test_failure_propagates_with_partial_trace(self, rng, monkeypatch):
         import risopt.optimizer as opt
@@ -456,6 +524,24 @@ class TestRateHistogram:
         with pytest.raises(ValueError):
             rate_histogram([1.0], bin_width=0.0)
 
+    @pytest.mark.parametrize(
+        "rates, bin_width, message",
+        [
+            ([0.0, 1.0], 1e-12, "needs 1000000000001 bins"),  # 7 TiB of counts
+            ([31.0], 1e-300, "beyond 2[*][*]52"),  # the integer cast overflows
+            ([31.0, 31.0], 1e-17, "beyond 2[*][*]52"),  # edges 1 ulp apart
+        ],
+    )
+    def test_too_fine_width_is_refused(self, rates, bin_width, message):
+        with pytest.raises(ValueError, match=message):
+            rate_histogram(rates, bin_width)
+
+    def test_bin_cap_is_inclusive(self):
+        bins = rate_histogram([0.0, ro.optimizer.MAX_HISTOGRAM_BINS - 1.0], 1.0)
+        assert len(bins) == ro.optimizer.MAX_HISTOGRAM_BINS
+        with pytest.raises(ValueError, match="needs 10001 bins"):
+            rate_histogram([0.0, float(ro.optimizer.MAX_HISTOGRAM_BINS)], 1.0)
+
 
 def light_scene():
     return default_scene(n_ports=4, max_reflection_order=1, with_grid=False)
@@ -570,11 +656,14 @@ def resynthesized_improvement(scene, grouping, users, sigma2, p_bs=1.0):
     """One combination as computed by re-synthesizing the whole scene at the
     moved users and sweeping every 1-bit state on its h_u and g_l."""
     base = synthesize_components(scene)
+    _, _, n = base.dims
     moved = synthesize_components(with_users(scene, users))
     _, baseline = ro.duality_beamformer(moved.h_u, p_bs, sigma2)
     rates = []
     for states in ro.enumerate_1bit_configs(len(grouping)):
-        block = _onebit_block(base, MODEL, grouping, states)
+        block = assemble_from_config(
+            base, MODEL, ro.onebit_configuration(grouping, states, n)
+        ).solved_h0
         _, report = ro.duality_beamformer(moved.h_u + moved.g_l @ block, p_bs, sigma2)
         rates.append(report.min_rate)
     return max(rates) - baseline.min_rate

@@ -12,6 +12,7 @@ from risopt.scene import (
     PropagationPath,
     SceneDescription,
     Wall,
+    _wall_sequences,
     default_scene,
     field_matrix,
     path_gain,
@@ -78,6 +79,20 @@ class TestTracePaths:
         assert [(p.order, p.length) for p in a] == [(p.order, p.length) for p in b]
         orders_lengths = [(p.order, p.length) for p in a]
         assert orders_lengths == sorted(orders_lengths)
+
+
+class TestWallSequences:
+    def test_every_sequence_without_immediate_repeats_in_order(self):
+        for w in range(7):
+            walls = range(w)
+            assert list(_wall_sequences(walls, 0)) == [()]
+            for k in range(1, 4):
+                seqs = list(_wall_sequences(walls, k))
+                assert len(seqs) == w * (w - 1) ** (k - 1)
+                assert seqs == sorted(set(seqs))
+                for seq in seqs:
+                    assert len(seq) == k and set(seq) <= set(walls)
+                    assert all(a != b for a, b in zip(seq, seq[1:]))
 
 
 class TestReciprocity:
