@@ -1,10 +1,10 @@
 """Max-min downlink beamforming via uplink-downlink duality.
 
 The downlink max-min SINR problem under a total power constraint is solved in
-a virtual uplink: MMSE receive combiners plus a fixed-point power update that
-balances the per-user SINRs, followed by a K x K linear system that recovers
-the downlink per-beam powers achieving the same SINRs with the same total
-power.
+a virtual uplink: MMSE receive combiners alternate with the Perron vector of
+the uplink extended coupling matrix, which balances the per-user SINRs at the
+inverse of its Perron root.  A K x K linear system then recovers the
+downlink per-beam powers achieving the same SINRs with the same total power.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ import numpy as np
 from .constants import BOLTZMANN
 from .errors import DualityError, InfeasibleUserError
 
-# Fixed-point balance stop rule: the minimum SINR changes by less than
-# BALANCE_TOL between iterations, or BALANCE_MAX_ITER iterations have run.
-BALANCE_TOL = 1e-6
+# Balance stop rule: the Perron root changes by at most BALANCE_TOL relative
+# to its value between iterations, or BALANCE_MAX_ITER iterations have run.
+BALANCE_TOL = 1e-12
 BALANCE_MAX_ITER = 50
 
 POWER_CONSERVATION_TOL = 1e-8
@@ -101,11 +101,15 @@ def _sinr(power: np.ndarray, noise) -> np.ndarray:
     """Each diagonal entry of the K x K power matrix over the rest of its row
     plus ``noise``; 0 where that denominator is 0.
 
+    The off-diagonal entries are summed directly, so the interference keeps
+    its digits when it lies many orders of magnitude below the desired power.
     The downlink SINR is this ratio over |Y|^2 and the virtual-uplink SINR
     the same ratio over the transposed, power-weighted gains.
     """
     desired = np.diag(power)
-    denom = power.sum(axis=1) - desired + noise
+    leaked = np.array(power)
+    np.fill_diagonal(leaked, 0.0)
+    denom = leaked.sum(axis=1) + noise
     out = np.zeros_like(desired)
     nonzero = denom > 0
     out[nonzero] = desired[nonzero] / denom[nonzero]
@@ -136,16 +140,17 @@ def sinr_report(y: np.ndarray, sigma2: float) -> SinrReport:
 def mmse_combiner(h, q: np.ndarray, sigma2: float) -> np.ndarray:
     """Uplink MMSE receive combiners, one column per user.
 
-    w_k = sqrt(q_k) (sigma2 I + sum_j q_j h_j^H h_j)^-1 h_k^H.  The Gram sum
-    is built once per call; the matrix is Hermitian positive definite for
-    sigma2 > 0.
+    w_k = sqrt(q_k) (sigma2 I_M + sum_j q_j h_j^H h_j)^-1 h_k^H, solved in the
+    push-through form (sigma2 I_M + C^H C)^-1 C^H = C^H (sigma2 I_K + C C^H)^-1
+    with the rows of C the scaled channels sqrt(q_j) h_j.  At high SNR the
+    M x M Gram of K < M users rounds sigma2 away and is left near singular;
+    the K x K system keeps its full rank.  Both are Hermitian positive
+    definite for sigma2 > 0.
     """
     hm = _channel_matrix(h)
-    q = np.asarray(q, dtype=float)
-    k, m = hm.shape
-    gram = sigma2 * np.eye(m, dtype=complex) + (hm.conj().T * q) @ hm
-    combiners = np.linalg.solve(gram, hm.conj().T)
-    return combiners * np.sqrt(q)
+    scaled = np.sqrt(np.asarray(q, dtype=float))[:, None] * hm
+    small = sigma2 * np.eye(hm.shape[0]) + scaled @ scaled.conj().T
+    return np.linalg.solve(small, scaled).conj().T
 
 
 def uplink_sinr(h, w_ul: np.ndarray, q: np.ndarray, sigma2: float) -> np.ndarray:
@@ -156,10 +161,46 @@ def uplink_sinr(h, w_ul: np.ndarray, q: np.ndarray, sigma2: float) -> np.ndarray
     return _sinr(power.T, sigma2 * (np.abs(w_ul) ** 2).sum(axis=0))
 
 
+def extended_coupling_matrix(gains: np.ndarray, sigma2: float, p_bs: float) -> np.ndarray:
+    """(K+1) x (K+1) extended coupling matrix of the max-min SINR problem.
+
+    ``gains[k, j] = |h_k u_j|^2`` is the power that user k receives through
+    the unit beam u_j (pass the transpose for the virtual uplink).  With Psi
+    the gains off the diagonal, D = diag(1 / G_kk) and s = sigma2 / p_bs:
+
+        X = [[D Psi,       s D 1    ],
+             [1^T D Psi,   1^T s D 1]]
+
+    Its Perron root lambda is the inverse of the largest SINR that every user
+    reaches at once with total power ``p_bs``, and its right Perron vector is
+    proportional to [p / p_bs; 1] for the powers p that reach it (Schubert &
+    Boche, IEEE TVT 2004).  Scaling the last row and column by ``p_bs`` keeps
+    the entries of that vector comparable at any power.
+    """
+    gains = np.asarray(gains, dtype=float)
+    k = gains.shape[0]
+    diag = np.diag(gains)
+    off = gains.copy()
+    np.fill_diagonal(off, 0.0)
+    x = np.empty((k + 1, k + 1))
+    x[:k, :k] = off / diag[:, None]
+    x[:k, k] = sigma2 / (p_bs * diag)
+    x[k] = x[:k].sum(axis=0)
+    return x
+
+
+def perron(x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Perron root of a nonnegative square matrix and its right Perron vector,
+    nonnegative and of unit 2-norm; the left vector is that of ``x.T``."""
+    values, vectors = np.linalg.eig(x)
+    i = int(np.argmax(values.real))
+    return float(values[i].real), np.abs(vectors[:, i].real)
+
+
 @dataclass
 class BalanceResult:
     powers: np.ndarray  # virtual-uplink per-user powers q, summing to the budget
-    combiner: np.ndarray  # M x K, unnormalized MMSE columns
+    combiner: np.ndarray  # M x K unit beams, the normalized MMSE combiners
     sinr: np.ndarray
     iterations: int
     converged: bool
@@ -168,11 +209,12 @@ class BalanceResult:
 def fixed_point_power_balance(h, p_bs: float, sigma2: float) -> BalanceResult:
     """Balance the per-user uplink SINRs under the sum-power constraint.
 
-    Starting from a uniform split, each iteration recomputes the MMSE
-    combiners, then scales q_k by min_i SINR_i / SINR_k and renormalizes to
-    the budget.  Stops when the minimum SINR changes by less than
-    BALANCE_TOL between iterations (``converged``) or after BALANCE_MAX_ITER
-    iterations.
+    Starting from a uniform split q = p_bs / K, each iteration normalizes the
+    MMSE combiners of q to unit beams u and takes the new q from the right
+    Perron vector of the uplink extended coupling matrix of |H u|^2, at which
+    every uplink SINR equals the inverse Perron root 1 / lambda.  Stops when
+    lambda changes by at most BALANCE_TOL relative between iterations
+    (``converged``) or after BALANCE_MAX_ITER iterations.
     """
     hm = _channel_matrix(h)
     k, m = hm.shape
@@ -191,28 +233,24 @@ def fixed_point_power_balance(h, p_bs: float, sigma2: float) -> BalanceResult:
             f"user {dead} has an identically zero channel row"
         )
     q = np.full(k, p_bs / k)
-    prev_min = None
-    w = None
-    sinr = None
-    iterations = 0
+    root = None
     converged = False
     for iterations in range(1, BALANCE_MAX_ITER + 1):
         w = mmse_combiner(hm, q, sigma2)
-        sinr = uplink_sinr(hm, w, q, sigma2)
-        smin = float(sinr.min())
-        if smin <= 0:
-            raise InfeasibleUserError(
-                "a user SINR collapsed to zero during balancing"
-            )
-        if prev_min is not None and abs(smin - prev_min) < BALANCE_TOL:
+        unit = w / np.linalg.norm(w, axis=0)
+        gains = np.abs(hm @ unit) ** 2
+        previous = root
+        root, right = perron(extended_coupling_matrix(gains.T, sigma2, p_bs))
+        q = p_bs * right[:k] / right[:k].sum()
+        if previous is not None and abs(root - previous) <= BALANCE_TOL * root:
             converged = True
             break
-        prev_min = smin
-        q = q * (smin / sinr)
-        q = q * (p_bs / q.sum())
+    sinr = uplink_sinr(hm, unit, q, sigma2)
+    if not sinr.min() > 0:
+        raise InfeasibleUserError("a user SINR collapsed to zero during balancing")
     return BalanceResult(
         powers=q,
-        combiner=w,
+        combiner=unit,
         sinr=sinr,
         iterations=iterations,
         converged=converged,
@@ -266,15 +304,22 @@ def duality_beamformer(
 
     Runs the uplink balance, recovers the downlink powers, and returns the
     finalized beamformer together with a report computed from the true
-    downlink received signals (not the duality identity); a mismatch beyond
-    1e-6 relative between the two is surfaced as a warning.
+    downlink received signals (not the duality identity).  A balance that
+    stops at its iteration cap, and a mismatch beyond 1e-6 relative between
+    the downlink and uplink SINRs, are surfaced as warnings.
     """
     hm = _channel_matrix(h)
     balance = fixed_point_power_balance(hm, p_bs, sigma2)
-    norms = np.linalg.norm(balance.combiner, axis=0)
-    unit = balance.combiner / norms
-    p = downlink_power_recovery(hm, unit, balance.sinr, sigma2, p_bs=p_bs)
-    weights = unit * np.sqrt(p)
+    if not balance.converged:
+        warnings.warn(
+            f"power balance stopped after {balance.iterations} iterations "
+            "without converging",
+            stacklevel=2,
+        )
+    p = downlink_power_recovery(
+        hm, balance.combiner, balance.sinr, sigma2, p_bs=p_bs
+    )
+    weights = balance.combiner * np.sqrt(p)
     beamformer = BeamformerMatrix(weights, power_budget=p_bs).finalized()
     y = hm @ beamformer.weights
     report = sinr_report(y, sigma2)

@@ -1,11 +1,12 @@
 """Joint optimization of RIS capacitances and the BS beamformer.
 
 Outer loop: block coordinate ascent over the group capacitances, one
-coordinate at a time, using the analytic minimum-SINR gradient and an Armijo
-backtracking line search with projection onto the tuning range.  Inner loop:
-after every accepted capacitance step the beamformer is recomputed through
-uplink-downlink duality, so each channel state is always evaluated under its
-best transmit strategy.
+coordinate at a time, using the derivative of the max-min SINR (the inverse
+Perron root of the extended coupling matrix) and an Armijo backtracking line
+search with projection onto the tuning range.  Inner loop: every trial of
+the line search is scored by a full duality solve of its channel, and the
+accepted trial's solve becomes the new state, so each channel state is
+always evaluated under its best transmit strategy.
 
 Also provides the exhaustive 1-bit configuration sweep and the user-location
 perturbation study built on top of it.
@@ -22,9 +23,10 @@ import numpy as np
 from .beamforming import (
     BeamformerMatrix,
     SinrReport,
-    duality_beamformer,
     downlink_sinr,
-    sinr_report,
+    duality_beamformer,
+    extended_coupling_matrix,
+    perron,
 )
 from .channel import (
     ChannelComponents,
@@ -150,8 +152,10 @@ def min_sinr_gradient(
 ) -> float:
     """Analytic derivative of the minimum per-user SINR w.r.t. one group value.
 
-    With the beamformer held fixed and k* the worst user (smallest index on
-    ties):
+    The optimizer ascends the max-min SINR through
+    ``OptimizerState.gradient``; this worst-user derivative is kept as a
+    reference.  With the beamformer held fixed and k* the worst user (smallest
+    index on ties):
 
         g = (D_num - SINR_k* D_den) / (sum_{j != k*} |y_k*,j|^2 + sigma2)
 
@@ -188,7 +192,12 @@ def suppress_boundary_gradient(
 
 
 class OptimizerState:
-    """Mutable state threaded through the coordinate sweeps."""
+    """Mutable state threaded through the coordinate sweeps.
+
+    ``objective_at`` solves each line-search trial in full and keeps it;
+    ``commit`` adopts the kept trial, so the state's minimum SINR after a
+    step is that trial's score bit for bit.
+    """
 
     def __init__(self, components, model, config, p_bs, sigma2):
         self.components = components
@@ -199,6 +208,7 @@ class OptimizerState:
         self.effective = assemble_from_config(components, model, config)
         self.beamformer, self.report = duality_beamformer(self.effective, p_bs, sigma2)
         self.beamformer_recomputes = 1
+        self._trial = None
 
     @property
     def sinr_min(self) -> float:
@@ -208,39 +218,57 @@ class OptimizerState:
     def group_value(self, group: int) -> float:
         return float(self.config.capacitances[self.config.grouping[group][0]])
 
+    def gradient(self, group: int) -> float:
+        """Derivative of the max-min SINR w.r.t. one group value.
+
+        The max-min SINR is 1 / lambda, the inverse Perron root of the
+        extended coupling matrix X of the gains G = |H u|^2 at the current
+        unit beams u, which the envelope theorem holds fixed.  With the left
+        and right Perron vectors l and r, d lambda = l^T dX r / (l^T r),
+        where dX follows from dG = 2 Re(conj(H u) * (dH u)) and dH is the
+        group's channel derivative.
+        """
+        weights = self.beamformer.weights
+        unit = weights / np.linalg.norm(weights, axis=0)
+        y = self.effective.matrix @ unit
+        dh = group_channel_derivative(
+            self.components, self.config, group, self.effective
+        )
+        gains = np.abs(y) ** 2
+        d_gains = 2.0 * np.real(np.conj(y) * (dh @ unit))
+        x = extended_coupling_matrix(gains, self.sigma2, self.p_bs)
+        root, right = perron(x)
+        _, left = perron(x.T)
+        # rows k < K of X are [G_kj (j != k), sigma2 / p_bs] / G_kk
+        k = gains.shape[0]
+        diag, d_diag = np.diag(gains), np.diag(d_gains)
+        d_top = np.zeros((k, k + 1))
+        d_top[:, :k] = d_gains / diag[:, None]
+        np.fill_diagonal(d_top, 0.0)
+        d_top -= (d_diag / diag)[:, None] * x[:k]
+        dx = np.vstack([d_top, d_top.sum(axis=0)])
+        d_root = (left @ dx @ right) / (left @ right)
+        return float(-d_root / root**2)
+
     def objective_at(self, group: int, value: float) -> float:
-        """Minimum SINR with one group moved to ``value``, beamformer fixed."""
-        trial = self._config_with(group, value)
-        eff = assemble_from_config(self.components, self.model, trial)
-        y = eff.matrix @ self.beamformer.weights
-        return float(downlink_sinr(y, self.sigma2).min())
+        """Max-min SINR with one group moved to ``value``: assembles and
+        solves the trial and keeps it for ``commit``."""
+        config = self._config_with(group, value)
+        effective = assemble_from_config(self.components, self.model, config)
+        beamformer, report = duality_beamformer(effective, self.p_bs, self.sigma2)
+        self._trial = (config, effective, beamformer, report)
+        return float(report.sinr.min())
 
     def _config_with(self, group: int, value: float) -> RisConfiguration:
         caps = np.array(self.config.capacitances)
         caps[list(self.config.grouping[group])] = value
         return replace(self.config, capacitances=caps)
 
-    def commit(self, group: int, value: float, trial_sinr_min: float) -> None:
-        """Adopt an accepted step and recompute the beamformer via duality.
-
-        Keeps whichever beamformer (previous or recomputed) yields the higher
-        minimum SINR on the new channel, so the accepted-step sequence is
-        nondecreasing even when the duality solve stops at its tolerance.
-        """
-        self.config = self._config_with(group, value)
-        self.effective = assemble_from_config(
-            self.components, self.model, self.config
-        )
-        new_w, new_report = duality_beamformer(self.effective, self.p_bs, self.sigma2)
+    def commit(self) -> None:
+        """Adopt the trial that ``objective_at`` solved last."""
+        self.config, self.effective, self.beamformer, self.report = self._trial
+        self._trial = None
         self.beamformer_recomputes += 1
-        if float(new_report.sinr.min()) >= trial_sinr_min:
-            self.beamformer = new_w
-            self.report = new_report
-        else:
-            # the old beamformer on the re-assembled trial channel: its
-            # minimum SINR is the trial score
-            y = self.effective.matrix @ self.beamformer.weights
-            self.report = sinr_report(y, self.sigma2)
 
 
 def _armijo_search(objective, current_value, c, g, c_min, c_max):
@@ -264,7 +292,8 @@ def armijo_coordinate_step(
 
     No-op when the suppressed gradient is zero or no step passes the
     sufficient-increase test before the step floor.  On acceptance the state
-    commits the step and refreshes the beamformer.
+    adopts the accepted trial's channel and beamformer.  A trial that fails
+    to assemble or solve ends the search and leaves the state unchanged.
     """
     if g_suppressed == 0.0:
         return None
@@ -284,8 +313,8 @@ def armijo_coordinate_step(
         return None
     if found is None:
         return None
-    new_c, trial_value = found
-    state.commit(group, new_c, trial_value)
+    new_c, _ = found
+    state.commit()
     return StepRecord(
         sweep=sweep,
         group=group,
@@ -301,17 +330,11 @@ def bcd_sweep(state: OptimizerState, sweep: int = 0) -> tuple[float, list]:
     start = state.sinr_min
     records = []
     for group in state.config.group_keys():
-        g = min_sinr_gradient(
-            state.components,
-            state.model,
-            state.config,
-            state.beamformer,
-            state.sigma2,
-            group,
-            effective=state.effective,
-        )
         g_tilde = suppress_boundary_gradient(
-            g, state.group_value(group), state.model.c_min, state.model.c_max
+            state.gradient(group),
+            state.group_value(group),
+            state.model.c_min,
+            state.model.c_max,
         )
         record = armijo_coordinate_step(state, group, g_tilde, sweep)
         if record is not None:
@@ -349,7 +372,7 @@ def alternating_optimize(
 
     Starts from ``initial_config`` when given (warm start), otherwise from a
     uniformly random configuration over ``grouping`` drawn from the settings
-    seed.  Repeats coordinate sweeps, recomputing the beamformer after every
+    seed.  Repeats coordinate sweeps, adopting the solved beamformer of every
     accepted step, until the per-sweep improvement drops below SWEEP_TOL or
     the sweep budget is exhausted.
     """

@@ -1,20 +1,35 @@
 """Noise, SINR metrics, and the uplink-downlink duality beamformer."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import complex_normal, random_components
 
 import risopt as ro
+import risopt.beamforming as bf
 from risopt.beamforming import (
     downlink_power_recovery,
     downlink_sinr,
     duality_beamformer,
+    extended_coupling_matrix,
     fixed_point_power_balance,
     mmse_combiner,
     noise_power,
+    perron,
     uplink_sinr,
 )
+
+# the benchmark's bisection max-min solver, an oracle written apart from
+# risopt; loaded read-only from perfbench/
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_reference",
+    Path(__file__).resolve().parents[1] / "perfbench" / "reference.py",
+)
+reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
 
 
 class TestNoisePower:
@@ -172,6 +187,28 @@ def refined_grid_search(h, p_bs, sigma2, points=41, levels=4):
     return best
 
 
+class TestExtendedCouplingMatrix:
+    @pytest.mark.parametrize("p_bs", [1e-43, 1e-3, 1.0, 1e3])
+    def test_perron_vector_balances_the_downlink_at_any_power(self, rng, p_bs):
+        gains = rng.uniform(0.01, 1.0, (3, 3)) * 1e-6
+        sigma2 = 5e-13
+        root, right = perron(extended_coupling_matrix(gains, sigma2, p_bs))
+        p = p_bs * right[:3] / right[3]
+        assert p.sum() == pytest.approx(p_bs, rel=1e-12)
+        assert np.all(right > 0)
+        received = gains * p  # [k, j]: beam j at user k
+        sinr = downlink_sinr(np.sqrt(received), sigma2)
+        assert np.allclose(sinr, 1.0 / root, rtol=1e-10)
+
+    def test_layout(self):
+        gains = np.array([[2.0, 1.0], [3.0, 4.0]])
+        x = extended_coupling_matrix(gains, 0.5, 0.25)
+        expected = np.array(
+            [[0.0, 0.5, 1.0], [0.75, 0.0, 0.5], [0.75, 0.5, 1.5]]
+        )
+        assert np.array_equal(x, expected)
+
+
 class TestFixedPointBalance:
     def test_single_user_gets_full_budget(self, rng):
         h = complex_normal(rng, 1, 3)
@@ -222,6 +259,27 @@ class TestFixedPointBalance:
         h = complex_normal(rng, 4, 2)
         with pytest.warns(UserWarning, match="exceed"):
             fixed_point_power_balance(h, 1.0, 0.5)
+
+    def test_matches_bisection_reference_at_any_snr(self):
+        # 1 <= K <= M <= 8, -30 to +60 dBm, noise 5e-14 to 5e-12 W: a stop
+        # rule or a combiner that loses the noise term at high SNR shows as
+        # a capped balance or a rate gap here
+        rng = np.random.default_rng(7)
+        worst = 0.0
+        for _ in range(300):
+            m = int(rng.integers(1, 9))
+            k = int(rng.integers(1, m + 1))
+            h = complex_normal(rng, k, m)
+            p_bs = 10 ** ((rng.uniform(-30.0, 60.0) - 30.0) / 10)
+            sigma2 = 10 ** rng.uniform(np.log10(5e-14), np.log10(5e-12))
+            balance = fixed_point_power_balance(h, p_bs, sigma2)
+            assert balance.converged and balance.iterations <= 6, (
+                k, m, p_bs, balance.iterations
+            )
+            _, report = duality_beamformer(h, p_bs, sigma2)
+            gap = abs(report.min_rate - reference.max_min_rate(h, p_bs, sigma2))
+            worst = max(worst, gap)
+        assert worst <= 1e-6, f"worst rate gap {worst:.3e} bps/Hz"
 
 
 class TestDownlinkPowerRecovery:
@@ -318,6 +376,13 @@ class TestDualityBeamformer:
         assert report.avg_received_power == pytest.approx(
             (np.abs(y) ** 2).sum(axis=1).mean(), rel=1e-12
         )
+
+    def test_capped_balance_warns(self, rng, monkeypatch):
+        monkeypatch.setattr(bf, "BALANCE_MAX_ITER", 1)
+        h = complex_normal(rng, 3, 3)
+        assert not fixed_point_power_balance(h, 1.0, 0.3).converged
+        with pytest.warns(UserWarning, match="after 1 iterations without converging"):
+            duality_beamformer(h, 1.0, 0.3)
 
     def test_effective_channel_input(self, rng):
         comps = random_components(rng)

@@ -10,7 +10,6 @@ import pytest
 from conftest import random_components
 
 import risopt as ro
-from risopt.beamforming import sinr_report
 from risopt.channel import ChannelComponents, assemble_from_config
 from risopt.optimizer import (
     BcdSettings,
@@ -192,45 +191,59 @@ class TestArmijoSearch:
         assert state.beamformer_recomputes == 1
 
 
+class TestPerronGradient:
+    def test_central_difference_agreement(self):
+        # the derivative of the re-solved max-min SINR, beamformer included
+        worst = 0.0
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            caps = rng.uniform(0.25e-12, 1.15e-12, 20)
+            state = make_state(rng, caps=caps, grouping=identity_grouping(20))
+            group = int(rng.integers(0, 20))
+            analytic = state.gradient(group)
+            h = 1e-5 * caps[group]
+            fd = (
+                state.objective_at(group, caps[group] + h)
+                - state.objective_at(group, caps[group] - h)
+            ) / (2 * h)
+            worst = max(worst, abs(analytic - fd) / abs(fd))
+        assert worst <= 1e-4, f"worst relative gradient error {worst:.3e}"
+
+
 class TestOptimizerStateCommit:
-    def test_worse_resolve_keeps_the_old_beamformer(self, rng, monkeypatch):
-        # the re-solve after a step returns a beamformer with its columns
-        # reversed; the state keeps the previous one on the new channel
-        import risopt.optimizer as opt
+    def test_commit_adopts_the_trial(self, rng, monkeypatch):
+        import risopt.channel as channel
 
+        assembled = []
+        real = channel.assemble_effective_channel
+
+        def counted(*args):
+            assembled.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(channel, "assemble_effective_channel", counted)
         state = make_state(rng, grouping=identity_grouping(20))
-        old_w, before = state.beamformer, state.sinr_min
+        scores, solves = [], []
+        solve = state.objective_at
+
+        def scored(group, value):
+            scores.append(solve(group, value))
+            solves.append(state._trial)
+            return scores[-1]
+
+        state.objective_at = scored
         for group in state.config.group_keys():
-            g = min_sinr_gradient(
-                state.components, MODEL, state.config, old_w, state.sigma2,
-                group, effective=state.effective,
-            )
-            found = _armijo_search(
-                lambda value: state.objective_at(group, value),
-                before, state.group_value(group), g, MODEL.c_min, MODEL.c_max,
-            )
-            if found is not None:
+            record = armijo_coordinate_step(state, group, state.gradient(group))
+            if record is not None:
                 break
-        assert found is not None
-        value, trial_sinr_min = found
-
-        def reversed_columns(h, p_bs, sigma2):
-            w, _ = ro.duality_beamformer(h, p_bs, sigma2)
-            worse = ro.BeamformerMatrix(w.weights[:, ::-1], w.power_budget)
-            return worse, sinr_report(h.matrix @ worse.weights, sigma2)
-
-        monkeypatch.setattr(opt, "duality_beamformer", reversed_columns)
-        state.commit(group, value, trial_sinr_min)
-        assert state.beamformer is old_w
-        assert state.group_value(group) == value
-        expected = sinr_report(state.effective.matrix @ old_w.weights, state.sigma2)
-        assert np.array_equal(state.report.sinr, expected.sinr)
-        assert state.report.min_rate == expected.min_rate
-        assert state.sinr_min == trial_sinr_min
-        delta, records = bcd_sweep(state)
-        sequence = [before, trial_sinr_min] + [r.sinr_min_after for r in records]
-        assert np.all(np.diff(sequence) >= 0)
-        assert state.beamformer is old_w
+        assert record is not None
+        config, effective, beamformer, report = solves[-1]
+        assert state.sinr_min == scores[-1] == record.sinr_min_after
+        assert record.sinr_min_after > record.sinr_min_before
+        assert state.config is config and state.effective is effective
+        assert state.beamformer is beamformer and state.report is report
+        assert state.beamformer_recomputes == 2
+        assert len(assembled) == 1 + len(scores)
 
 
 class TestBcdSweep:
@@ -259,10 +272,7 @@ class TestBcdSweep:
                 np.full(4, bound), control_mode="continuous-per-column", grouping=grouping
             )
             state = OptimizerState(comps, MODEL, config, 1.0, 1e-3)
-            g = min_sinr_gradient(
-                comps, MODEL, config, state.beamformer, 1e-3, 0,
-                effective=state.effective,
-            )
+            g = state.gradient(0)
             outward = (bound == MODEL.c_max and g > 0) or (
                 bound == MODEL.c_min and g < 0
             )
@@ -345,26 +355,62 @@ class TestAlternatingOptimize:
         with pytest.raises(ValueError, match="t_g"):
             BcdSettings(t_g=-1)
 
-    def test_failure_propagates_with_partial_trace(self, rng, monkeypatch):
+    def test_failure_propagates_with_partial_trace(self, rng, monkeypatch, caplog):
+        # a failed trial solve ends that group's line search and leaves the
+        # state as it was; a failed initial solve propagates
         import risopt.optimizer as opt
 
         comps = random_components(rng, k=2, m=2, n=6)
+        settings = BcdSettings(t_g=3, rng_seed=1)
+        expected = alternating_optimize(
+            comps, MODEL, None, 1.0, 1e-2, BcdSettings(t_g=0, rng_seed=1),
+            grouping=identity_grouping(6),
+        )
         calls = {"n": 0}
         real = opt.duality_beamformer
 
         def flaky(*args, **kwargs):
             calls["n"] += 1
-            if calls["n"] > 1:  # fail on the first post-step recompute
+            if calls["n"] > 1:  # every trial solve fails
                 raise ro.DualityError("synthetic failure")
             return real(*args, **kwargs)
 
         monkeypatch.setattr(opt, "duality_beamformer", flaky)
-        with pytest.raises(ro.DualityError):
-            alternating_optimize(
-                comps, MODEL, None, 1.0, 1e-2,
-                BcdSettings(t_g=3, rng_seed=1),
+        with caplog.at_level(logging.WARNING, logger="risopt.optimizer"):
+            trace = alternating_optimize(
+                comps, MODEL, None, 1.0, 1e-2, settings,
                 grouping=identity_grouping(6),
             )
+        assert trace.steps == []
+        assert trace.final_sinr_min == trace.initial_sinr_min == expected.final_sinr_min
+        assert np.array_equal(
+            trace.final_config.capacitances, expected.final_config.capacitances
+        )
+        messages = [r.getMessage() for r in caplog.records]
+        assert messages == [
+            f"line search aborted for group {g}: synthetic failure" for g in range(6)
+        ]
+        assert calls["n"] == 1 + 6
+
+        calls["n"] = 1  # the next call, the initial solve, fails
+        with pytest.raises(ro.DualityError, match="synthetic failure"):
+            alternating_optimize(
+                comps, MODEL, None, 1.0, 1e-2, settings,
+                grouping=identity_grouping(6),
+            )
+
+    def test_warm_start_beats_the_default_scene_onebit_optimum(self):
+        comps = synthesize_components(default_scene())
+        sigma2 = ro.noise_power(900.0, 40e6)
+        result = exhaustive_1bit_search(
+            comps, MODEL, column_paired_grouping(20), 1.0, sigma2
+        )
+        trace = alternating_optimize(
+            comps, MODEL, result.best_config, 1.0, sigma2, BcdSettings(t_g=50)
+        )
+        assert len(trace.steps) > 0
+        gain = trace.final_report.min_rate - result.best_min_rate
+        assert gain >= 0.05, f"warm start gained {gain:.4f} bps/Hz"
 
 
 class TestExhaustiveSearch:
