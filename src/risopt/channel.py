@@ -13,7 +13,6 @@ with respect to each load capacitance.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,8 +205,7 @@ GAIN_FLOOR_DB = -300.0
 def gain_map_db(gains: np.ndarray) -> np.ndarray:
     """10 log10 of a linear gain map, clamped at GAIN_FLOOR_DB."""
     gains = np.asarray(gains, dtype=float)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # log of exact zeros handled by the floor
+    with np.errstate(divide="ignore", invalid="ignore"):  # floored below
         db = 10.0 * np.log10(gains)
     return np.maximum(
         np.nan_to_num(db, nan=GAIN_FLOOR_DB, neginf=GAIN_FLOOR_DB), GAIN_FLOOR_DB

@@ -62,19 +62,15 @@ ARMIJO_SHRINK = 0.4
 ARMIJO_STEP = 0.2e-12
 ARMIJO_STEP_MIN = 1e-18
 
-# The sweep loop stops once a full sweep improves the minimum SINR by less
-# than SWEEP_TOL; 1e-25 effectively means "run until the sweep budget or a
-# zero-progress sweep".
-SWEEP_TOL = 1e-25
-
 
 @dataclass(frozen=True)
 class BcdSettings:
     """Sweep budget and random start of the coordinate ascent.
 
     ``t_g`` is the sweep budget.  ``rng_seed`` draws the random start when no
-    initial configuration is given.  The stop tolerance is the module's
-    SWEEP_TOL and the line search's constants are its ARMIJO_* values.
+    initial configuration is given.  The ascent stops early after a sweep
+    that accepts no step; the line search's constants are the module's
+    ARMIJO_* values.
     """
 
     t_g: int = 50
@@ -373,8 +369,10 @@ def alternating_optimize(
     Starts from ``initial_config`` when given (warm start), otherwise from a
     uniformly random configuration over ``grouping`` drawn from the settings
     seed.  Repeats coordinate sweeps, adopting the solved beamformer of every
-    accepted step, until the per-sweep improvement drops below SWEEP_TOL or
-    the sweep budget is exhausted.
+    accepted step, until a sweep accepts no step (the state is then
+    unchanged, so every further sweep would repeat it) or the sweep budget is
+    exhausted.  No tolerance on the SINR is involved, so the rule holds at
+    any SNR.
     """
     _, _, n = components.dims
     if initial_config is not None:
@@ -392,7 +390,7 @@ def alternating_optimize(
         delta, records = bcd_sweep(state, sweep)
         steps.extend(records)
         deltas.append(delta)
-        if abs(delta) < SWEEP_TOL:
+        if not records:
             converged = True
             break
     return OptimizationTrace(

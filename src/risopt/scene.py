@@ -2,18 +2,18 @@
 
 Walls are line segments with a complex reflection coefficient; propagation
 between any two points is the coherent sum of the direct path (when
-unobstructed) and all specular paths up to a configurable reflection order,
-found by recursively mirroring the source across wall lines and validating
-each candidate with segment-intersection tests.
+unobstructed) and all specular paths up to a configurable reflection order.
 
-``trace_paths`` traces one source-destination pair and lists its paths.
-``field_matrix`` gives the coherent field of every pair of a set of sources
-and destinations at once: the images of a wall sequence depend only on the
-source and the walls (Allen & Berkley, JASA 1979), so it mirrors each source
-once per sequence and runs the reflection-point backtracking and every
-leg-blocking test for a fixed-size chunk of pairs in numpy.  Its fields are
-bit-identical to summing ``path_gain`` over ``trace_paths`` in its
-(order, length) order, which keeps ``--reproducible`` outputs unchanged.
+The tracer is the image method (Allen & Berkley, JASA 1979).  The images of
+a wall sequence depend only on the source and the walls, so each source is
+mirrored once per sequence.  For a batch of (source, destination) pairs the
+reflection points are then backtracked from the destination, and every leg
+of every candidate path is tested against the walls it does not end on, in
+numpy.  ``field_matrix`` sums the path gains of every pair of a set of
+sources and destinations, PAIR_CHUNK pairs at a time, in (order, length)
+order.  ``trace_paths`` runs the same sequence code for one pair and lists
+its paths in that order, so ``field_matrix`` equals the sum of ``path_gain``
+over ``trace_paths`` bit for bit.
 
 Channel components are built from ``field_matrix``:
 
@@ -162,59 +162,6 @@ class SceneDescription:
         return float(np.linalg.norm(ports[1] - ports[0]))
 
 
-def _mirror(point: np.ndarray, wall: Wall) -> np.ndarray:
-    d = wall.p2 - wall.p1
-    n = np.array([-d[1], d[0]])
-    n = n / np.linalg.norm(n)
-    return point - 2.0 * np.dot(point - wall.p1, n) * n
-
-
-def _segment_wall_intersection(a, b, wall):
-    """Parameters (t, u) with a + t(b-a) = p1 + u(p2-p1), or None if parallel."""
-    r = b - a
-    s = wall.p2 - wall.p1
-    denom = r[0] * s[1] - r[1] * s[0]
-    if abs(denom) < 1e-15 * (np.linalg.norm(r) * np.linalg.norm(s) + 1e-300):
-        return None
-    q = wall.p1 - a
-    t = (q[0] * s[1] - q[1] * s[0]) / denom
-    u = (q[0] * r[1] - q[1] * r[0]) / denom
-    return t, u
-
-
-def _leg_blocked(a, b, walls, skip=()):
-    """True when segment a->b crosses any wall not in ``skip``.
-
-    Crossings within GEOM_EPS of the leg endpoints do not count: reflection
-    points terminate legs exactly on their anchor walls.
-    """
-    length = np.linalg.norm(b - a)
-    if length <= GEOM_EPS:
-        return True
-    t_eps = GEOM_EPS / length
-    for wall in walls:
-        if any(wall is w for w in skip):
-            continue
-        hit = _segment_wall_intersection(a, b, wall)
-        if hit is None:
-            continue
-        t, u = hit
-        if t_eps < t < 1.0 - t_eps and -GEOM_EPS <= u <= 1.0 + GEOM_EPS:
-            return True
-    return False
-
-
-def _point_on_wall(point, wall) -> bool:
-    d = wall.p2 - wall.p1
-    length = np.linalg.norm(d)
-    rel = point - wall.p1
-    u = np.dot(rel, d) / (length**2)
-    if u < -GEOM_EPS or u > 1.0 + GEOM_EPS:
-        return False
-    perp = rel - u * d
-    return np.linalg.norm(perp) <= GEOM_EPS
-
-
 def _wall_sequences(walls, order):
     """All wall-index sequences of the given order without immediate
     repeats, in lexicographic order."""
@@ -222,92 +169,6 @@ def _wall_sequences(walls, order):
         seq
         for seq in itertools.product(range(len(walls)), repeat=order)
         if all(a != b for a, b in zip(seq, seq[1:]))
-    )
-
-
-def trace_paths(
-    scene: SceneDescription, src, dst, walls=None
-) -> list[PropagationPath]:
-    """All specular paths from src to dst up to the scene's reflection order.
-
-    Recursive image sources generate candidates; each is validated by
-    intersection tests on every leg.  Results are sorted by (order, length).
-    ``walls`` overrides the traced wall set (used internally to include or
-    exclude the unloaded RIS panel).
-    """
-    src = np.asarray(src, dtype=float)
-    dst = np.asarray(dst, dtype=float)
-    if walls is None:
-        walls = scene.walls
-    if np.linalg.norm(dst - src) <= GEOM_EPS:
-        raise GeometryError("src and dst coincide")
-    for wall in walls:
-        if _point_on_wall(src, wall) or _point_on_wall(dst, wall):
-            raise GeometryError("src or dst lies on a wall segment")
-
-    paths = []
-    if not _leg_blocked(src, dst, walls):
-        paths.append(
-            PropagationPath(
-                length=float(np.linalg.norm(dst - src)),
-                product=1.0 + 0.0j,
-                order=0,
-            )
-        )
-
-    for order in range(1, scene.max_reflection_order + 1):
-        for seq in _wall_sequences(walls, order):
-            candidate = _validate_sequence(src, dst, walls, seq)
-            if candidate is not None:
-                paths.append(candidate)
-
-    paths.sort(key=lambda p: (p.order, p.length))
-    return paths
-
-
-def _validate_sequence(src, dst, walls, seq):
-    """Check one ordered wall sequence; return its path or None."""
-    order = len(seq)
-    images = [src]
-    for i in seq:
-        images.append(_mirror(images[-1], walls[i]))
-
-    # Backtrack reflection points from the last wall toward the source.
-    points = [None] * order
-    target = dst
-    for j in range(order - 1, -1, -1):
-        wall = walls[seq[j]]
-        hit = _segment_wall_intersection(images[j + 1], target, wall)
-        if hit is None:
-            return None
-        t, u = hit
-        if not (GEOM_EPS < t < 1.0 - GEOM_EPS):
-            return None
-        if not (-GEOM_EPS <= u <= 1.0 + GEOM_EPS):
-            return None
-        points[j] = images[j + 1] + t * (target - images[j + 1])
-        target = points[j]
-
-    # Visibility of every physical leg, skipping each leg's anchor walls.
-    stations = [src] + points + [dst]
-    anchors = [None] + [walls[i] for i in seq] + [None]
-    product = 1.0 + 0.0j
-    for i in seq:
-        product *= walls[i].reflection
-    for leg in range(order + 1):
-        a, b = stations[leg], stations[leg + 1]
-        skip = tuple(w for w in (anchors[leg], anchors[leg + 1]) if w is not None)
-        if np.linalg.norm(b - a) <= GEOM_EPS:
-            return None
-        if _leg_blocked(a, b, walls, skip=skip):
-            return None
-
-    length = float(np.linalg.norm(dst - images[-1]))
-    return PropagationPath(
-        length=length,
-        product=product,
-        order=order,
-        points=tuple(tuple(p) for p in points),
     )
 
 
@@ -319,8 +180,6 @@ def path_gain(path: PropagationPath, frequency: float) -> complex:
     return path.product * np.exp(-1j * k * path.length) / path.length
 
 
-# --- vectorized tracer --------------------------------------------------------
-
 # (source, destination) pairs that field_matrix traces together; bounds the
 # size of its temporaries whatever the number of destinations.
 PAIR_CHUNK = 256
@@ -329,9 +188,11 @@ PAIR_CHUNK = 256
 def _dot(a, b):
     """Row-wise dot products of (..., 2) arrays.
 
-    A stacked matmul runs the same BLAS dot as ``np.dot`` and
-    ``np.linalg.norm`` do for one 2-vector, so these round exactly as the
-    scalar tracer's; ``a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]`` does not.
+    A stacked matmul rounds each product as ``np.dot`` and
+    ``np.linalg.norm`` of one 2-vector do; written out as
+    ``a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]`` it need not.  Every
+    traced length and field, and so every ``--reproducible`` output, is
+    pinned to this rounding.
     """
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
@@ -341,7 +202,7 @@ def _norm(v):
 
 
 def _mirror_points(points, wall: Wall) -> np.ndarray:
-    """``_mirror`` of every row of ``points``."""
+    """Every row of ``points`` reflected across the line of ``wall``."""
     d = wall.p2 - wall.p1
     n = np.array([-d[1], d[0]])
     n = n / np.linalg.norm(n)
@@ -349,7 +210,9 @@ def _mirror_points(points, wall: Wall) -> np.ndarray:
 
 
 def _on_any_wall(points, walls) -> np.ndarray:
-    """``_point_on_wall`` of every row of ``points``, or-ed over the walls."""
+    """True where a row of ``points`` lies on a wall segment: within
+    GEOM_EPS of the wall's line, and projecting onto the segment's
+    parameter range [0, 1] widened by GEOM_EPS."""
     on = np.zeros(points.shape[0], dtype=bool)
     for wall in walls:
         d = wall.p2 - wall.p1
@@ -359,6 +222,25 @@ def _on_any_wall(points, walls) -> np.ndarray:
         perp = rel - u[:, None] * d
         on |= (u >= -GEOM_EPS) & (u <= 1.0 + GEOM_EPS) & (_norm(perp) <= GEOM_EPS)
     return on
+
+
+def _reject_pairs(sources, dests, walls):
+    """Raise the GeometryError of the first rejected (source, destination)
+    pair in destination-major order.
+
+    A pair is rejected when its two points lie within GEOM_EPS of each
+    other, or when either point lies on a wall; the first test wins.
+    """
+    coincide = _norm((dests[:, None] - sources[None, :]).reshape(-1, 2)) <= GEOM_EPS
+    on_wall = _on_any_wall(dests, walls)[:, None] | _on_any_wall(sources, walls)
+    bad = coincide | on_wall.ravel()
+    if bad.any():
+        first = np.argmax(bad)
+        raise GeometryError(
+            "src and dst coincide"
+            if coincide[first]
+            else "src or dst lies on a wall segment"
+        )
 
 
 class _WallArrays:
@@ -371,9 +253,13 @@ class _WallArrays:
 
 
 def _crossings(a, r, r_norm, walls: _WallArrays, cols):
-    """``_segment_wall_intersection`` of each row's segment a -> a + r with
-    each wall in ``cols``: (crosses, t, u), each (rows, len(cols)); crosses
-    is False where the segment and the wall are parallel."""
+    """Where each row's segment a -> a + r meets the line of each wall in
+    ``cols``: a + t r = p1 + u (p2 - p1).
+
+    Returns (crosses, t, u), each (rows, len(cols)).  ``crosses`` is False
+    where the segment and the wall are parallel, |r x s| < 1e-15 |r| |s|;
+    t and u mean nothing there.
+    """
     p1, s, s_norm = walls.p1[cols], walls.s[cols], walls.s_norm[cols]
     denom = r[:, 0, None] * s[:, 1] - r[:, 1, None] * s[:, 0]
     crosses = ~(np.abs(denom) < 1e-15 * (r_norm[:, None] * s_norm + 1e-300))
@@ -386,8 +272,13 @@ def _crossings(a, r, r_norm, walls: _WallArrays, cols):
 
 
 def _legs_clear(a, b, walls: _WallArrays, cols):
-    """True where segment a -> b has length and crosses no wall in ``cols``
-    (``_leg_blocked`` per row, with the same endpoint tolerance)."""
+    """True where segment a -> b is longer than GEOM_EPS and crosses no wall
+    in ``cols``.
+
+    A crossing counts when it lies on the wall segment (parameter range
+    widened by GEOM_EPS) and more than GEOM_EPS from both ends of the leg:
+    reflection points end legs exactly on their anchor walls.
+    """
     r = b - a
     length = _norm(r)
     clear = length > GEOM_EPS
@@ -407,8 +298,9 @@ def _legs_clear(a, b, walls: _WallArrays, cols):
 def _path_gains(product, lengths, frequency):
     """``path_gain`` of paths with one reflection product and these lengths.
 
-    The complex product is written out in real arithmetic: numpy's SIMD
-    complex multiply may fuse it, the scalar one does not.
+    The complex product is written out in real arithmetic, as Python's
+    complex multiply in ``path_gain`` rounds it; numpy's SIMD complex
+    multiply may fuse it.
     """
     k = 2.0 * np.pi * frequency / SPEED_OF_LIGHT
     e = np.exp(-1j * k * lengths)
@@ -440,8 +332,8 @@ class _Sequence:
 
 
 def _sequences(sources, walls, order_cap):
-    """Every wall sequence up to ``order_cap`` in trace_paths order, starting
-    with the direct path's empty sequence."""
+    """Every wall sequence up to ``order_cap``, by order and then
+    lexicographically, starting with the direct path's empty sequence."""
     images = {(): sources}
     sequences = []
     for order in range(order_cap + 1):
@@ -452,9 +344,16 @@ def _sequences(sources, walls, order_cap):
     return sequences
 
 
-def _sequence_lengths(seq: _Sequence, si, src, dst, walls: _WallArrays):
-    """Unfolded length of each pair's path along ``seq``; inf where there is
-    none (``_validate_sequence`` per pair)."""
+def _sequence_paths(seq: _Sequence, si, src, dst, walls: _WallArrays):
+    """Each pair's path along ``seq``: its unfolded length, inf where there
+    is none, and its reflection points, one (pairs, 2) array per bounce.
+
+    The reflection points are backtracked from the destination toward the
+    source: each is where the line from its image to the current target
+    meets its wall, strictly inside that line (parameter in (GEOM_EPS,
+    1 - GEOM_EPS)) and on the wall segment (parameter range widened by
+    GEOM_EPS).  Every leg must then be clear of the walls it does not end on.
+    """
     order = len(seq.seq)
     valid = np.ones(si.shape[0], dtype=bool)
     points = [None] * order
@@ -476,7 +375,7 @@ def _sequence_lengths(seq: _Sequence, si, src, dst, walls: _WallArrays):
     lengths = np.full(si.shape[0], np.inf)
     rows = np.flatnonzero(valid)
     if rows.size == 0:
-        return lengths
+        return lengths, points
     stations = [src[rows]] + [p[rows] for p in points] + [dst[rows]]
     clear = np.ones(rows.size, dtype=bool)
     for leg in range(order + 1):
@@ -485,14 +384,45 @@ def _sequence_lengths(seq: _Sequence, si, src, dst, walls: _WallArrays):
         )
     rows = rows[clear]
     lengths[rows] = _norm(dst[rows] - seq.images[order][si[rows]])
-    return lengths
+    return lengths, points
+
+
+def trace_paths(
+    scene: SceneDescription, src, dst, walls=None
+) -> list[PropagationPath]:
+    """All specular paths from src to dst up to the scene's reflection order,
+    sorted by (order, length); a rejected pair raises GeometryError.
+
+    ``walls`` overrides the traced wall set (the CLI passes the user walls,
+    which include the unloaded RIS panel).
+    """
+    walls = scene.walls if walls is None else tuple(walls)
+    src = np.asarray(src, dtype=float).reshape(1, 2)
+    dst = np.asarray(dst, dtype=float).reshape(1, 2)
+    _reject_pairs(src, dst, walls)
+    wall_arrays = _WallArrays(walls)
+    si = np.zeros(1, dtype=int)
+    paths = []
+    for seq in _sequences(src, walls, scene.max_reflection_order):
+        lengths, points = _sequence_paths(seq, si, src, dst, wall_arrays)
+        if np.isfinite(lengths[0]):
+            paths.append(
+                PropagationPath(
+                    length=float(lengths[0]),
+                    product=seq.product,
+                    order=len(seq.seq),
+                    points=tuple(tuple(p[0]) for p in points),
+                )
+            )
+    paths.sort(key=lambda p: (p.order, p.length))
+    return paths
 
 
 def _chunk_field(scene, si, src, dst, wall_arrays, sequences):
     """Coherent field of each (src, dst) row pair: the path gains summed in
-    the (order, length) order that trace_paths sorts them into."""
+    (order, length) order, the order of trace_paths' list."""
     lengths = np.stack(
-        [_sequence_lengths(seq, si, src, dst, wall_arrays) for seq in sequences],
+        [_sequence_paths(seq, si, src, dst, wall_arrays)[0] for seq in sequences],
         axis=1,
     )
     gains = np.zeros(lengths.shape, dtype=complex)
@@ -502,7 +432,7 @@ def _chunk_field(scene, si, src, dst, wall_arrays, sequences):
             seq.product, lengths[found, col], scene.frequency
         )
     orders = np.broadcast_to([len(seq.seq) for seq in sequences], lengths.shape)
-    # stable: paths of equal order and length keep trace_paths order
+    # stable: paths of equal order and length keep their sequence order
     rank = np.lexsort((lengths, orders), axis=1)
     total = np.zeros(si.shape[0], dtype=complex)
     for column in np.take_along_axis(gains, rank, axis=1).T:
@@ -515,33 +445,23 @@ def field_matrix(scene: SceneDescription, sources, dests, walls) -> np.ndarray:
 
     Entry [d, s] is the sum of ``path_gain`` over ``trace_paths(scene,
     sources[s], dests[d], walls=walls)``, bit for bit.  Pairs are traced
-    PAIR_CHUNK at a time in destination-major order; a coincident pair or a
-    point on a wall raises the GeometryError that trace_paths raises for the
-    first such pair in that order.
+    PAIR_CHUNK at a time in destination-major order, after ``_reject_pairs``
+    has checked them all.
     """
     sources = np.atleast_2d(np.asarray(sources, dtype=float))
     dests = np.atleast_2d(np.asarray(dests, dtype=float))
     walls = tuple(walls)
+    _reject_pairs(sources, dests, walls)
     n_src, n_dst = sources.shape[0], dests.shape[0]
-    src_on_wall = _on_any_wall(sources, walls)
-    dst_on_wall = _on_any_wall(dests, walls)
     wall_arrays = _WallArrays(walls)
     sequences = _sequences(sources, walls, scene.max_reflection_order)
     field = np.zeros(n_dst * n_src, dtype=complex)
     for start in range(0, field.size, PAIR_CHUNK):
         pairs = np.arange(start, min(start + PAIR_CHUNK, field.size))
         si, di = pairs % n_src, pairs // n_src
-        src, dst = sources[si], dests[di]
-        coincide = _norm(dst - src) <= GEOM_EPS
-        bad = coincide | src_on_wall[si] | dst_on_wall[di]
-        if bad.any():
-            first = np.argmax(bad)
-            raise GeometryError(
-                "src and dst coincide"
-                if coincide[first]
-                else "src or dst lies on a wall segment"
-            )
-        field[pairs] = _chunk_field(scene, si, src, dst, wall_arrays, sequences)
+        field[pairs] = _chunk_field(
+            scene, si, sources[si], dests[di], wall_arrays, sequences
+        )
     return field.reshape(n_dst, n_src)
 
 

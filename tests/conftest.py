@@ -1,8 +1,14 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from risopt.channel import ChannelComponents
 from risopt.coupling import synthesize_mutual_impedance
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 FREQ = 5.8e9
 SPACING = 0.0258  # ~ half wavelength at 5.8 GHz
@@ -27,3 +33,26 @@ def random_components(rng, k=3, m=3, n=20, frequency=FREQ) -> ChannelComponents:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def load_perfbench(name):
+    """The benchmark's module ``perfbench/<name>.py``, loaded read-only as
+    ``perfbench_<name>``.
+
+    Those modules import their siblings by plain name, so ``perfbench/`` is
+    on ``sys.path`` only while the file loads, and a sibling that the load
+    imported is dropped from ``sys.modules`` afterwards.
+    """
+    siblings = {path.stem for path in PERFBENCH.glob("*.py")} - set(sys.modules)
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location(
+            f"perfbench_{name}", PERFBENCH / f"{name}.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        for sibling in siblings:
+            sys.modules.pop(sibling, None)
+    return module

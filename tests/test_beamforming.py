@@ -1,12 +1,9 @@
 """Noise, SINR metrics, and the uplink-downlink duality beamformer."""
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-from conftest import complex_normal, random_components
+from conftest import complex_normal, load_perfbench, random_components
 
 import risopt as ro
 import risopt.beamforming as bf
@@ -24,12 +21,7 @@ from risopt.beamforming import (
 
 # the benchmark's bisection max-min solver, an oracle written apart from
 # risopt; loaded read-only from perfbench/
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_reference",
-    Path(__file__).resolve().parents[1] / "perfbench" / "reference.py",
-)
-reference = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(reference)
+reference = load_perfbench("reference")
 
 
 class TestNoisePower:

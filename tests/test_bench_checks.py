@@ -7,33 +7,20 @@ the built-in scene at 30 dBm) and its ``check``, so such a failure shows up
 in the tests.  This module only reads ``perfbench/``.
 """
 
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from risopt import cli
+from conftest import load_perfbench
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+from risopt import cli
 
 
 @pytest.fixture(scope="module")
 def workloads():
-    # workloads.py imports its sibling reference.py by plain name
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_workloads", PERFBENCH / "workloads.py"
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        sys.path.remove(str(PERFBENCH))
-        sys.modules.pop("reference", None)
-    return module
+    return load_perfbench("workloads")
 
 
 def read_json(path):

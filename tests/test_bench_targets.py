@@ -7,21 +7,16 @@ deleting one would otherwise surface only in a traced benchmark run
 """
 
 import importlib
-import importlib.util
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import load_perfbench
+
 import risopt.cli  # noqa: F401  (imports every risopt module the targets name)
 
-ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
-)
-tracing = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tracing)
+tracing = load_perfbench("tracing")
 
 
 def _owner_and_name(module_name, attr):

@@ -210,6 +210,12 @@ class TestGainMap:
         assert np.all(gains == 0.0)
         assert np.all(gain_map_db(gains) == -300.0)
 
+    def test_zero_gain_floored_when_numpy_errors_raise(self):
+        gains = np.array([0.0, 1e-3, 1.0])
+        with np.errstate(all="raise"):
+            db = gain_map_db(gains)
+        assert db.tolist() == [-300.0, -30.0, 0.0]
+
     def test_beam_index_out_of_range(self, rng):
         comps = random_components(rng)
         w = BeamformerMatrix(complex_normal(rng, 3, 3), power_budget=1.0)

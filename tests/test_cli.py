@@ -14,7 +14,7 @@ from risopt.fileio import (
     save_components,
     save_scene,
 )
-from risopt.scene import ObservationGrid, default_scene, with_users
+from risopt.scene import ObservationGrid, default_scene, trace_paths, with_users
 
 from conftest import random_components
 
@@ -490,6 +490,31 @@ class TestSceneAndChannelCommands:
         lengths = [p["length_m"] for p in doc["paths"]]
         orders = [p["order"] for p in doc["paths"]]
         assert sorted(zip(orders, lengths)) == list(zip(orders, lengths))
+
+    def test_scene_trace_writes_the_traced_paths(self, tmp_path):
+        # trace_paths' list is checked against the reference tracer in
+        # test_scene.py; paths.json must hold that list unchanged
+        out = tmp_path / "out"
+        code = main(
+            [
+                "scene", "trace", "--src", "6,-3", "--dst", "1.8,2.38",
+                "--out", str(out), "--reproducible",
+            ]
+        )
+        assert code == 0
+        scene = default_scene()
+        paths = trace_paths(scene, (6.0, -3.0), (1.8, 2.38), walls=scene.user_walls)
+        doc = json.loads((out / "paths.json").read_text())
+        assert len(paths) > 1
+        assert doc["paths"] == [
+            {
+                "order": p.order,
+                "length_m": p.length,
+                "product": [p.product.real, p.product.imag],
+                "points": [list(pt) for pt in p.points],
+            }
+            for p in paths
+        ]
 
     def test_channel_convert_synthesizes_and_validates(
         self, small_scene_path, tmp_path

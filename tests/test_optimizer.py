@@ -349,6 +349,23 @@ class TestAlternatingOptimize:
         )
         assert trace.final_report.min_rate >= result.best_min_rate
 
+    def test_stops_after_a_sweep_without_steps_at_any_snr(self):
+        # at 1e-28 W the minimum SINR is about 4.6e-18: sweeps that still
+        # accept steps gain far less than any absolute SINR tolerance
+        comps = synthesize_components(default_scene())
+        trace = alternating_optimize(
+            comps, MODEL, None, 1e-28, ro.noise_power(900.0, 40e6),
+            BcdSettings(rng_seed=1), grouping=identity_grouping(20),
+        )
+        accepted = [
+            sum(1 for step in trace.steps if step.sweep == sweep)
+            for sweep in range(1, trace.sweeps_run + 1)
+        ]
+        assert trace.converged and trace.sweeps_run < BcdSettings().t_g
+        assert trace.final_sinr_min < 1e-16
+        assert accepted[-1] == 0 and all(accepted[:-1])
+        assert trace.sweep_deltas[-1] == 0.0
+
     def test_needs_a_start(self, rng):
         with pytest.raises(ValueError, match="initial configuration or a grouping"):
             alternating_optimize(random_components(rng), MODEL, None, 1.0, 1e-3)

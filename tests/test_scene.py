@@ -1,9 +1,12 @@
 """Image-method ray tracer: toy geometries, oracles, and properties."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
+
+from conftest import load_perfbench
 
 import risopt as ro
 from risopt.constants import SPEED_OF_LIGHT
@@ -21,6 +24,15 @@ from risopt.scene import (
     trace_users,
     with_users,
 )
+
+
+# the benchmark's plain image-method tracer, an oracle written apart from
+# risopt; loaded read-only from perfbench/
+reference = load_perfbench("reference")
+
+
+def reference_walls(walls):
+    return [(w.p1, w.p2, w.reflection) for w in walls]
 
 
 def simple_scene(walls, max_order=1):
@@ -79,6 +91,51 @@ class TestTracePaths:
         assert [(p.order, p.length) for p in a] == [(p.order, p.length) for p in b]
         orders_lengths = [(p.order, p.length) for p in a]
         assert orders_lengths == sorted(orders_lengths)
+
+
+def reference_paths(scene, src, dst, walls):
+    """(order, length, product) of every path that the reference's
+    ``image_path`` finds over every wall sequence, by (order, length)."""
+    ref_walls = reference_walls(walls)
+    found = []
+    for order in range(scene.max_reflection_order + 1):
+        for seq in itertools.product(range(len(walls)), repeat=order):
+            if any(a == b for a, b in zip(seq, seq[1:])):
+                continue
+            path = reference.image_path(
+                np.asarray(src, dtype=float), np.asarray(dst, dtype=float),
+                ref_walls, seq,
+            )
+            if path is not None:
+                found.append((order, *path))
+    return sorted(found, key=lambda p: p[:2])
+
+
+class TestPathListing:
+    """trace_paths lists the paths the benchmark's reference tracer finds."""
+
+    @pytest.mark.parametrize(
+        "scene, dests",
+        [
+            (default_scene(), None),
+            (default_scene(), default_scene().grid.points()[::13]),
+            (default_scene(n_ports=4, max_reflection_order=3, with_grid=False), None),
+        ],
+        ids=["default", "grid-sample", "order3"],
+    )
+    def test_paths_match_reference(self, scene, dests):
+        dests = scene.user_positions if dests is None else dests
+        listed = 0
+        for src in scene.bs_elements:
+            for dst in dests:
+                got = trace_paths(scene, src, dst, walls=scene.user_walls)
+                want = reference_paths(scene, src, dst, scene.user_walls)
+                assert [p.order for p in got] == [p[0] for p in want]
+                for path, (_, length, product) in zip(got, want):
+                    assert abs(path.length - length) <= 1e-12 * length
+                    assert abs(path.product - product) <= 1e-12
+                listed += len(got)
+        assert listed > 0
 
 
 class TestWallSequences:
@@ -411,27 +468,46 @@ class TestSynthesizeComponents:
         assert not np.array_equal(with_panel.h_u, without.h_u)
 
 
-def traced_field(scene, src, dst, walls):
-    """Oracle: path gains of trace_paths summed in its (order, length) order."""
-    total = 0.0 + 0.0j
-    for path in trace_paths(scene, src, dst, walls=walls):
-        total += path_gain(path, scene.frequency)
-    return total
-
-
-def traced_components(scene, users=None):
-    """(h_u, h_0, g_l) of a scene, one trace_paths call per pair."""
-    users = scene.user_positions if users is None else users
+def traced_components(scene):
+    """(h_u, h_0, g_l) of a scene: the path gains of trace_paths summed in
+    its (order, length) order, one call per pair."""
 
     def field(sources, dests, walls):
         return np.array(
-            [[traced_field(scene, s, d, walls) for s in sources] for d in dests]
+            [
+                [
+                    sum(
+                        (path_gain(p, scene.frequency)
+                         for p in trace_paths(scene, s, d, walls=walls)),
+                        0.0 + 0.0j,
+                    )
+                    for s in sources
+                ]
+                for d in dests
+            ]
         )
 
     return (
-        field(scene.bs_elements, users, scene.user_walls),
+        field(scene.bs_elements, scene.user_positions, scene.user_walls),
         field(scene.bs_elements, scene.ris_ports, scene.walls),
-        field(scene.ris_ports, users, scene.walls),
+        field(scene.ris_ports, scene.user_positions, scene.walls),
+    )
+
+
+def reference_field(scene, sources, dests, walls):
+    return reference.field_matrix(
+        sources, dests, reference_walls(walls), scene.frequency,
+        scene.max_reflection_order,
+    )
+
+
+def reference_components(scene, users=None):
+    """(h_u, h_0, g_l) of a scene from the reference tracer."""
+    users = scene.user_positions if users is None else users
+    return (
+        reference_field(scene, scene.bs_elements, users, scene.user_walls),
+        reference_field(scene, scene.bs_elements, scene.ris_ports, scene.walls),
+        reference_field(scene, scene.ris_ports, users, scene.walls),
     )
 
 
@@ -441,7 +517,8 @@ def assert_fields_agree(got, want):
 
 
 class TestFieldMatrix:
-    """The vectorized tracer against a sum of path_gain over trace_paths."""
+    """The vectorized tracer against the benchmark's reference tracer, and
+    bit for bit against a sum of path_gain over trace_paths."""
 
     @pytest.mark.parametrize(
         "scene",
@@ -452,10 +529,10 @@ class TestFieldMatrix:
         ],
         ids=["default", "light", "order3"],
     )
-    def test_components_match_scalar_tracer(self, scene):
+    def test_components_match_reference(self, scene):
         comps = synthesize_components(scene)
         for got, want in zip(
-            (comps.h_u, comps.h_0, comps.g_l), traced_components(scene)
+            (comps.h_u, comps.h_0, comps.g_l), reference_components(scene)
         ):
             assert_fields_agree(got, want)
 
@@ -469,18 +546,18 @@ class TestFieldMatrix:
         ):
             assert got.tobytes() == want.tobytes()
 
-    def test_grid_matches_scalar_tracer(self):
+    def test_grid_matches_reference(self):
         scene = default_scene()
         scene = with_users(scene, scene.grid.points())
         comps = synthesize_components(scene)
         assert comps.h_u.shape == (324, 3) and comps.g_l.shape == (324, 20)
-        sample = np.arange(0, 324, 13)  # the scalar tracer is slow
-        h_u, h_0, g_l = traced_components(scene, scene.user_positions[sample])
+        sample = np.arange(0, 324, 13)  # the reference tracer is slow
+        h_u, h_0, g_l = reference_components(scene, scene.user_positions[sample])
         assert_fields_agree(comps.h_u[sample], h_u)
         assert_fields_agree(comps.h_0, h_0)
         assert_fields_agree(comps.g_l[sample], g_l)
 
-    def test_fully_blocked_scene_matches_scalar_tracer(self):
+    def test_fully_blocked_scene_is_bit_identical(self):
         # order 2 adds the absorbing walls' zero-gain bounces inside the boxes
         scene = replace(absorbing_boxes_scene(), max_reflection_order=2)
         with pytest.warns(UserWarning, match="zero"):
@@ -493,11 +570,9 @@ class TestFieldMatrix:
     def test_partial_last_chunk(self, rng):
         scene = default_scene(n_ports=4, max_reflection_order=2, with_grid=False)
         dests = rng.uniform(0.3, 2.9, (PAIR_CHUNK + 3, 2))
-        got = field_matrix(scene, scene.bs_elements[:1], dests, scene.user_walls)
-        want = np.array(
-            [[traced_field(scene, scene.bs_elements[0], d, scene.user_walls)]
-             for d in dests]
-        )
+        sources = scene.bs_elements[:1]
+        got = field_matrix(scene, sources, dests, scene.user_walls)
+        want = reference_field(scene, sources, dests, scene.user_walls)
         assert_fields_agree(got, want)
 
     def test_rectangle_room_order_three(self):
@@ -510,7 +585,9 @@ class TestFieldMatrix:
             max_reflection_order=3,
         )
         got = field_matrix(scene, scene.bs_elements, scene.user_positions, scene.walls)
-        want = traced_components(scene)[0]
+        want = reference_field(
+            scene, scene.bs_elements, scene.user_positions, scene.walls
+        )
         assert_fields_agree(got, want)
 
     def test_trace_users_rows_match_moved_scene(self):
