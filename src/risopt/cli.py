@@ -613,8 +613,23 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**given)
 
 
+def _attach_points(argv: list) -> list:
+    """``--src -1,2`` as ``--src=-1,2``: argparse takes a token that starts
+    with '-' and is not a plain number for an option, so a point with a
+    negative x is joined to its flag before parsing."""
+    joined = []
+    for token in argv:
+        point_flag = joined and FLAGS.get(joined[-1], {}).get("type") is _parse_point
+        if point_flag and token.startswith("-") and "," in token:
+            joined[-1] += f"={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_points(argv))
     command = args.command
     try:
         ws = Workspace(config_from_args(args), command)

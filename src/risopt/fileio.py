@@ -236,6 +236,7 @@ def load_components(path) -> ChannelComponents:
 
 
 def save_scene(scene: SceneDescription, path) -> None:
+    angle_deg, spacing = _ris_line(scene)
     doc = {
         "frequency_hz": float(scene.frequency),
         "max_order": int(scene.max_reflection_order),
@@ -255,8 +256,8 @@ def save_scene(scene: SceneDescription, path) -> None:
                 float(scene.ris_ports.mean(axis=0)[1]),
             ],
             "n_ports": int(scene.ris_ports.shape[0]),
-            "spacing": float(scene.ris_spacing),
-            "orientation_deg": _ports_angle_deg(scene.ris_ports),
+            "spacing": spacing,
+            "orientation_deg": angle_deg,
             "reflection": _complex_to_pair(
                 scene.unloaded_panel.reflection
                 if scene.unloaded_panel is not None
@@ -274,11 +275,20 @@ def save_scene(scene: SceneDescription, path) -> None:
     atomic_write_text(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
-def _ports_angle_deg(ports: np.ndarray) -> float:
-    if ports.shape[0] < 2:
-        return DEFAULT_PANEL_ANGLE_DEG
-    d = ports[-1] - ports[0]
-    return float(np.degrees(np.arctan2(d[1], d[0])))
+def _ris_line(scene: SceneDescription) -> tuple:
+    """(orientation in degrees, port spacing) of the RIS line, as
+    ``make_ris_line`` takes them.  One port fixes neither, so a one-port RIS
+    reads both off its panel wall, which is one spacing long; without a panel
+    neither changes the geometry."""
+    ports, panel = scene.ris_ports, scene.unloaded_panel
+    if ports.shape[0] >= 2:
+        d, spacing = ports[-1] - ports[0], scene.ris_spacing
+    elif panel is not None:
+        d = np.subtract(panel.p2, panel.p1)
+        spacing = np.hypot(d[0], d[1])
+    else:
+        return DEFAULT_PANEL_ANGLE_DEG, scene.ris_spacing
+    return float(np.degrees(np.arctan2(d[1], d[0]))), float(spacing)
 
 
 def load_scene(path) -> SceneDescription:

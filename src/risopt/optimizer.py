@@ -23,14 +23,12 @@ import numpy as np
 from .beamforming import (
     BeamformerMatrix,
     SinrReport,
-    downlink_sinr,
     duality_beamformer,
     extended_coupling_matrix,
     perron,
 )
 from .channel import (
     ChannelComponents,
-    EffectiveChannel,
     assemble_from_config,
     group_channel_derivative,
 )
@@ -137,45 +135,6 @@ class OptimizationTrace:
         }
 
 
-def min_sinr_gradient(
-    components: ChannelComponents,
-    model: VaractorModel,
-    config: RisConfiguration,
-    w: BeamformerMatrix,
-    sigma2: float,
-    group: int,
-    effective: EffectiveChannel | None = None,
-) -> float:
-    """Analytic derivative of the minimum per-user SINR w.r.t. one group value.
-
-    The optimizer ascends the max-min SINR through
-    ``OptimizerState.gradient``; this worst-user derivative is kept as a
-    reference.  With the beamformer held fixed and k* the worst user (smallest
-    index on ties):
-
-        g = (D_num - SINR_k* D_den) / (sum_{j != k*} |y_k*,j|^2 + sigma2)
-
-    where D_num/D_den collect 2 Re{y* dy} over the desired and interfering
-    entries of row k*, and dy comes from the analytic channel derivative.
-    Group gradients sum the member-element channel derivatives.
-    """
-    weights = w.weights
-    if effective is None:
-        effective = assemble_from_config(components, model, config)
-    y = effective.matrix @ weights
-    sinr = downlink_sinr(y, sigma2)
-    k_star = int(np.argmin(sinr))
-    dh = group_channel_derivative(components, config, group, effective)
-    dy_row = dh[k_star, :] @ weights  # (K,)
-    y_row = y[k_star, :]
-    d_num = 2.0 * np.real(np.conj(y_row[k_star]) * dy_row[k_star])
-    mask = np.ones(y_row.size, dtype=bool)
-    mask[k_star] = False
-    d_den = 2.0 * np.sum(np.real(np.conj(y_row[mask]) * dy_row[mask]))
-    denom = np.sum(np.abs(y_row[mask]) ** 2) + sigma2
-    return float((d_num - sinr[k_star] * d_den) / denom)
-
-
 def suppress_boundary_gradient(
     g: float, c: float, c_min: float, c_max: float
 ) -> float:
@@ -214,38 +173,6 @@ class OptimizerState:
     def group_value(self, group: int) -> float:
         return float(self.config.capacitances[self.config.grouping[group][0]])
 
-    def gradient(self, group: int) -> float:
-        """Derivative of the max-min SINR w.r.t. one group value.
-
-        The max-min SINR is 1 / lambda, the inverse Perron root of the
-        extended coupling matrix X of the gains G = |H u|^2 at the current
-        unit beams u, which the envelope theorem holds fixed.  With the left
-        and right Perron vectors l and r, d lambda = l^T dX r / (l^T r),
-        where dX follows from dG = 2 Re(conj(H u) * (dH u)) and dH is the
-        group's channel derivative.
-        """
-        weights = self.beamformer.weights
-        unit = weights / np.linalg.norm(weights, axis=0)
-        y = self.effective.matrix @ unit
-        dh = group_channel_derivative(
-            self.components, self.config, group, self.effective
-        )
-        gains = np.abs(y) ** 2
-        d_gains = 2.0 * np.real(np.conj(y) * (dh @ unit))
-        x = extended_coupling_matrix(gains, self.sigma2, self.p_bs)
-        root, right = perron(x)
-        _, left = perron(x.T)
-        # rows k < K of X are [G_kj (j != k), sigma2 / p_bs] / G_kk
-        k = gains.shape[0]
-        diag, d_diag = np.diag(gains), np.diag(d_gains)
-        d_top = np.zeros((k, k + 1))
-        d_top[:, :k] = d_gains / diag[:, None]
-        np.fill_diagonal(d_top, 0.0)
-        d_top -= (d_diag / diag)[:, None] * x[:k]
-        dx = np.vstack([d_top, d_top.sum(axis=0)])
-        d_root = (left @ dx @ right) / (left @ right)
-        return float(-d_root / root**2)
-
     def objective_at(self, group: int, value: float) -> float:
         """Max-min SINR with one group moved to ``value``: assembles and
         solves the trial and keeps it for ``commit``."""
@@ -267,6 +194,39 @@ class OptimizerState:
         self.beamformer_recomputes += 1
 
 
+def min_sinr_gradient(state: OptimizerState, group: int) -> float:
+    """Derivative of the state's max-min SINR w.r.t. one group value.
+
+    The max-min SINR is 1 / lambda, the inverse Perron root of the
+    extended coupling matrix X of the gains G = |H u|^2 at the current
+    unit beams u, which the envelope theorem holds fixed.  With the left
+    and right Perron vectors l and r, d lambda = l^T dX r / (l^T r),
+    where dX follows from dG = 2 Re(conj(H u) * (dH u)) and dH is the
+    group's channel derivative.
+    """
+    weights = state.beamformer.weights
+    unit = weights / np.linalg.norm(weights, axis=0)
+    y = state.effective.matrix @ unit
+    dh = group_channel_derivative(
+        state.components, state.config, group, state.effective
+    )
+    gains = np.abs(y) ** 2
+    d_gains = 2.0 * np.real(np.conj(y) * (dh @ unit))
+    x = extended_coupling_matrix(gains, state.sigma2, state.p_bs)
+    root, right = perron(x)
+    _, left = perron(x.T)
+    # rows k < K of X are [G_kj (j != k), sigma2 / p_bs] / G_kk
+    k = gains.shape[0]
+    diag, d_diag = np.diag(gains), np.diag(d_gains)
+    d_top = np.zeros((k, k + 1))
+    d_top[:, :k] = d_gains / diag[:, None]
+    np.fill_diagonal(d_top, 0.0)
+    d_top -= (d_diag / diag)[:, None] * x[:k]
+    dx = np.vstack([d_top, d_top.sum(axis=0)])
+    d_root = (left @ dx @ right) / (left @ right)
+    return float(-d_root / root**2)
+
+
 def _armijo_search(objective, current_value, c, g, c_min, c_max):
     """Backtracking search along sign(g); returns (new_c, new_value) or None."""
     d = 1.0 if g > 0 else -1.0
@@ -282,7 +242,7 @@ def _armijo_search(objective, current_value, c, g, c_min, c_max):
 
 
 def armijo_coordinate_step(
-    state: OptimizerState, group: int, g_suppressed: float, sweep: int = 0
+    state: OptimizerState, group: int, g_suppressed: float, sweep: int
 ) -> StepRecord | None:
     """One projected Armijo update of a single group capacitance.
 
@@ -321,13 +281,13 @@ def armijo_coordinate_step(
     )
 
 
-def bcd_sweep(state: OptimizerState, sweep: int = 0) -> tuple[float, list]:
+def bcd_sweep(state: OptimizerState, sweep: int) -> tuple[float, list]:
     """One full pass over all groups in fixed index order."""
     start = state.sinr_min
     records = []
     for group in state.config.group_keys():
         g_tilde = suppress_boundary_gradient(
-            state.gradient(group),
+            min_sinr_gradient(state, group),
             state.group_value(group),
             state.model.c_min,
             state.model.c_max,

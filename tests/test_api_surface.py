@@ -15,7 +15,7 @@ import importlib
 import inspect
 
 MODULES = ("beamforming", "channel", "optimizer", "ris", "scene", "coupling")
-MAX_OPTIONAL_PARAMETERS = 39
+MAX_OPTIONAL_PARAMETERS = 36
 
 
 def optional_parameters():

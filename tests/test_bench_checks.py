@@ -1,13 +1,17 @@
-"""The benchmark's ``optimize`` workload, run through its own checks.
+"""The benchmark's ``optimize`` and ``perturb`` workloads, run through their
+own checks.
 
 ``perfbench/run.py`` exits non-zero when a workload's written files fail the
-checks in ``perfbench/workloads.py``, and then measures nothing.  This runs
-the ``optimize`` workload's CLI calls (cold starts from seeds 0, 1 and 2 on
-the built-in scene at 30 dBm) and its ``check``, so such a failure shows up
-in the tests.  This module only reads ``perfbench/``.
+checks in ``perfbench/workloads.py``, and exits 2, measuring nothing, when
+its worker (``perfbench/worker.py``) raises out of ``cli.main`` or a check.
+This runs the ``optimize`` workload's CLI calls (cold starts from seeds 0, 1
+and 2 on the built-in scene at 30 dBm) and the ``perturb`` workload the way
+the worker does, so such a failure shows up in the tests.  This module only
+reads ``perfbench/``.
 """
 
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +29,36 @@ def workloads():
 
 def read_json(path):
     return json.loads(Path(path).read_text())
+
+
+class Records(logging.Handler):
+    """The program's WARNING records, kept as the worker keeps them."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+def run_round(workload, out):
+    """One round of the workload's CLI calls; returns (files by relative
+    path, the WARNING records of the ``risopt`` logger)."""
+    records = Records()
+    logger = logging.getLogger("risopt")
+    logger.addHandler(records)
+    try:
+        for argv in workload.calls(str(out)):
+            assert cli.main(argv) == 0, argv
+    finally:
+        logger.removeHandler(records)
+    files = {
+        str(path.relative_to(out)): path.read_bytes()
+        for path in sorted(Path(out).rglob("*"))
+        if path.is_file()
+    }
+    return files, records.records
 
 
 def test_optimize_workload_passes_its_checks(workloads, tmp_path):
@@ -46,3 +80,24 @@ def test_optimize_workload_passes_its_checks(workloads, tmp_path):
     for seed in workload.seeds:
         report = read_json(out / f"seed{seed}" / "optimize_report.json")
         assert report["report"]["min_rate"] >= best_onebit, seed
+
+
+def test_perturb_workload_runs_as_the_worker_runs_it(workloads, tmp_path):
+    workload = workloads.Perturb(str(tmp_path))
+    workload.prepare()
+    out = tmp_path / "out"
+    files, records = run_round(workload, out)
+    for seed in range(1, 11):
+        checks = workloads.Checks()
+        workload.check(str(out), records, np.random.default_rng(seed), checks)
+        assert checks.problems == [], seed
+
+    tracer = load_perfbench("tracing").Tracer()
+    tracer.install()
+    try:
+        traced_files, _ = run_round(workload, tmp_path / "traced")
+    finally:
+        tracer.uninstall()
+    assert traced_files == files
+    tracer.write(tmp_path / "spans.json")
+    json.dumps(tracer.metrics())

@@ -65,3 +65,22 @@ def test_install_wraps_every_target_and_uninstall_restores_all():
     assert after.keys() == before.keys()
     changed = [key for key, value in before.items() if after[key] is not value]
     assert not changed, f"{len(changed)} bindings not restored"
+
+
+def test_gradient_span_counts_the_ascent_gradient(tmp_path):
+    # one gradient per group visited, one channel derivative per element of
+    # the optimizer's one-element groups
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = risopt.cli.main(
+            ["optimize", "--seed", "1", "--power-dbm", "30", "--reproducible",
+             "--out", str(tmp_path)]
+        )
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    metrics = tracer.metrics()
+    assert metrics["optimizer.grad_calls"] > 0
+    assert metrics["optimizer.grad_calls"] == metrics["channel.deriv_calls"]
+    assert 0 < metrics["optimizer.accept_ratio"] <= 1

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 import risopt as ro
-from risopt.cli import COMMANDS, FLAGS, ExperimentConfig, _parse_point, main
+from risopt.cli import (
+    COMMANDS,
+    FLAGS,
+    ExperimentConfig,
+    _attach_points,
+    _parse_point,
+    build_parser,
+    main,
+)
 from risopt.fileio import (
     load_components,
     load_ris_config,
@@ -515,6 +523,37 @@ class TestSceneAndChannelCommands:
             }
             for p in paths
         ]
+
+    def test_scene_trace_point_with_negative_x(self, tmp_path):
+        outs = []
+        for src in (["--src", "-0.5,2"], ["--src=-0.5,2"]):
+            outs.append(tmp_path / f"out{len(outs)}")
+            code = main(
+                ["scene", "trace", *src, "--dst", "1.8,2.38",
+                 "--out", str(outs[-1]), "--reproducible"]
+            )
+            assert code == 0, src
+        assert json.loads((outs[0] / "paths.json").read_text())["src"] == [-0.5, 2.0]
+        assert (outs[0] / "paths.json").read_bytes() == (
+            outs[1] / "paths.json"
+        ).read_bytes()
+
+    def test_negative_x_point_reaches_the_geometry_check(self, tmp_path, capsys):
+        # (-1, 2) lies on the built-in scene's x = -1 wall
+        code = main(
+            ["scene", "trace", "--src", "-1,2", "--dst", "1.8,2.38",
+             "--out", str(tmp_path / "out"), "--reproducible"]
+        )
+        assert code == 2
+        assert "src or dst lies on a wall segment" in capsys.readouterr().err
+
+    def test_negative_numbers_still_parse_as_values(self):
+        argv = ["perturb", "--power-dbm", "-10", "--offset-x", "-0.075",
+                "--offset-y", "0"]
+        assert _attach_points(argv) == argv
+        args = build_parser().parse_args(argv)
+        assert args.powers_dbm == [-10.0]
+        assert args.offsets_x == [-0.075]
 
     def test_channel_convert_synthesizes_and_validates(
         self, small_scene_path, tmp_path

@@ -141,6 +141,30 @@ class TestSceneFile:
         assert np.allclose(a.g_l, b.g_l, rtol=1e-12)
         assert np.allclose(a.z_ll, b.z_ll, rtol=1e-12)
 
+    def test_round_trip_keeps_one_port_panel(self, tmp_path):
+        # one port fixes no orientation or spacing; the panel wall does
+        doc = {
+            "frequency_hz": 5.8e9,
+            "max_order": 1,
+            "walls": [{"p1": [-1, -4], "p2": [-1, 4]}],
+            "bs": [[6, -3]],
+            "users": [[1.8, 2.38]],
+            "ris": {"origin": [0, 0], "n_ports": 1, "orientation_deg": 45,
+                    "spacing": 0.03},
+        }
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(doc))
+        scene = load_scene(path)
+        save_scene(scene, tmp_path / "saved.json")
+        loaded = load_scene(tmp_path / "saved.json")
+        for end in ("p1", "p2"):
+            np.testing.assert_allclose(
+                getattr(loaded.unloaded_panel, end),
+                getattr(scene.unloaded_panel, end),
+                rtol=0,
+                atol=1e-12,
+            )
+
     def test_missing_field_named(self, tmp_path):
         path = tmp_path / "scene.json"
         path.write_text(json.dumps({"frequency_hz": 5.8e9}))

@@ -47,37 +47,6 @@ def make_state(rng, caps=None, grouping=None, sigma2=1e-3, p_bs=1.0):
 
 
 class TestMinSinrGradient:
-    def test_finite_difference_agreement(self):
-        worst = 0.0
-        for seed in range(20):
-            rng = np.random.default_rng(seed)
-            comps = random_components(rng)
-            caps = rng.uniform(0.25e-12, 1.1e-12, 20)
-            config = RisConfiguration(caps, grouping=identity_grouping(20))
-            sigma2, p_bs = 1e-3, 1.0
-            effective = assemble_from_config(comps, MODEL, config)
-            w, _ = ro.duality_beamformer(effective, p_bs, sigma2)
-            n = int(rng.integers(0, 20))
-            g = min_sinr_gradient(
-                comps, MODEL, config, w, sigma2, n, effective=effective
-            )
-            k_star = int(
-                np.argmin(ro.downlink_sinr(effective.matrix @ w.weights, sigma2))
-            )
-            h = 1e-4 * caps[n]
-
-            def sinr_kstar(value):
-                moved = caps.copy()
-                moved[n] = value
-                eff = assemble_from_config(
-                    comps, MODEL, RisConfiguration(moved, grouping=identity_grouping(20))
-                )
-                return ro.downlink_sinr(eff.matrix @ w.weights, sigma2)[k_star]
-
-            fd = (sinr_kstar(caps[n] + h) - sinr_kstar(caps[n] - h)) / (2 * h)
-            worst = max(worst, abs(g - fd) / max(abs(fd), 1e-300))
-        assert worst <= 1e-4
-
     def test_zero_coupling_zero_gradient(self, rng):
         comps = random_components(rng)
         comps = ChannelComponents(
@@ -88,21 +57,20 @@ class TestMinSinrGradient:
             frequency=FREQ,
         )
         config = RisConfiguration(rng.uniform(0.3e-12, 1.1e-12, 20))
-        w, _ = ro.duality_beamformer(comps.h_u, 1.0, 1e-3)
+        state = OptimizerState(comps, MODEL, config, 1.0, 1e-3)
         for n in range(0, 20, 5):
-            assert min_sinr_gradient(comps, MODEL, config, w, 1e-3, n) == 0.0
+            assert min_sinr_gradient(state, n) == 0.0
 
     def test_single_user_reduces_to_num_over_noise(self, rng):
         comps = random_components(rng, k=1, m=2)
         caps = rng.uniform(0.3e-12, 1.1e-12, 20)
         config = RisConfiguration(caps)
         sigma2 = 1e-3
-        effective = assemble_from_config(comps, MODEL, config)
-        w, _ = ro.duality_beamformer(effective, 1.0, sigma2)
-        g = min_sinr_gradient(comps, MODEL, config, w, sigma2, 4, effective=effective)
-        y = (effective.matrix @ w.weights)[0, 0]
-        dh = ro.channel_derivative(comps, config, 4, effective=effective)
-        dy = (dh @ w.weights)[0, 0]
+        state = OptimizerState(comps, MODEL, config, 1.0, sigma2)
+        g = min_sinr_gradient(state, 4)
+        y = (state.effective.matrix @ state.beamformer.weights)[0, 0]
+        dh = ro.channel_derivative(comps, config, 4, effective=state.effective)
+        dy = (dh @ state.beamformer.weights)[0, 0]
         expected = 2 * np.real(np.conj(y) * dy) / sigma2
         assert g == pytest.approx(expected, rel=1e-12)
 
@@ -159,7 +127,7 @@ class TestArmijoSearch:
         calls = []
         original = state.objective_at
         state.objective_at = lambda *a: calls.append(a) or original(*a)
-        record = armijo_coordinate_step(state, 0, 0.0)
+        record = armijo_coordinate_step(state, 0, 0.0, 0)
         assert record is None
         assert calls == []
 
@@ -180,7 +148,7 @@ class TestArmijoSearch:
 
         monkeypatch.setattr(opt, "assemble_from_config", singular)
         with caplog.at_level(logging.WARNING, logger="risopt.optimizer"):
-            record = armijo_coordinate_step(state, 0, 1.0)
+            record = armijo_coordinate_step(state, 0, 1.0, 0)
         assert record is None
         assert [r.getMessage() for r in caplog.records] == [
             "line search aborted for group 0: synthetic singular system"
@@ -200,7 +168,7 @@ class TestPerronGradient:
             caps = rng.uniform(0.25e-12, 1.15e-12, 20)
             state = make_state(rng, caps=caps, grouping=identity_grouping(20))
             group = int(rng.integers(0, 20))
-            analytic = state.gradient(group)
+            analytic = min_sinr_gradient(state, group)
             h = 1e-5 * caps[group]
             fd = (
                 state.objective_at(group, caps[group] + h)
@@ -233,7 +201,9 @@ class TestOptimizerStateCommit:
 
         state.objective_at = scored
         for group in state.config.group_keys():
-            record = armijo_coordinate_step(state, group, state.gradient(group))
+            record = armijo_coordinate_step(
+                state, group, min_sinr_gradient(state, group), 0
+            )
             if record is not None:
                 break
         assert record is not None
@@ -247,6 +217,23 @@ class TestOptimizerStateCommit:
 
 
 class TestBcdSweep:
+    def test_gradient_is_the_module_function_once_per_group(self, rng, monkeypatch):
+        # the sweep must reach the gradient through the module attribute,
+        # the binding that the benchmark's tracer replaces
+        import risopt.optimizer as opt
+
+        seen = []
+
+        def counted(state, group):
+            seen.append(group)
+            return min_sinr_gradient(state, group)
+
+        monkeypatch.setattr(opt, "min_sinr_gradient", counted)
+        grouping = column_paired_grouping(20)
+        state = make_state(rng, grouping=grouping)
+        bcd_sweep(state, 1)
+        assert seen == sorted(grouping)
+
     def test_zero_coupling_zero_delta(self, rng):
         comps = random_components(rng)
         comps = ChannelComponents(
@@ -258,7 +245,7 @@ class TestBcdSweep:
         )
         config = RisConfiguration(rng.uniform(0.3e-12, 1.1e-12, 20))
         state = OptimizerState(comps, MODEL, config, 1.0, 1e-3)
-        delta, records = bcd_sweep(state)
+        delta, records = bcd_sweep(state, 0)
         assert delta == 0.0
         assert records == []
 
@@ -272,12 +259,12 @@ class TestBcdSweep:
                 np.full(4, bound), control_mode="continuous-per-column", grouping=grouping
             )
             state = OptimizerState(comps, MODEL, config, 1.0, 1e-3)
-            g = state.gradient(0)
+            g = min_sinr_gradient(state, 0)
             outward = (bound == MODEL.c_max and g > 0) or (
                 bound == MODEL.c_min and g < 0
             )
             if outward:
-                delta, records = bcd_sweep(state)
+                delta, records = bcd_sweep(state, 0)
                 assert delta == 0.0
                 assert records == []
                 break
@@ -287,7 +274,7 @@ class TestBcdSweep:
     def test_accepted_steps_increase_objective(self, rng):
         state = make_state(rng, grouping=identity_grouping(20))
         before = state.sinr_min
-        delta, records = bcd_sweep(state)
+        delta, records = bcd_sweep(state, 0)
         if records:
             assert delta > 0
             assert state.sinr_min > before
