@@ -5,6 +5,10 @@ a virtual uplink: MMSE receive combiners alternate with the Perron vector of
 the uplink extended coupling matrix, which balances the per-user SINRs at the
 inverse of its Perron root.  A K x K linear system then recovers the
 downlink per-beam powers achieving the same SINRs with the same total power.
+
+``duality_beamformer`` solves one channel; ``duality_stack`` runs the same
+arithmetic on a stack of channels, state by state bit for bit, for the 1-bit
+sweeps.
 """
 
 from __future__ import annotations
@@ -97,19 +101,26 @@ def rates_from_sinr(sinr: np.ndarray) -> np.ndarray:
     return np.log2(1.0 + np.asarray(sinr, dtype=float))
 
 
+def _zero_diagonal(a: np.ndarray) -> None:
+    """Zero the diagonals of the trailing square matrices of ``a`` in place."""
+    i = np.arange(a.shape[-1])
+    a[..., i, i] = 0.0
+
+
 def _sinr(power: np.ndarray, noise) -> np.ndarray:
     """Each diagonal entry of the K x K power matrix over the rest of its row
-    plus ``noise``; 0 where that denominator is 0.
+    plus ``noise``; 0 where that denominator is 0.  A leading stack axis
+    gives one row of SINRs per matrix.
 
     The off-diagonal entries are summed directly, so the interference keeps
     its digits when it lies many orders of magnitude below the desired power.
     The downlink SINR is this ratio over |Y|^2 and the virtual-uplink SINR
     the same ratio over the transposed, power-weighted gains.
     """
-    desired = np.diag(power)
+    desired = power.diagonal(0, -2, -1)
     leaked = np.array(power)
-    np.fill_diagonal(leaked, 0.0)
-    denom = leaked.sum(axis=1) + noise
+    _zero_diagonal(leaked)
+    denom = leaked.sum(axis=-1) + noise
     out = np.zeros_like(desired)
     nonzero = denom > 0
     out[nonzero] = desired[nonzero] / denom[nonzero]
@@ -145,20 +156,21 @@ def mmse_combiner(h, q: np.ndarray, sigma2: float) -> np.ndarray:
     with the rows of C the scaled channels sqrt(q_j) h_j.  At high SNR the
     M x M Gram of K < M users rounds sigma2 away and is left near singular;
     the K x K system keeps its full rank.  Both are Hermitian positive
-    definite for sigma2 > 0.
+    definite for sigma2 > 0.  A leading stack axis on ``h`` and ``q``
+    solves a stack of channels.
     """
     hm = _channel_matrix(h)
-    scaled = np.sqrt(np.asarray(q, dtype=float))[:, None] * hm
-    small = sigma2 * np.eye(hm.shape[0]) + scaled @ scaled.conj().T
-    return np.linalg.solve(small, scaled).conj().T
+    scaled = np.sqrt(np.asarray(q, dtype=float))[..., :, None] * hm
+    small = sigma2 * np.eye(hm.shape[-2]) + scaled @ scaled.conj().mT
+    return np.linalg.solve(small, scaled).conj().mT
 
 
 def uplink_sinr(h, w_ul: np.ndarray, q: np.ndarray, sigma2: float) -> np.ndarray:
     """Virtual-uplink SINR per user for given combiners and powers."""
     hm = _channel_matrix(h)
     q = np.asarray(q, dtype=float)
-    power = q[:, None] * np.abs(hm @ w_ul) ** 2  # [j, k]: user j into combiner k
-    return _sinr(power.T, sigma2 * (np.abs(w_ul) ** 2).sum(axis=0))
+    power = q[..., :, None] * np.abs(hm @ w_ul) ** 2  # [j, k]: user j into combiner k
+    return _sinr(power.mT, sigma2 * (np.abs(w_ul) ** 2).sum(axis=-2))
 
 
 def extended_coupling_matrix(gains: np.ndarray, sigma2: float, p_bs: float) -> np.ndarray:
@@ -175,26 +187,31 @@ def extended_coupling_matrix(gains: np.ndarray, sigma2: float, p_bs: float) -> n
     reaches at once with total power ``p_bs``, and its right Perron vector is
     proportional to [p / p_bs; 1] for the powers p that reach it (Schubert &
     Boche, IEEE TVT 2004).  Scaling the last row and column by ``p_bs`` keeps
-    the entries of that vector comparable at any power.
+    the entries of that vector comparable at any power.  A leading stack
+    axis on ``gains`` gives one matrix per gain matrix.
     """
     gains = np.asarray(gains, dtype=float)
-    k = gains.shape[0]
-    diag = np.diag(gains)
+    k = gains.shape[-1]
+    diag = gains.diagonal(0, -2, -1)
     off = gains.copy()
-    np.fill_diagonal(off, 0.0)
-    x = np.empty((k + 1, k + 1))
-    x[:k, :k] = off / diag[:, None]
-    x[:k, k] = sigma2 / (p_bs * diag)
-    x[k] = x[:k].sum(axis=0)
+    _zero_diagonal(off)
+    x = np.empty(gains.shape[:-2] + (k + 1, k + 1))
+    x[..., :k, :k] = off / diag[..., :, None]
+    x[..., :k, k] = sigma2 / (p_bs * diag)
+    x[..., k, :] = x[..., :k, :].sum(axis=-2)
     return x
 
 
 def perron(x: np.ndarray) -> tuple[float, np.ndarray]:
     """Perron root of a nonnegative square matrix and its right Perron vector,
-    nonnegative and of unit 2-norm; the left vector is that of ``x.T``."""
+    nonnegative and of unit 2-norm; the left vector is that of ``x.T``.  A
+    leading stack axis gives an array of roots and one vector per matrix."""
     values, vectors = np.linalg.eig(x)
-    i = int(np.argmax(values.real))
-    return float(values[i].real), np.abs(vectors[:, i].real)
+    real = values.real
+    i = real.argmax(axis=-1)
+    # column i of each matrix: row i of its transpose
+    vector = vectors.mT[(*np.indices(i.shape, sparse=True), i)]
+    return real.max(axis=-1)[()], np.abs(vector.real)
 
 
 @dataclass
@@ -331,3 +348,203 @@ def duality_beamformer(
             stacklevel=2,
         )
     return beamformer, report
+
+
+# The stacked solver below runs the same steps on a (B, K, M) stack of
+# channels.  ``errors`` holds one entry per state: None while the state is
+# healthy, else the RisOptError that failed it.  Each stage skips the states
+# that have failed and records its own failures there, so one failed state
+# never stops the rest of its stack; the arrays of a failed state hold NaN.
+
+
+def live_states(errors: list) -> np.ndarray:
+    """Indices of the states that have not failed."""
+    return np.flatnonzero([error is None for error in errors])
+
+
+def balance_stack(h: np.ndarray, p_bs: float, sigma2: float, errors: list) -> BalanceResult:
+    """``fixed_point_power_balance`` of every live state of a channel stack.
+
+    Returns a BalanceResult whose fields carry the leading stack axis.  Each
+    state iterates until its own Perron root meets the stop rule, so its
+    result does not depend on the other states of the stack.
+    """
+    b, k, m = h.shape
+    if p_bs <= 0:
+        raise ValueError("power budget must be positive")
+    if k > m:
+        warnings.warn(
+            f"K={k} users exceed M={m} antennas; balancing may converge to "
+            "low SINRs",
+            stacklevel=3,
+        )
+    live = live_states(errors)
+    row_power = np.linalg.norm(h[live], axis=-1)
+    dead = np.any(row_power == 0, axis=-1)
+    for i, rows in zip(live[dead], row_power[dead]):
+        errors[i] = InfeasibleUserError(
+            f"user {int(np.argmin(rows))} has an identically zero channel row"
+        )
+    live = live_states(errors)
+    q = np.full((b, k), p_bs / k)
+    unit = np.full((b, m, k), np.nan, dtype=complex)
+    root = np.full(b, np.nan)  # NaN fails the stop rule at the first iteration
+    iterations = np.zeros(b, dtype=int)
+    converged = np.zeros(b, dtype=bool)
+    active = live
+    for iteration in range(1, BALANCE_MAX_ITER + 1):
+        if not active.size:
+            break
+        ha = h[active]
+        w = mmse_combiner(ha, q[active], sigma2)
+        u = w / np.linalg.norm(w, axis=-2, keepdims=True)
+        gains = np.abs(ha @ u) ** 2
+        roots, right = perron(extended_coupling_matrix(gains.mT, sigma2, p_bs))
+        q[active] = p_bs * right[:, :k] / right[:, :k].sum(axis=-1, keepdims=True)
+        unit[active] = u
+        iterations[active] = iteration
+        done = np.abs(roots - root[active]) <= BALANCE_TOL * roots
+        root[active] = roots
+        converged[active[done]] = True
+        active = active[~done]
+    sinr = np.full((b, k), np.nan)
+    sinr[live] = uplink_sinr(h[live], unit[live], q[live], sigma2)
+    for i in live[~(sinr[live].min(axis=-1) > 0)]:
+        errors[i] = InfeasibleUserError("a user SINR collapsed to zero during balancing")
+    return BalanceResult(
+        powers=q,
+        combiner=unit,
+        sinr=sinr,
+        iterations=iterations,
+        converged=converged,
+    )
+
+
+def recovery_stack(
+    h: np.ndarray,
+    w_ul: np.ndarray,
+    sinr_ul: np.ndarray,
+    sigma2: float,
+    p_bs: float,
+    errors: list,
+) -> np.ndarray:
+    """``downlink_power_recovery`` of every live state of a channel stack:
+    the (B, K) downlink powers, with the scalar recovery's checks and
+    messages applied state by state."""
+    b, k, _ = h.shape
+    p = np.full((b, k), np.nan)
+    live = live_states(errors)
+    gains = np.abs(h[live] @ w_ul[live]) ** 2
+    diag = gains.diagonal(0, -2, -1)
+    for i in live[np.any(diag <= 0, axis=-1)]:
+        errors[i] = DualityError("a desired-signal gain G(k,k) is zero")
+    sinr = sinr_ul[live]
+    a = -sinr[..., :, None] * gains
+    a[..., np.arange(k), np.arange(k)] = diag
+    rhs = (sinr * sigma2)[..., None]
+    keep = np.array([errors[i] is None for i in live], dtype=bool)
+    try:
+        solved = np.linalg.solve(a[keep], rhs[keep])
+    except np.linalg.LinAlgError as exc:
+        # the batched solve refuses the whole stack; LU pivots of exactly
+        # zero, as slogdet finds them, mark the states it refused
+        singular = keep & (np.linalg.slogdet(a)[0] == 0)
+        for i in live[singular]:
+            errors[i] = DualityError(f"downlink power system is singular: {exc}")
+        keep &= ~singular
+        solved = np.linalg.solve(a[keep], rhs[keep])
+    live = live[keep]
+    p[live] = solved[..., 0]
+    for i in live[np.any(p[live] < -1e-10 * p_bs, axis=-1)]:
+        errors[i] = DualityError(f"negative downlink power recovered: {p[i].min()!r}")
+    live = live_states(errors)
+    p[live] = np.maximum(p[live], 0.0)
+    drift = np.abs(p[live].sum(axis=-1) - p_bs) / p_bs
+    drifting = drift > POWER_CONSERVATION_TOL
+    for i, d in zip(live[drifting], drift[drifting]):
+        errors[i] = DualityError(
+            f"duality power conservation violated: sum(p) drifts by {d:.3e}"
+        )
+    return p
+
+
+@dataclass
+class StackSolution:
+    """Max-min solutions of a stack of B channel states; NaN where a state
+    failed."""
+
+    weights: np.ndarray  # (B, M, K) finalized beamformers
+    sinr: np.ndarray  # (B, K) from the true downlink received signals
+    rates: np.ndarray  # (B, K) bps/Hz
+    avg_received_power: np.ndarray  # (B,)
+    power_budget: float
+    noise_power: float
+
+    @property
+    def min_rate(self) -> np.ndarray:
+        return self.rates.min(axis=-1)
+
+    def solution(self, i: int) -> tuple[BeamformerMatrix, SinrReport]:
+        """State ``i`` as ``duality_beamformer`` returns it."""
+        rates = self.rates[i].copy()
+        report = SinrReport(
+            sinr=self.sinr[i].copy(),
+            rates=rates,
+            min_rate=float(rates.min()),
+            avg_received_power=float(self.avg_received_power[i]),
+            noise_power=self.noise_power,
+        )
+        return BeamformerMatrix(self.weights[i].copy(), self.power_budget), report
+
+
+def duality_stack(h, p_bs: float, sigma2: float, errors: list) -> StackSolution:
+    """``duality_beamformer`` of every live state of a (B, K, M) channel
+    stack, with the same arithmetic state by state.
+
+    Failures (a zero user row, a collapsed SINR, a singular, negative or
+    non-conserving recovery) are recorded in ``errors`` and leave the other
+    states alone.  A balance that stops at its iteration cap, and a downlink
+    SINR off its uplink value by more than 1e-6 relative, warn per state.
+    """
+    h = np.asarray(h, dtype=complex)
+    balance = balance_stack(h, p_bs, sigma2, errors)
+    live = live_states(errors)
+    for i in live[~balance.converged[live]]:
+        warnings.warn(
+            f"power balance stopped after {balance.iterations[i]} iterations "
+            "without converging",
+            stacklevel=2,
+        )
+    p = recovery_stack(h, balance.combiner, balance.sinr, sigma2, p_bs, errors)
+    live = live_states(errors)
+    b, k, m = h.shape
+    weights = np.full((b, m, k), np.nan, dtype=complex)
+    raw = balance.combiner[live] * np.sqrt(p[live])[:, None, :]
+    # BeamformerMatrix.finalized: the squared Frobenius norm as np.linalg.norm
+    # sums it for the scalar solver's column-major beamformer, column by
+    # column, real and imaginary parts apart
+    flat = raw.mT.reshape(len(live), k * m)
+    total = np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag)) ** 2
+    if np.any(total == 0.0):
+        raise ValueError("cannot scale a zero beamformer to a positive budget")
+    weights[live] = raw * np.sqrt(p_bs / total)[:, None, None]
+    y = h[live] @ weights[live]
+    sinr = np.full((b, k), np.nan)
+    sinr[live] = downlink_sinr(y, sigma2)
+    received = np.full(b, np.nan)
+    received[live] = (np.abs(y) ** 2).sum(axis=-1).mean(axis=-1)
+    uplink = balance.sinr[live]
+    gap = (np.abs(sinr[live] - uplink) / np.maximum(uplink, 1e-300)).max(axis=-1)
+    for g in gap[gap > 1e-6]:
+        warnings.warn(
+            f"downlink SINR deviates from the uplink duality value by up to {g:.3e}",
+            stacklevel=2,
+        )
+    return StackSolution(
+        weights=weights,
+        sinr=sinr,
+        rates=rates_from_sinr(sinr),
+        avg_received_power=received,
+        power_budget=p_bs,
+        noise_power=sigma2,
+    )

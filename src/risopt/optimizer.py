@@ -9,7 +9,9 @@ accepted trial's solve becomes the new state, so each channel state is
 always evaluated under its best transmit strategy.
 
 Also provides the exhaustive 1-bit configuration sweep and the user-location
-perturbation study built on top of it.
+perturbation study built on top of it.  Both assemble and solve their channel
+states STACK_CHUNK at a time through the stacked core
+(``channel.assemble_stack`` and ``beamforming.duality_stack``).
 """
 
 from __future__ import annotations
@@ -24,12 +26,14 @@ from .beamforming import (
     BeamformerMatrix,
     SinrReport,
     duality_beamformer,
+    duality_stack,
     extended_coupling_matrix,
     perron,
 )
 from .channel import (
     ChannelComponents,
     assemble_from_config,
+    assemble_stack,
     group_channel_derivative,
 )
 from .errors import GeometryError, RisOptError
@@ -37,6 +41,8 @@ from .ris import (
     RisConfiguration,
     VaractorModel,
     enumerate_1bit_configs,
+    load_impedances,
+    onebit_capacitances,
     onebit_configuration,
 )
 from .scene import SceneDescription, synthesize_components, trace_users
@@ -45,6 +51,10 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_HISTOGRAM_BIN = 0.05  # bps/Hz
 MAX_HISTOGRAM_BINS = 10_000
+
+# Channel states per stacked assembly and duality solve in the 1-bit sweeps;
+# it bounds their working memory and does not change any result.
+STACK_CHUNK = 64
 
 # Offsets of the user-location robustness grid, meters.
 DEFAULT_OFFSETS_X = (-0.075, 0.0, 0.075)
@@ -420,6 +430,27 @@ def rate_histogram(rates, bin_width: float = DEFAULT_HISTOGRAM_BIN) -> list:
     ]
 
 
+def _chunks(items):
+    """Successive lists of at most STACK_CHUNK of ``items``."""
+    items = iter(items)
+    while chunk := list(itertools.islice(items, STACK_CHUNK)):
+        yield chunk
+
+
+def _onebit_chunks(components, model, grouping):
+    """The 1-bit states in enumeration order, STACK_CHUNK at a time: yields
+    (states, errors, channels, solved blocks) per chunk from one stacked
+    assembly, with ``errors`` as ``assemble_stack`` fills it."""
+    _, _, n = components.dims
+    for chunk in _chunks(enumerate_1bit_configs(len(grouping))):
+        z_loads = load_impedances(
+            model, onebit_capacitances(grouping, chunk, n), components.frequency
+        )
+        errors = [None] * len(chunk)
+        channels, blocks = assemble_stack(components, z_loads, errors)
+        yield chunk, errors, channels, blocks
+
+
 def exhaustive_1bit_search(
     components: ChannelComponents,
     model: VaractorModel,
@@ -429,34 +460,36 @@ def exhaustive_1bit_search(
 ) -> ExhaustiveResult:
     """Evaluate every binary configuration with a full duality solve each.
 
-    Enumeration order is deterministic (lexicographic).  A configuration
-    whose block or solve fails is logged and recorded as a missing entry
-    rather than aborting the sweep.  The winner's beamformer and report are
-    the ones its sweep solve produced.
+    Enumeration order is deterministic (lexicographic).  The states are
+    assembled and solved STACK_CHUNK at a time by the stacked core
+    (``assemble_stack`` and ``duality_stack``), with the arithmetic of the
+    scalar solver state by state.  A configuration whose block or solve
+    fails is logged and recorded as a missing entry; the rest of its chunk
+    runs on.  The winner's beamformer and report are the ones its sweep
+    solve produced.
     """
     _, _, n = components.dims
     entries = []
-    best = None  # (states, config, rate, beamformer, report); ties keep the first
-    for states in enumerate_1bit_configs(len(grouping)):
-        config = onebit_configuration(grouping, states, n)
-        try:
-            h = assemble_from_config(components, model, config).matrix
-            beamformer, report = duality_beamformer(h, p_bs, sigma2)
-        except RisOptError as exc:
-            logger.warning("configuration %s failed: %s", states, exc)
-            entries.append((states, None))
-            continue
-        rate = float(report.min_rate)
-        entries.append((states, rate))
-        if best is None or rate > best[2]:
-            best = (states, config, rate, beamformer, report)
+    best = None  # (states, rate, chunk solution, index in it); ties keep the first
+    for chunk, errors, channels, _ in _onebit_chunks(components, model, grouping):
+        solved = duality_stack(channels, p_bs, sigma2, errors)
+        for i, (states, rate, error) in enumerate(zip(chunk, solved.min_rate, errors)):
+            if error is not None:
+                logger.warning("configuration %s failed: %s", states, error)
+                entries.append((states, None))
+                continue
+            rate = float(rate)
+            entries.append((states, rate))
+            if best is None or rate > best[1]:
+                best = (states, rate, solved, i)
     if best is None:
         raise RisOptError("every 1-bit configuration failed to evaluate")
     ranked = sorted(
         ((s, r) for s, r in entries if r is not None),
         key=lambda item: (-item[1], item[0]),
     )
-    best_states, best_config, best_rate, best_beamformer, best_report = best
+    best_states, best_rate, solved, i = best
+    best_beamformer, best_report = solved.solution(i)
     _, baseline_report = duality_beamformer(components.h_u, p_bs, sigma2)
     baseline = float(baseline_report.min_rate)
     fraction = float(np.mean([r > baseline for _, r in ranked]))
@@ -464,7 +497,7 @@ def exhaustive_1bit_search(
         entries=entries,
         ranked=ranked,
         best_states=best_states,
-        best_config=best_config,
+        best_config=onebit_configuration(grouping, best_states, n),
         best_min_rate=best_rate,
         best_beamformer=best_beamformer,
         best_report=best_report,
@@ -506,6 +539,16 @@ def _user_rows(scene, positions) -> list:
     return rows
 
 
+def _solved_states(stacks, p_bs, sigma2):
+    """(min rate, error or None) of every state of a sequence of channel
+    stacks, in order; the states run through ``duality_stack`` STACK_CHUNK
+    at a time, across stacks."""
+    for chunk in _chunks(state for stack in stacks for state in stack):
+        errors = [None] * len(chunk)
+        solved = duality_stack(np.array(chunk), p_bs, sigma2, errors)
+        yield from zip(solved.min_rate, errors)
+
+
 def perturbation_study(
     scene: SceneDescription,
     model: VaractorModel,
@@ -520,25 +563,30 @@ def perturbation_study(
     Combinations run in itertools.product order over the users' offset
     indices.  Only the users move, so the scene is synthesized once: the
     solved block (diag(Z_L) - Z_ll)^-1 H_0 of every 1-bit state is built
-    from it (a block that cannot be built raises), and every moved user
-    position, K x len(offsets) of them, is traced once.  Each combination
-    gathers its users' h_u and g_l rows and keeps the best min rate of the
-    duality solves of h_u + g_l @ block over the blocks.  A combination with
-    a position that the tracer rejects (on a wall, or coincident with an
-    antenna or port) is skipped with that GeometryError; a combination also
-    stops at its first failed solve and is skipped.
+    from it by the stacked assembly (a block that cannot be built raises),
+    and every moved user position, K x len(offsets) of them, is traced once.
+    Each combination gathers its users' h_u and g_l rows; its baseline h_u
+    and its channels h_u + g_l @ block, one per block, are solved by
+    ``duality_stack`` in chunks of STACK_CHUNK states that run across
+    combinations, and it keeps the best min rate over the blocks less the
+    baseline's.  A combination with a position that the tracer rejects (on
+    a wall, or coincident with an antenna or port) is skipped with that
+    GeometryError.  Every solve of the other combinations runs; one with any
+    failed solve is skipped with its first failure in state order (the
+    baseline first).
     """
     if offsets is None:
         offsets = user_offset_grid()
     base_components = synthesize_components(scene)
     k, _, n = base_components.dims
 
-    blocks = [
-        assemble_from_config(
-            base_components, model, onebit_configuration(grouping, states, n)
-        ).solved_h0
-        for states in enumerate_1bit_configs(len(grouping))
-    ]
+    blocks = []
+    for _, errors, _, solved in _onebit_chunks(base_components, model, grouping):
+        for error in errors:
+            if error is not None:
+                raise error
+        blocks.append(solved)
+    blocks = np.concatenate(blocks)
 
     # position u * len(offsets) + c is user u moved by offsets[c]
     positions = [
@@ -548,27 +596,42 @@ def perturbation_study(
     ]
     rows = _user_rows(scene, positions)
 
-    improvements = []
-    indices = []
     combos = list(itertools.product(range(len(offsets)), repeat=k))
-    for index, combo in enumerate(combos):
+    traced = []  # per combination: its (h_u, g_l), or the error that skips it
+    for combo in combos:
         picks = [u * len(offsets) + c for u, c in enumerate(combo)]
         try:
             if any(rows[i] is None for i in picks):
                 # raises the GeometryError of this combination's users
-                h_u, g_l = trace_users(scene, [positions[i] for i in picks])
+                traced.append(trace_users(scene, [positions[i] for i in picks]))
             else:
-                h_u = np.array([rows[i][0] for i in picks])
-                g_l = np.array([rows[i][1] for i in picks])
-            _, baseline_report = duality_beamformer(h_u, p_bs, sigma2)
-            best = max(
-                duality_beamformer(h_u + g_l @ block, p_bs, sigma2)[1].min_rate
-                for block in blocks
-            )
-            improvements.append(best - baseline_report.min_rate)
-            indices.append(index)
+                traced.append(
+                    (
+                        np.array([rows[i][0] for i in picks]),
+                        np.array([rows[i][1] for i in picks]),
+                    )
+                )
         except RisOptError as exc:
-            logger.warning("combination %s skipped: %s", combo, exc)
+            traced.append(exc)
+
+    stacks = (
+        np.concatenate([h_u[None], h_u + g_l @ blocks])
+        for h_u, g_l in (t for t in traced if not isinstance(t, RisOptError))
+    )
+    states = _solved_states(stacks, p_bs, sigma2)
+    improvements = []
+    indices = []
+    for index, (combo, users) in enumerate(zip(combos, traced)):
+        if isinstance(users, RisOptError):
+            logger.warning("combination %s skipped: %s", combo, users)
+            continue
+        rates, errors = zip(*itertools.islice(states, 1 + len(blocks)))
+        failed = [error for error in errors if error is not None]
+        if failed:
+            logger.warning("combination %s skipped: %s", combo, failed[0])
+            continue
+        improvements.append(float(max(rates[1:])) - float(rates[0]))
+        indices.append(index)
     improvements = np.asarray(improvements, dtype=float)
     skipped = len(combos) - len(indices)
     summary = {

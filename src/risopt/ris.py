@@ -189,6 +189,20 @@ def column_paired_grouping(n_columns: int, n_rows: int = 1) -> dict:
     return grouping
 
 
+def onebit_capacitances(grouping: dict, states, n_elements: int) -> np.ndarray:
+    """(B, N) capacitances of a stack of per-group state rows: C_ON where a
+    row sets a member's group, C_OFF elsewhere."""
+    states = np.asarray(states, dtype=bool)
+    keys = sorted(grouping)
+    if states.ndim != 2 or states.shape[1] != len(keys):
+        raise ValueError(f"expected rows of {len(keys)} states, got {states.shape}")
+    # ungrouped elements (empty grouping) rest in the OFF state
+    on = np.zeros((states.shape[0], n_elements), dtype=bool)
+    for column, g in enumerate(keys):
+        on[:, list(grouping[g])] = states[:, column, None]
+    return np.where(on, C_ON, C_OFF)
+
+
 def onebit_configuration(grouping: dict, states, n_elements: int) -> RisConfiguration:
     """Column-paired 1-bit configuration from per-group states: C_ON where a
     state is set, C_OFF elsewhere."""
@@ -196,10 +210,7 @@ def onebit_configuration(grouping: dict, states, n_elements: int) -> RisConfigur
     keys = sorted(grouping)
     if states.shape != (len(keys),):
         raise ValueError(f"expected {len(keys)} states, got {states.shape}")
-    # ungrouped elements (empty grouping) rest in the OFF state
-    caps = np.full(n_elements, C_OFF, dtype=float)
-    for state, g in zip(states, keys):
-        caps[list(grouping[g])] = C_ON if state else C_OFF
+    caps = onebit_capacitances(grouping, states[None], n_elements)[0]
     return RisConfiguration(
         capacitances=caps,
         control_mode="column-paired-1bit",

@@ -382,3 +382,113 @@ class TestDualityBeamformer:
         h = ro.assemble_effective_channel(comps, z_loads)
         _, report = duality_beamformer(h, 1.0, 1e-3)
         assert report.min_rate > 0
+
+
+class TestDualityStack:
+    """The stacked solver against the scalar ``duality_beamformer`` oracle.
+
+    The stacked solver runs the scalar arithmetic state by state, so the
+    results are compared for equality, not within a tolerance.
+    """
+
+    @staticmethod
+    def solve_stack(h, p_bs, sigma2):
+        errors = [None] * len(h)
+        return bf.duality_stack(h, p_bs, sigma2, errors), errors
+
+    @pytest.mark.parametrize("p_dbm", [10.0, 20.0, 30.0])
+    def test_default_scene_matches_the_scalar_solver(self, p_dbm):
+        from risopt.scene import default_scene, synthesize_components
+
+        comps = synthesize_components(default_scene())
+        _, _, n = comps.dims
+        grouping = ro.column_paired_grouping(n)
+        states = list(ro.enumerate_1bit_configs(len(grouping)))
+        z_loads = ro.load_impedances(
+            ro.DEFAULT_VARACTOR,
+            ro.ris.onebit_capacitances(grouping, states, n),
+            comps.frequency,
+        )
+        errors = [None] * len(states)
+        h, _ = ro.channel.assemble_stack(comps, z_loads, errors)
+        p_bs, sigma2 = 10.0 ** ((p_dbm - 30.0) / 10.0), noise_power(900.0, 40e6)
+        solved = bf.duality_stack(h, p_bs, sigma2, errors)
+        assert errors == [None] * len(states)
+        oracle = np.array(
+            [duality_beamformer(channel, p_bs, sigma2)[1].min_rate for channel in h]
+        )
+        assert np.array_equal(solved.min_rate, oracle)
+        # the ranking by rate, ties to the earlier state, is the same
+        assert np.array_equal(
+            np.lexsort((np.arange(len(states)), -solved.min_rate)),
+            np.lexsort((np.arange(len(states)), -oracle)),
+        )
+
+    def test_random_channels_at_any_snr(self):
+        rng = np.random.default_rng(11)
+        for trial in range(200):
+            k = int(rng.integers(1, 5))
+            m = int(rng.integers(k, 7))
+            h = complex_normal(rng, 1, k, m)
+            ratio = 10.0 ** rng.uniform(-6.0, 2.0)  # sigma2 / p_bs
+            solved, errors = self.solve_stack(h, 1.0, ratio)
+            beamformer, report = duality_beamformer(h[0], 1.0, ratio)
+            assert errors == [None], trial
+            assert np.array_equal(solved.rates[0], report.rates), trial
+            assert np.array_equal(solved.weights[0], beamformer.weights), trial
+
+    def test_solution_is_the_scalar_solution(self, rng):
+        h = complex_normal(rng, 4, 3, 4)
+        solved, _ = self.solve_stack(h, 2.0, 0.05)
+        for i in range(4):
+            beamformer, report = duality_beamformer(h[i], 2.0, 0.05)
+            got_beamformer, got_report = solved.solution(i)
+            assert got_beamformer.power_budget == beamformer.power_budget
+            assert np.array_equal(got_beamformer.weights, beamformer.weights)
+            assert got_report.to_dict() == report.to_dict()
+
+    def test_results_do_not_depend_on_the_stack(self, rng):
+        h = complex_normal(rng, 65, 3, 4)
+        whole, _ = self.solve_stack(h, 1.0, 0.01)
+        for size in (1, 2, 64):
+            part, _ = self.solve_stack(h[:size], 1.0, 0.01)
+            assert np.array_equal(part.weights, whole.weights[:size])
+            assert np.array_equal(part.rates, whole.rates[:size])
+
+    def test_a_zero_row_fails_only_its_state(self, rng):
+        h = complex_normal(rng, 3, 3, 3)
+        h[1, 2, :] = 0.0
+        solved, errors = self.solve_stack(h, 1.0, 0.1)
+        assert isinstance(errors[1], ro.InfeasibleUserError)
+        with pytest.raises(ro.InfeasibleUserError) as scalar:
+            duality_beamformer(h[1], 1.0, 0.1)
+        assert str(errors[1]) == str(scalar.value)
+        assert errors[0] is None and errors[2] is None
+        assert np.all(np.isnan(solved.rates[1]))
+        alone, _ = self.solve_stack(h[[0, 2]], 1.0, 0.1)
+        assert np.array_equal(solved.rates[[0, 2]], alone.rates)
+
+    def test_singular_recovery_fails_only_its_state(self):
+        # state 1's unit beams see both users equally at SINR 1, which makes
+        # its downlink power system exactly singular
+        h = np.stack([np.eye(2), np.eye(2)]).astype(complex)
+        w_ul = np.stack([np.eye(2), np.full((2, 2), np.sqrt(0.5))]).astype(complex)
+        sinr = np.ones((2, 2))
+        with pytest.raises(ro.DualityError, match="singular") as scalar:
+            downlink_power_recovery(h[1], w_ul[1], sinr[1], 0.5, 1.0)
+        errors = [None, None]
+        p = bf.recovery_stack(h, w_ul, sinr, 0.5, 1.0, errors)
+        assert errors[0] is None
+        assert str(errors[1]) == str(scalar.value)
+        assert np.array_equal(p[0], downlink_power_recovery(h[0], w_ul[0], sinr[0], 0.5, 1.0))
+        assert np.all(np.isnan(p[1]))
+
+    def test_capped_balance_warns_as_the_scalar_path(self, rng, monkeypatch):
+        monkeypatch.setattr(bf, "BALANCE_MAX_ITER", 1)
+        h = complex_normal(rng, 2, 3, 3)
+        with pytest.warns(UserWarning, match="after 1 iterations without converging") as scalar:
+            duality_beamformer(h[0], 1.0, 0.3)
+        with pytest.warns(UserWarning, match="after 1 iterations without converging") as stacked:
+            self.solve_stack(h, 1.0, 0.3)
+        messages = [str(w.message) for w in stacked if "converging" in str(w.message)]
+        assert messages == [str(scalar[0].message)] * 2

@@ -6,10 +6,11 @@ checks in ``perfbench/workloads.py``, and exits 2, measuring nothing, when
 its worker (``perfbench/worker.py``) raises out of ``cli.main`` or a check.
 This runs the ``optimize`` workload's CLI calls (cold starts from seeds 0, 1
 and 2 on the built-in scene at 30 dBm) and the ``perturb`` workload the way
-the worker does, so such a failure shows up in the tests.  This module only
-reads ``perfbench/``.
+the worker does, once as it is and once with a skipped combination, so such
+a failure shows up in the tests.  This module only reads ``perfbench/``.
 """
 
+import itertools
 import json
 import logging
 from pathlib import Path
@@ -19,7 +20,8 @@ import pytest
 
 from conftest import load_perfbench
 
-from risopt import cli
+from risopt import cli, optimizer
+from risopt.errors import DualityError
 
 
 @pytest.fixture(scope="module")
@@ -101,3 +103,34 @@ def test_perturb_workload_runs_as_the_worker_runs_it(workloads, tmp_path):
     assert traced_files == files
     tracer.write(tmp_path / "spans.json")
     json.dumps(tracer.metrics())
+
+
+def test_perturb_check_reads_a_skipped_combination(workloads, tmp_path, monkeypatch):
+    # one failed state in the stacked solve skips combination (1, 2, 1);
+    # the check reads that combination from its log record's arguments
+    workload = workloads.Perturb(str(tmp_path))
+    workload.prepare()
+    offsets = len(workload.offsets_x) * len(workload.offsets_y)
+    combos = list(itertools.product(range(offsets), repeat=workload.n_users))
+    skipped = (1, 2, 1)
+    per_combination = 1 + 2  # the baseline and both states of the one group
+    failing = combos.index(skipped) * per_combination + 1
+    real, solved = optimizer.duality_stack, []
+
+    def flaky(h, p_bs, sigma2, errors):
+        if 0 <= failing - len(solved) < len(h):
+            errors[failing - len(solved)] = DualityError("synthetic failure")
+        solved.extend([None] * len(h))
+        return real(h, p_bs, sigma2, errors)
+
+    monkeypatch.setattr(optimizer, "duality_stack", flaky)
+    out = tmp_path / "out"
+    _, records = run_round(workload, out)
+    assert [(r.args[0], r.getMessage()) for r in records] == [
+        (skipped, f"combination {skipped} skipped: synthetic failure")
+    ]
+    assert read_json(out / "summary.json")["skipped"] == 1
+    for seed in range(1, 11):
+        checks = workloads.Checks()
+        workload.check(str(out), records, np.random.default_rng(seed), checks)
+        assert checks.problems == [], seed

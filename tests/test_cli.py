@@ -202,16 +202,18 @@ class TestPerturbCommand:
         # 2 x-offsets, 1 y-offset, 3 users -> 8 combinations; 4 ports -> 2
         # groups, so each combination makes 1 baseline + 4 config solves
         solves_per_combination = 1 + 2**2
-        failing, calls = 3, []
-        real = opt.duality_beamformer
+        failing, solved = 3, []
+        real = opt.duality_stack
 
-        def flaky(*args, **kwargs):
-            calls.append(None)
-            if len(calls) == failing * solves_per_combination + 2:
-                raise ro.DualityError("synthetic failure")
-            return real(*args, **kwargs)
+        def flaky(h, p_bs, sigma2, errors):
+            for i in range(len(h)):
+                # the second solve of the failing combination
+                if len(solved) + i == failing * solves_per_combination + 1:
+                    errors[i] = ro.DualityError("synthetic failure")
+            solved.extend([None] * len(h))
+            return real(h, p_bs, sigma2, errors)
 
-        monkeypatch.setattr(opt, "duality_beamformer", flaky)
+        monkeypatch.setattr(opt, "duality_stack", flaky)
         out = tmp_path / "out"
         code = main(
             [
@@ -225,8 +227,8 @@ class TestPerturbCommand:
         assert summary["skipped"] == 1
         _, rows = read_csv(out / "improvements.csv")
         assert list(rows["combination"]) == [0, 1, 2, 4, 5, 6, 7]
-        # combination 3 stops at its failed second solve
-        assert len(calls) == 7 * solves_per_combination + 2
+        # every channel of every combination is solved, combination 3's too
+        assert len(solved) == 8 * solves_per_combination
 
     def test_non_finite_offset_is_config_error(self, small_scene_path, tmp_path):
         code = main(
@@ -260,7 +262,7 @@ class TestWinnerReuse:
         import risopt.cli as cli_module
         import risopt.optimizer as opt
 
-        calls = []
+        calls = []  # one entry per channel solved, by either solver
 
         def counting(real):
             def wrapper(*args, **kwargs):
@@ -269,10 +271,18 @@ class TestWinnerReuse:
 
             return wrapper
 
+        def counting_stack(real):
+            def wrapper(h, *args, **kwargs):
+                calls.extend([None] * len(h))
+                return real(h, *args, **kwargs)
+
+            return wrapper
+
         for module in (cli_module, opt):
             monkeypatch.setattr(
                 module, "duality_beamformer", counting(module.duality_beamformer)
             )
+        monkeypatch.setattr(opt, "duality_stack", counting_stack(opt.duality_stack))
         code = main(
             [
                 "sweep", "--scene", small_scene_path,

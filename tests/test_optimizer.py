@@ -477,8 +477,9 @@ class TestExhaustiveSearch:
     def test_failed_configurations_are_logged_and_skipped(
         self, rng, monkeypatch, caplog
     ):
-        # one state's block raises, another state's solve raises; each is
-        # recorded as missing and the winner comes from the rest
+        # one state's block fails in the stacked assembly, another state's
+        # solve fails in the stacked duality solve; each is recorded as
+        # missing and the winner comes from the rest
         import risopt.optimizer as opt
 
         comps = random_components(rng, k=2, m=3, n=8)
@@ -486,24 +487,28 @@ class TestExhaustiveSearch:
         reference = exhaustive_1bit_search(comps, MODEL, grouping, 1.0, 1e-2)
         states = [s for s, _ in reference.entries]
         singular, unsolvable = states[5], states[9]
-        singular_caps = ro.onebit_configuration(grouping, singular, 8).capacitances
+        singular_loads = ro.load_impedances(
+            MODEL, ro.onebit_configuration(grouping, singular, 8).capacitances, FREQ
+        )
         unsolvable_h = assemble_from_config(
             comps, MODEL, ro.onebit_configuration(grouping, unsolvable, 8)
         ).matrix
-        real_assemble, real_duality = opt.assemble_from_config, opt.duality_beamformer
+        real_assemble, real_duality = opt.assemble_stack, opt.duality_stack
 
-        def assemble(components, model, config):
-            if np.array_equal(config.capacitances, singular_caps):
-                raise ro.SingularChannelError("synthetic singular system")
-            return real_assemble(components, model, config)
+        def assemble(components, z_loads, errors):
+            for i, loads in enumerate(z_loads):
+                if np.array_equal(loads, singular_loads):
+                    errors[i] = ro.SingularChannelError("synthetic singular system")
+            return real_assemble(components, z_loads, errors)
 
-        def duality(h, *args, **kwargs):
-            if np.array_equal(h, unsolvable_h):
-                raise ro.DualityError("synthetic recovery failure")
-            return real_duality(h, *args, **kwargs)
+        def duality(h, p_bs, sigma2, errors):
+            for i, channel in enumerate(h):
+                if np.array_equal(channel, unsolvable_h):
+                    errors[i] = ro.DualityError("synthetic recovery failure")
+            return real_duality(h, p_bs, sigma2, errors)
 
-        monkeypatch.setattr(opt, "assemble_from_config", assemble)
-        monkeypatch.setattr(opt, "duality_beamformer", duality)
+        monkeypatch.setattr(opt, "assemble_stack", assemble)
+        monkeypatch.setattr(opt, "duality_stack", duality)
         with caplog.at_level(logging.WARNING, logger="risopt.optimizer"):
             result = exhaustive_1bit_search(comps, MODEL, grouping, 1.0, 1e-2)
         assert [r.getMessage() for r in caplog.records] == [
@@ -521,10 +526,13 @@ class TestExhaustiveSearch:
     def test_every_configuration_failing_raises(self, rng, monkeypatch):
         import risopt.optimizer as opt
 
-        def singular(*args, **kwargs):
-            raise ro.SingularChannelError("synthetic singular system")
+        real = opt.assemble_stack
 
-        monkeypatch.setattr(opt, "assemble_from_config", singular)
+        def singular(components, z_loads, errors):
+            errors[:] = [ro.SingularChannelError("synthetic singular system")] * len(errors)
+            return real(components, z_loads, errors)
+
+        monkeypatch.setattr(opt, "assemble_stack", singular)
         comps = random_components(rng, k=2, m=2, n=4)
         with pytest.raises(
             ro.RisOptError, match="every 1-bit configuration failed to evaluate"
@@ -532,6 +540,68 @@ class TestExhaustiveSearch:
             exhaustive_1bit_search(
                 comps, MODEL, column_paired_grouping(4), 1.0, 1e-2
             )
+
+    def test_results_do_not_depend_on_the_chunk(self, rng, monkeypatch):
+        import risopt.optimizer as opt
+
+        comps = random_components(rng, k=2, m=3, n=8)
+        grouping = column_paired_grouping(8)
+        reference = exhaustive_1bit_search(comps, MODEL, grouping, 1.0, 1e-2)
+        for chunk in (1, 7):
+            monkeypatch.setattr(opt, "STACK_CHUNK", chunk)
+            result = exhaustive_1bit_search(comps, MODEL, grouping, 1.0, 1e-2)
+            assert result.entries == reference.entries
+            assert np.array_equal(
+                result.best_beamformer.weights, reference.best_beamformer.weights
+            )
+
+    def test_failed_states_leave_their_chunk_neighbours_alone(
+        self, rng, monkeypatch, caplog
+    ):
+        # a real over-limit load system and a real failed recovery, both in
+        # the middle of the one 16-state chunk
+        import risopt.beamforming as bf
+        import risopt.optimizer as opt
+
+        comps = random_components(rng, k=2, m=3, n=8)
+        grouping = column_paired_grouping(8)
+        reference = exhaustive_1bit_search(comps, MODEL, grouping, 1.0, 1e-2)
+        assert len(reference.entries) <= opt.STACK_CHUNK
+        over, unrecovered = 6, 9
+        # equal loads at an eigenvalue of Z_ll make diag(Z_L) - Z_ll singular
+        resonant = np.full(8, np.linalg.eigvals(comps.z_ll)[0])
+        real_loads, real_recovery = opt.load_impedances, bf.recovery_stack
+
+        def loads(model, capacitances, frequency):
+            z_loads = real_loads(model, capacitances, frequency)
+            z_loads[over] = resonant
+            return z_loads
+
+        def recovery(h, w_ul, sinr_ul, sigma2, p_bs, errors):
+            # SINR targets the powers cannot reach within the budget
+            sinr_ul = np.array(sinr_ul)
+            sinr_ul[unrecovered] *= 2.0
+            return real_recovery(h, w_ul, sinr_ul, sigma2, p_bs, errors)
+
+        monkeypatch.setattr(opt, "load_impedances", loads)
+        monkeypatch.setattr(bf, "recovery_stack", recovery)
+        with caplog.at_level(logging.WARNING, logger="risopt.optimizer"):
+            result = exhaustive_1bit_search(comps, MODEL, grouping, 1.0, 1e-2)
+        states = [s for s, _ in reference.entries]
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 2
+        assert messages[0].startswith(
+            f"configuration {states[over]} failed: load/coupling system condition number"
+        )
+        assert messages[1].startswith(
+            f"configuration {states[unrecovered]} failed: duality power conservation"
+        )
+        assert [s for s, r in result.entries if r is None] == [
+            states[over], states[unrecovered]
+        ]
+        assert [e for i, e in enumerate(result.entries) if i not in (over, unrecovered)] == [
+            e for i, e in enumerate(reference.entries) if i not in (over, unrecovered)
+        ]
 
 
 class TestRateHistogram:
@@ -691,15 +761,83 @@ class TestPerturbationStudy:
     def test_failed_block_raises(self, monkeypatch):
         import risopt.optimizer as opt
 
-        def singular(*args, **kwargs):
-            raise ro.SingularChannelError("synthetic singular system")
+        real = opt.assemble_stack
 
-        monkeypatch.setattr(opt, "assemble_from_config", singular)
+        def singular(components, z_loads, errors):
+            errors[0] = ro.SingularChannelError("synthetic singular system")
+            return real(components, z_loads, errors)
+
+        monkeypatch.setattr(opt, "assemble_stack", singular)
         with pytest.raises(ro.SingularChannelError, match="synthetic"):
             perturbation_study(
                 light_scene(), MODEL, column_paired_grouping(4), 1.0,
                 ro.noise_power(900.0, 40e6), offsets=[(0.0, 0.0)],
             )
+
+
+class TestPerturbationChunks:
+    def test_improvements_do_not_depend_on_the_chunk(self, monkeypatch):
+        import risopt.optimizer as opt
+
+        scene = light_scene()
+        grouping = column_paired_grouping(4)
+        sigma2 = ro.noise_power(900.0, 40e6)
+        offsets = [(0.0, 0.0), (0.05, -0.03), (0.0, 0.87)]  # the last is on a wall
+        reference = perturbation_study(
+            scene, MODEL, grouping, 1.0, sigma2, offsets=offsets
+        )
+        assert 0 < reference.skipped < reference.combinations
+        for chunk in (1, 7):
+            monkeypatch.setattr(opt, "STACK_CHUNK", chunk)
+            result = perturbation_study(
+                scene, MODEL, grouping, 1.0, sigma2, offsets=offsets
+            )
+            assert np.array_equal(result.improvements, reference.improvements)
+            assert result.combination_indices == reference.combination_indices
+
+    def test_a_failed_solve_skips_only_its_combination(self, monkeypatch, caplog):
+        # every solve runs; the combination with a failed state is skipped
+        # with its first failure, and the others keep their improvements
+        import risopt.optimizer as opt
+
+        scene = light_scene()
+        grouping = column_paired_grouping(4)
+        sigma2 = ro.noise_power(900.0, 40e6)
+        offsets = [(0.0, 0.0), (0.05, -0.03)]
+        reference = perturbation_study(
+            scene, MODEL, grouping, 1.0, sigma2, offsets=offsets
+        )
+        per_combination = 1 + 2 ** len(grouping)
+        failing = {5 * per_combination + 2, 5 * per_combination + 4}
+        real, solved = opt.duality_stack, []
+
+        def flaky(h, p_bs, sigma2, errors):
+            for i in range(len(h)):
+                if len(solved) + i in failing:
+                    errors[i] = ro.DualityError(f"synthetic failure {len(solved) + i}")
+            solved.extend([None] * len(h))
+            return real(h, p_bs, sigma2, errors)
+
+        monkeypatch.setattr(opt, "STACK_CHUNK", 7)
+        monkeypatch.setattr(opt, "duality_stack", flaky)
+        with caplog.at_level(logging.WARNING, logger="risopt.optimizer"):
+            result = perturbation_study(
+                scene, MODEL, grouping, 1.0, sigma2, offsets=offsets
+            )
+        assert len(solved) == 8 * per_combination
+        combos = list(itertools.product(range(2), repeat=3))
+        assert [(r.args[0], r.getMessage()) for r in caplog.records] == [
+            (
+                combos[5],
+                f"combination {combos[5]} skipped: synthetic failure "
+                f"{5 * per_combination + 2}",
+            )
+        ]
+        assert result.skipped == 1
+        assert result.combination_indices == [0, 1, 2, 3, 4, 6, 7]
+        assert np.array_equal(
+            result.improvements, np.delete(reference.improvements, 5)
+        )
 
 
 def resynthesized_improvement(scene, grouping, users, sigma2, p_bs=1.0):

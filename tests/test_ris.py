@@ -7,6 +7,7 @@ from risopt.ris import (
     C_OFF,
     C_ON,
     DEFAULT_VARACTOR,
+    MAX_ENUMERATION_GROUPS,
     RisConfiguration,
     VaractorModel,
     bias_from_capacitance,
@@ -15,6 +16,7 @@ from risopt.ris import (
     column_paired_grouping,
     enumerate_1bit_configs,
     load_impedances,
+    onebit_capacitances,
     onebit_configuration,
 )
 
@@ -181,3 +183,18 @@ class TestEnumeration:
     def test_tractability_guard_mentions_optimizer(self):
         with pytest.raises(ValueError, match="alternating_optimize"):
             list(enumerate_1bit_configs(25))
+
+    def test_capacitance_stack_rows_are_the_configurations(self):
+        grouping = column_paired_grouping(4, n_rows=3)
+        states = list(enumerate_1bit_configs(len(grouping)))
+        caps = onebit_capacitances(grouping, states, 12)
+        assert caps.shape == (len(states), 12)
+        for row, state in zip(caps, states):
+            for g, members in grouping.items():
+                assert set(row[list(members)]) == {C_ON if state[g] else C_OFF}
+
+    def test_guard_refuses_at_the_first_next(self):
+        configs = enumerate_1bit_configs(MAX_ENUMERATION_GROUPS + 1)
+        with pytest.raises(ValueError, match=f"{MAX_ENUMERATION_GROUPS + 1} groups"):
+            next(configs)
+        assert list(configs) == []  # nothing was enumerated
