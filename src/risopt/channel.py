@@ -6,9 +6,10 @@ coupling matrix) with the tunable load impedances:
 
     H_eff = H_u + G_l (diag(Z_L) - Z_ll)^-1 H_0
 
-The N x N system is LU-factorized once per load vector and the factorization
-is reused for all right-hand sides and for the analytic derivative of H_eff
-with respect to each load capacitance.
+The N x N system Z = diag(Z_L) - Z_ll is solved against H_0 once per load
+vector.  The assembled channel keeps Z and the solved block Z^-1 H_0; the
+analytic derivative of H_eff with respect to one load capacitance solves Z
+once more, against the unit vector of that element.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .beamforming import BeamformerMatrix, live_states
 from .errors import SingularChannelError
@@ -84,14 +84,14 @@ class ChannelComponents:
 
 @dataclass
 class EffectiveChannel:
-    """Assembled K x M channel for one load vector, with its factorization.
+    """Assembled K x M channel for one load vector.
 
-    ``matrix`` is H_eff; the LU factors of (diag(Z_L) - Z_ll) and the solved
-    block Z^-1 H_0 are retained so derivative evaluations reuse them.
+    ``matrix`` is H_eff; the system matrix Z = diag(Z_L) - Z_ll and the
+    solved block Z^-1 H_0 are retained for derivative evaluations.
     """
 
     matrix: np.ndarray
-    lu: tuple
+    z: np.ndarray  # (N, N) system matrix diag(Z_L) - Z_ll
     solved_h0: np.ndarray  # (N, M) block (diag(Z_L) - Z_ll)^-1 H_0
 
 
@@ -100,8 +100,8 @@ def assemble_effective_channel(
 ) -> EffectiveChannel:
     """Assemble H_eff = H_u + G_l (diag(Z_L) - Z_ll)^-1 H_0.
 
-    The inverse is never formed for the product; the N x N system is solved
-    against H_0 with the LU factorization cached for reuse.  Raises
+    The inverse is never formed; the N x N system is solved against H_0.
+    Raises
     SingularChannelError when the system is singular or its condition number
     exceeds CONDITION_LIMIT (a physically meaningful load resonance).
     """
@@ -116,10 +116,9 @@ def assemble_effective_channel(
             f"load/coupling system condition number {cond:.3e} exceeds "
             f"{CONDITION_LIMIT:.0e}"
         )
-    lu = lu_factor(z)
-    solved_h0 = lu_solve(lu, components.h_0)
+    solved_h0 = np.linalg.solve(z, components.h_0)
     matrix = components.h_u + components.g_l @ solved_h0
-    return EffectiveChannel(matrix=matrix, lu=lu, solved_h0=solved_h0)
+    return EffectiveChannel(matrix=matrix, z=z, solved_h0=solved_h0)
 
 
 def assemble_stack(
@@ -183,7 +182,7 @@ def channel_derivative(
     """Analytic K x M derivative of H_eff w.r.t. one element capacitance.
 
     Uses d(Z^-1)/dC = -Z^-1 (dZ/dC) Z^-1 with the rank-1 middle factor
-    e_n e_n^T dZ_L/dC, so only one extra solve against the factorization of
+    e_n e_n^T dZ_L/dC, so only one extra solve of the system matrix of
     ``effective``, the channel assembled at ``config``, is needed:
 
         dH_eff/dC_n = -(dZ_L,n/dC) (G_l Z^-1 e_n) (e_n^T Z^-1 H_0)
@@ -193,7 +192,7 @@ def channel_derivative(
         raise ValueError(f"element index {element} out of range for N={n}")
     e_n = np.zeros(n, dtype=complex)
     e_n[element] = 1.0
-    left = components.g_l @ lu_solve(effective.lu, e_n)  # (K,)
+    left = components.g_l @ np.linalg.solve(effective.z, e_n)  # (K,)
     right = effective.solved_h0[element, :]  # (M,)
     slope = capacitance_impedance_slope(
         float(config.capacitances[element]), components.frequency

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from conftest import complex_normal, random_components
 
@@ -11,12 +12,21 @@ from risopt.channel import (
     ChannelComponents,
     assemble_effective_channel,
     assemble_from_config,
+    capacitance_impedance_slope,
     channel_derivative,
     evaluate_gain_map,
     gain_map_db,
     group_channel_derivative,
 )
-from risopt.ris import DEFAULT_VARACTOR, RisConfiguration, column_paired_grouping
+from risopt.ris import (
+    DEFAULT_VARACTOR,
+    RisConfiguration,
+    column_paired_grouping,
+    enumerate_1bit_configs,
+    load_impedances,
+    onebit_capacitances,
+)
+from risopt.scene import default_scene, synthesize_components
 
 FREQ = 5.8e9
 
@@ -181,6 +191,58 @@ class TestChannelDerivative:
         )
         rel = np.linalg.norm(analytic - fd) / np.linalg.norm(fd)
         assert rel <= 1e-5
+
+
+@pytest.fixture(scope="module")
+def default_components():
+    return synthesize_components(default_scene(with_grid=False))
+
+
+class TestLuSolveOracle:
+    """The assembly and its derivative against the scipy LU-factorized form."""
+
+    @staticmethod
+    def assert_solved_h0_matches(comps, caps):
+        for z_loads in load_impedances(DEFAULT_VARACTOR, caps, comps.frequency):
+            solved = assemble_effective_channel(comps, z_loads).solved_h0
+            oracle = lu_solve(lu_factor(np.diag(z_loads) - comps.z_ll), comps.h_0)
+            assert np.array_equal(solved, oracle)
+
+    def test_solved_h0_on_every_onebit_state(self, default_components):
+        states = list(enumerate_1bit_configs(10))
+        assert len(states) == 1024
+        caps = onebit_capacitances(column_paired_grouping(20), states, 20)
+        self.assert_solved_h0_matches(default_components, caps)
+
+    def test_solved_h0_on_continuous_configurations(self, default_components):
+        rng = np.random.default_rng(7)
+        model = DEFAULT_VARACTOR
+        caps = rng.uniform(model.c_min, model.c_max, (200, 20))
+        self.assert_solved_h0_matches(default_components, caps)
+
+    def test_derivative_on_every_element(self, default_components):
+        comps = default_components
+        rng = np.random.default_rng(11)
+        model = DEFAULT_VARACTOR
+        worst = 0.0
+        for _ in range(20):
+            config = RisConfiguration(rng.uniform(model.c_min, model.c_max, 20))
+            effective = assemble_from_config(comps, model, config)
+            z_loads = load_impedances(model, config.capacitances, comps.frequency)
+            lu = lu_factor(np.diag(z_loads) - comps.z_ll)
+            for n in range(20):
+                e_n = np.zeros(20, dtype=complex)
+                e_n[n] = 1.0
+                slope = capacitance_impedance_slope(
+                    config.capacitances[n], comps.frequency
+                )
+                oracle = -slope * np.outer(
+                    comps.g_l @ lu_solve(lu, e_n), effective.solved_h0[n]
+                )
+                d = channel_derivative(comps, config, n, effective)
+                rel = np.linalg.norm(d - oracle) / np.linalg.norm(oracle)
+                worst = max(worst, rel)
+        assert worst <= 1e-13, f"worst relative gap {worst:.3e}"
 
 
 class TestGainMap:

@@ -1,12 +1,18 @@
-"""Synthetic port-coupling matrix: closed form vs quadrature oracle."""
+"""Synthetic port-coupling matrix: closed form vs quadrature oracle, and the
+Cephes sici port vs scipy.special.sici."""
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.integrate import quad
 
+from conftest import SPACING
+
+import risopt.coupling
 from risopt.constants import FREE_SPACE_IMPEDANCE, SPEED_OF_LIGHT
 from risopt.coupling import (
     DEFAULT_SELF_IMPEDANCE,
+    _sici,
     mutual_impedance_sidebyside,
     synthesize_mutual_impedance,
 )
@@ -88,3 +94,39 @@ class TestSynthesizeMutualImpedance:
             synthesize_mutual_impedance(0, LAM / 2, FREQ)
         with pytest.raises(ValueError):
             synthesize_mutual_impedance(4, -1.0, FREQ)
+
+
+class TestSici:
+    """``_sici`` returns scipy.special.sici's doubles exactly (``==``)."""
+
+    @staticmethod
+    def assert_matches_scipy(points):
+        for x in points:
+            want = tuple(scipy.special.sici(x))
+            assert _sici(float(x)) == want, x
+            assert _sici(x) == want, x  # np.float64 input
+
+    def test_random_points_on_each_branch(self):
+        rng = np.random.default_rng(1234)
+        below_four = rng.uniform(0.0, 4.0, 20_000)
+        between = rng.uniform(4.0, 8.0, 20_000)
+        between = between[between > 4.0]  # (4, 8) open
+        above_eight = rng.uniform(8.0, 300.0, 20_000)
+        log_uniform = np.exp(rng.uniform(-40.0, 28.0, 20_000))
+        for points in (below_four, between, above_eight, log_uniform):
+            self.assert_matches_scipy(points)
+
+    def test_branch_edges(self):
+        edges = [
+            np.nextafter(b, toward) for b in (4.0, 8.0) for toward in (0.0, np.inf)
+        ]
+        self.assert_matches_scipy([4.0, 8.0, *edges, 5e-324])
+
+    def test_zero(self):
+        assert _sici(0.0) == (0.0, -np.inf)
+
+    def test_coupling_matrix_matches_the_scipy_build(self, monkeypatch):
+        z = synthesize_mutual_impedance(20, SPACING, FREQ)
+        monkeypatch.setattr(risopt.coupling, "_sici", scipy.special.sici)
+        oracle = synthesize_mutual_impedance(20, SPACING, FREQ)
+        assert np.array_equal(z, oracle)
