@@ -8,7 +8,9 @@ downlink per-beam powers achieving the same SINRs with the same total power.
 
 ``duality_beamformer`` solves one channel; ``duality_stack`` runs the same
 arithmetic on a stack of channels, state by state bit for bit, for the 1-bit
-sweeps.
+sweeps.  The stacked solver raises when any state of its stack fails; the
+sweeps then solve that stack again with ``duality_beamformer``, one channel
+at a time, which names each state's failure.
 """
 
 from __future__ import annotations
@@ -351,19 +353,14 @@ def duality_beamformer(
 
 
 # The stacked solver below runs the same steps on a (B, K, M) stack of
-# channels.  ``errors`` holds one entry per state: None while the state is
-# healthy, else the RisOptError that failed it.  Each stage skips the states
-# that have failed and records its own failures there, so one failed state
-# never stops the rest of its stack; the arrays of a failed state hold NaN.
+# channels.  Each check of the scalar solver becomes one check over the
+# stack, which raises the same error class when any state fails it; the
+# 1-bit sweeps then solve that stack again one channel at a time, and the
+# scalar solver names each state's failure.
 
 
-def live_states(errors: list) -> np.ndarray:
-    """Indices of the states that have not failed."""
-    return np.flatnonzero([error is None for error in errors])
-
-
-def balance_stack(h: np.ndarray, p_bs: float, sigma2: float, errors: list) -> BalanceResult:
-    """``fixed_point_power_balance`` of every live state of a channel stack.
+def balance_stack(h: np.ndarray, p_bs: float, sigma2: float) -> BalanceResult:
+    """``fixed_point_power_balance`` of every state of a channel stack.
 
     Returns a BalanceResult whose fields carry the leading stack axis.  Each
     state iterates until its own Perron root meets the stop rule, so its
@@ -372,26 +369,14 @@ def balance_stack(h: np.ndarray, p_bs: float, sigma2: float, errors: list) -> Ba
     b, k, m = h.shape
     if p_bs <= 0:
         raise ValueError("power budget must be positive")
-    if k > m:
-        warnings.warn(
-            f"K={k} users exceed M={m} antennas; balancing may converge to "
-            "low SINRs",
-            stacklevel=3,
-        )
-    live = live_states(errors)
-    row_power = np.linalg.norm(h[live], axis=-1)
-    dead = np.any(row_power == 0, axis=-1)
-    for i, rows in zip(live[dead], row_power[dead]):
-        errors[i] = InfeasibleUserError(
-            f"user {int(np.argmin(rows))} has an identically zero channel row"
-        )
-    live = live_states(errors)
+    if np.any(np.linalg.norm(h, axis=-1) == 0):
+        raise InfeasibleUserError("a user row of the stack is identically zero")
     q = np.full((b, k), p_bs / k)
-    unit = np.full((b, m, k), np.nan, dtype=complex)
+    unit = np.empty((b, m, k), dtype=complex)
     root = np.full(b, np.nan)  # NaN fails the stop rule at the first iteration
     iterations = np.zeros(b, dtype=int)
     converged = np.zeros(b, dtype=bool)
-    active = live
+    active = np.arange(b)
     for iteration in range(1, BALANCE_MAX_ITER + 1):
         if not active.size:
             break
@@ -407,10 +392,9 @@ def balance_stack(h: np.ndarray, p_bs: float, sigma2: float, errors: list) -> Ba
         root[active] = roots
         converged[active[done]] = True
         active = active[~done]
-    sinr = np.full((b, k), np.nan)
-    sinr[live] = uplink_sinr(h[live], unit[live], q[live], sigma2)
-    for i in live[~(sinr[live].min(axis=-1) > 0)]:
-        errors[i] = InfeasibleUserError("a user SINR collapsed to zero during balancing")
+    sinr = uplink_sinr(h, unit, q, sigma2)
+    if not np.all(sinr.min(axis=-1) > 0):
+        raise InfeasibleUserError("a user SINR of the stack collapsed to zero")
     return BalanceResult(
         powers=q,
         combiner=unit,
@@ -426,52 +410,34 @@ def recovery_stack(
     sinr_ul: np.ndarray,
     sigma2: float,
     p_bs: float,
-    errors: list,
 ) -> np.ndarray:
-    """``downlink_power_recovery`` of every live state of a channel stack:
-    the (B, K) downlink powers, with the scalar recovery's checks and
-    messages applied state by state."""
-    b, k, _ = h.shape
-    p = np.full((b, k), np.nan)
-    live = live_states(errors)
-    gains = np.abs(h[live] @ w_ul[live]) ** 2
+    """``downlink_power_recovery`` of every state of a channel stack: the
+    (B, K) downlink powers from one batched solve, with the scalar
+    recovery's checks applied to the whole stack."""
+    k = h.shape[-2]
+    gains = np.abs(h @ w_ul) ** 2
     diag = gains.diagonal(0, -2, -1)
-    for i in live[np.any(diag <= 0, axis=-1)]:
-        errors[i] = DualityError("a desired-signal gain G(k,k) is zero")
-    sinr = sinr_ul[live]
-    a = -sinr[..., :, None] * gains
+    if np.any(diag <= 0):
+        raise DualityError("a desired-signal gain G(k,k) of the stack is zero")
+    a = -sinr_ul[..., :, None] * gains
     a[..., np.arange(k), np.arange(k)] = diag
-    rhs = (sinr * sigma2)[..., None]
-    keep = np.array([errors[i] is None for i in live], dtype=bool)
     try:
-        solved = np.linalg.solve(a[keep], rhs[keep])
+        p = np.linalg.solve(a, (sinr_ul * sigma2)[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
-        # the batched solve refuses the whole stack; LU pivots of exactly
-        # zero, as slogdet finds them, mark the states it refused
-        singular = keep & (np.linalg.slogdet(a)[0] == 0)
-        for i in live[singular]:
-            errors[i] = DualityError(f"downlink power system is singular: {exc}")
-        keep &= ~singular
-        solved = np.linalg.solve(a[keep], rhs[keep])
-    live = live[keep]
-    p[live] = solved[..., 0]
-    for i in live[np.any(p[live] < -1e-10 * p_bs, axis=-1)]:
-        errors[i] = DualityError(f"negative downlink power recovered: {p[i].min()!r}")
-    live = live_states(errors)
-    p[live] = np.maximum(p[live], 0.0)
-    drift = np.abs(p[live].sum(axis=-1) - p_bs) / p_bs
-    drifting = drift > POWER_CONSERVATION_TOL
-    for i, d in zip(live[drifting], drift[drifting]):
-        errors[i] = DualityError(
-            f"duality power conservation violated: sum(p) drifts by {d:.3e}"
-        )
+        raise DualityError(f"a downlink power system is singular: {exc}") from exc
+    if np.any(p < -1e-10 * p_bs):
+        raise DualityError("negative downlink power recovered in the stack")
+    p = np.maximum(p, 0.0)
+    if np.any(np.abs(p.sum(axis=-1) - p_bs) / p_bs > POWER_CONSERVATION_TOL):
+        raise DualityError("duality power conservation violated in the stack")
     return p
 
 
 @dataclass
 class StackSolution:
-    """Max-min solutions of a stack of B channel states; NaN where a state
-    failed."""
+    """Max-min solutions of a stack of B channel states, each one solved:
+    ``duality_stack`` raises rather than return a stack with a failed
+    state."""
 
     weights: np.ndarray  # (B, M, K) finalized beamformers
     sinr: np.ndarray  # (B, K) from the true downlink received signals
@@ -497,44 +463,44 @@ class StackSolution:
         return BeamformerMatrix(self.weights[i].copy(), self.power_budget), report
 
 
-def duality_stack(h, p_bs: float, sigma2: float, errors: list) -> StackSolution:
-    """``duality_beamformer`` of every live state of a (B, K, M) channel
-    stack, with the same arithmetic state by state.
+def duality_stack(h, p_bs: float, sigma2: float) -> StackSolution:
+    """``duality_beamformer`` of every state of a (B, K, M) channel stack,
+    with the same arithmetic state by state.
 
-    Failures (a zero user row, a collapsed SINR, a singular, negative or
-    non-conserving recovery) are recorded in ``errors`` and leave the other
-    states alone.  A balance that stops at its iteration cap, and a downlink
-    SINR off its uplink value by more than 1e-6 relative, warn per state.
+    A failed state (a zero user row, a collapsed SINR, a singular, negative
+    or non-conserving recovery) raises the scalar solver's error class for
+    the whole stack.  Only once every check has passed do a balance that
+    stops at its iteration cap, and a downlink SINR off its uplink value by
+    more than 1e-6 relative, warn per state.
     """
     h = np.asarray(h, dtype=complex)
-    balance = balance_stack(h, p_bs, sigma2, errors)
-    live = live_states(errors)
-    for i in live[~balance.converged[live]]:
+    b, k, m = h.shape
+    balance = balance_stack(h, p_bs, sigma2)
+    p = recovery_stack(h, balance.combiner, balance.sinr, sigma2, p_bs)
+    raw = balance.combiner * np.sqrt(p)[:, None, :]
+    # BeamformerMatrix.finalized: the squared Frobenius norm as np.linalg.norm
+    # sums it for the scalar solver's column-major beamformer, column by
+    # column, real and imaginary parts apart
+    flat = raw.mT.reshape(b, k * m)
+    total = np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag)) ** 2
+    if np.any(total == 0.0):
+        raise ValueError("cannot scale a zero beamformer to a positive budget")
+    weights = raw * np.sqrt(p_bs / total)[:, None, None]
+    y = h @ weights
+    sinr = downlink_sinr(y, sigma2)
+    if k > m:
+        warnings.warn(
+            f"K={k} users exceed M={m} antennas; balancing may converge to "
+            "low SINRs",
+            stacklevel=2,
+        )
+    for i in np.flatnonzero(~balance.converged):
         warnings.warn(
             f"power balance stopped after {balance.iterations[i]} iterations "
             "without converging",
             stacklevel=2,
         )
-    p = recovery_stack(h, balance.combiner, balance.sinr, sigma2, p_bs, errors)
-    live = live_states(errors)
-    b, k, m = h.shape
-    weights = np.full((b, m, k), np.nan, dtype=complex)
-    raw = balance.combiner[live] * np.sqrt(p[live])[:, None, :]
-    # BeamformerMatrix.finalized: the squared Frobenius norm as np.linalg.norm
-    # sums it for the scalar solver's column-major beamformer, column by
-    # column, real and imaginary parts apart
-    flat = raw.mT.reshape(len(live), k * m)
-    total = np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag)) ** 2
-    if np.any(total == 0.0):
-        raise ValueError("cannot scale a zero beamformer to a positive budget")
-    weights[live] = raw * np.sqrt(p_bs / total)[:, None, None]
-    y = h[live] @ weights[live]
-    sinr = np.full((b, k), np.nan)
-    sinr[live] = downlink_sinr(y, sigma2)
-    received = np.full(b, np.nan)
-    received[live] = (np.abs(y) ** 2).sum(axis=-1).mean(axis=-1)
-    uplink = balance.sinr[live]
-    gap = (np.abs(sinr[live] - uplink) / np.maximum(uplink, 1e-300)).max(axis=-1)
+    gap = (np.abs(sinr - balance.sinr) / np.maximum(balance.sinr, 1e-300)).max(-1)
     for g in gap[gap > 1e-6]:
         warnings.warn(
             f"downlink SINR deviates from the uplink duality value by up to {g:.3e}",
@@ -544,7 +510,7 @@ def duality_stack(h, p_bs: float, sigma2: float, errors: list) -> StackSolution:
         weights=weights,
         sinr=sinr,
         rates=rates_from_sinr(sinr),
-        avg_received_power=received,
+        avg_received_power=(np.abs(y) ** 2).sum(axis=-1).mean(axis=-1),
         power_budget=p_bs,
         noise_power=sigma2,
     )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamforming import BeamformerMatrix, live_states
+from .beamforming import BeamformerMatrix
 from .errors import SingularChannelError
 from .ris import RisConfiguration, VaractorModel, load_impedances
 
@@ -122,39 +122,31 @@ def assemble_effective_channel(
 
 
 def assemble_stack(
-    components: ChannelComponents, z_loads: np.ndarray, errors: list
+    components: ChannelComponents, z_loads: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``assemble_effective_channel`` of a (B, N) stack of load vectors.
 
     Returns the (B, K, M) channels and the (B, N, M) solved blocks
     (diag(Z_L) - Z_ll)^-1 H_0, from one batched condition number and one
-    batched solve.  ``errors`` holds one entry per load vector, None for a
-    healthy one (see ``beamforming.duality_stack``): a system over
-    CONDITION_LIMIT records its SingularChannelError there, is left out of
-    the solve and gets NaN.
+    batched solve.  Raises SingularChannelError when any system of the stack
+    is over CONDITION_LIMIT; ``assemble_effective_channel`` of each load
+    vector then names the ones that fail.
     """
     z_loads = np.asarray(z_loads, dtype=complex)
-    k, m, n = components.dims
+    _, _, n = components.dims
     if z_loads.ndim != 2 or z_loads.shape[1] != n:
         raise ValueError(f"expected a stack of {n} load impedances, got {z_loads.shape}")
-    b = z_loads.shape[0]
-    z = np.zeros((b, n, n), dtype=complex)
+    z = np.zeros((len(z_loads), n, n), dtype=complex)
     z[:, np.arange(n), np.arange(n)] = z_loads
     z -= components.z_ll
-    live = live_states(errors)
-    cond = np.linalg.cond(z[live])
-    bad = ~np.isfinite(cond) | (cond > CONDITION_LIMIT)
-    for i, c in zip(live[bad], cond[bad]):
-        errors[i] = SingularChannelError(
-            f"load/coupling system condition number {c:.3e} exceeds "
+    cond = np.linalg.cond(z)
+    if not np.all(cond <= CONDITION_LIMIT):  # NaN fails too
+        raise SingularChannelError(
+            f"a load/coupling system of the stack exceeds condition number "
             f"{CONDITION_LIMIT:.0e}"
         )
-    live = live_states(errors)
-    solved_h0 = np.full((b, n, m), np.nan, dtype=complex)
-    solved_h0[live] = np.linalg.solve(z[live], components.h_0)
-    matrices = np.full((b, k, m), np.nan, dtype=complex)
-    matrices[live] = components.h_u + components.g_l @ solved_h0[live]
-    return matrices, solved_h0
+    solved_h0 = np.linalg.solve(z, components.h_0)
+    return components.h_u + components.g_l @ solved_h0, solved_h0
 
 
 def assemble_from_config(

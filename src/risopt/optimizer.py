@@ -11,7 +11,10 @@ always evaluated under its best transmit strategy.
 Also provides the exhaustive 1-bit configuration sweep and the user-location
 perturbation study built on top of it.  Both assemble and solve their channel
 states STACK_CHUNK at a time through the stacked core
-(``channel.assemble_stack`` and ``beamforming.duality_stack``).
+(``channel.assemble_stack`` and ``beamforming.duality_stack``).  The core
+raises when any state of a chunk fails; that chunk is then solved again one
+channel at a time (``assemble_effective_channel``, ``duality_beamformer``),
+which names the failure of each state and gives the rest the same bits.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .beamforming import (
 )
 from .channel import (
     ChannelComponents,
+    assemble_effective_channel,
     assemble_from_config,
     assemble_stack,
     group_channel_derivative,
@@ -439,16 +443,23 @@ def _chunks(items):
 
 def _onebit_chunks(components, model, grouping):
     """The 1-bit states in enumeration order, STACK_CHUNK at a time: yields
-    (states, errors, channels, solved blocks) per chunk from one stacked
-    assembly, with ``errors`` as ``assemble_stack`` fills it."""
+    (states, load vectors) per chunk."""
     _, _, n = components.dims
     for chunk in _chunks(enumerate_1bit_configs(len(grouping))):
-        z_loads = load_impedances(
-            model, onebit_capacitances(grouping, chunk, n), components.frequency
-        )
-        errors = [None] * len(chunk)
-        channels, blocks = assemble_stack(components, z_loads, errors)
-        yield chunk, errors, channels, blocks
+        capacitances = onebit_capacitances(grouping, chunk, n)
+        yield chunk, load_impedances(model, capacitances, components.frequency)
+
+
+def _each_state(solve, items) -> list:
+    """``solve`` of each item of a chunk that the stacked core refused, one
+    at a time: per item, its result or the RisOptError that failed it."""
+    outcomes = []
+    for item in items:
+        try:
+            outcomes.append(solve(item))
+        except RisOptError as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
 def exhaustive_1bit_search(
@@ -463,33 +474,48 @@ def exhaustive_1bit_search(
     Enumeration order is deterministic (lexicographic).  The states are
     assembled and solved STACK_CHUNK at a time by the stacked core
     (``assemble_stack`` and ``duality_stack``), with the arithmetic of the
-    scalar solver state by state.  A configuration whose block or solve
-    fails is logged and recorded as a missing entry; the rest of its chunk
-    runs on.  The winner's beamformer and report are the ones its sweep
-    solve produced.
+    scalar solver state by state.  A chunk that the core refuses is solved
+    again one channel at a time (``assemble_effective_channel`` and
+    ``duality_beamformer``); a configuration that fails there is logged and
+    recorded as a missing entry.  The winner's beamformer and report are the
+    ones its sweep solve produced.
     """
     _, _, n = components.dims
     entries = []
-    best = None  # (states, rate, chunk solution, index in it); ties keep the first
-    for chunk, errors, channels, _ in _onebit_chunks(components, model, grouping):
-        solved = duality_stack(channels, p_bs, sigma2, errors)
-        for i, (states, rate, error) in enumerate(zip(chunk, solved.min_rate, errors)):
-            if error is not None:
-                logger.warning("configuration %s failed: %s", states, error)
+    best = None  # (states, rate, its chunk's solution(i), i); ties keep the first
+    for chunk, z_loads in _onebit_chunks(components, model, grouping):
+        try:
+            channels, _ = assemble_stack(components, z_loads)
+            solved = duality_stack(channels, p_bs, sigma2)
+            rates, solution = solved.min_rate, solved.solution
+        except RisOptError:
+            solutions = _each_state(
+                lambda z: duality_beamformer(
+                    assemble_effective_channel(components, z), p_bs, sigma2
+                ),
+                z_loads,
+            )
+            rates = [
+                s if isinstance(s, RisOptError) else s[1].min_rate for s in solutions
+            ]
+            solution = solutions.__getitem__
+        for i, (states, rate) in enumerate(zip(chunk, rates)):
+            if isinstance(rate, RisOptError):
+                logger.warning("configuration %s failed: %s", states, rate)
                 entries.append((states, None))
                 continue
             rate = float(rate)
             entries.append((states, rate))
             if best is None or rate > best[1]:
-                best = (states, rate, solved, i)
+                best = (states, rate, solution, i)
     if best is None:
         raise RisOptError("every 1-bit configuration failed to evaluate")
     ranked = sorted(
         ((s, r) for s, r in entries if r is not None),
         key=lambda item: (-item[1], item[0]),
     )
-    best_states, best_rate, solved, i = best
-    best_beamformer, best_report = solved.solution(i)
+    best_states, best_rate, solution, i = best
+    best_beamformer, best_report = solution(i)
     _, baseline_report = duality_beamformer(components.h_u, p_bs, sigma2)
     baseline = float(baseline_report.min_rate)
     fraction = float(np.mean([r > baseline for _, r in ranked]))
@@ -540,13 +566,18 @@ def _user_rows(scene, positions) -> list:
 
 
 def _solved_states(stacks, p_bs, sigma2):
-    """(min rate, error or None) of every state of a sequence of channel
-    stacks, in order; the states run through ``duality_stack`` STACK_CHUNK
-    at a time, across stacks."""
+    """Min rate, or the RisOptError that failed it, of every state of a
+    sequence of channel stacks, in order; the states run through
+    ``duality_stack`` STACK_CHUNK at a time, across stacks, and a chunk
+    that it refuses through ``duality_beamformer`` one state at a time."""
     for chunk in _chunks(state for stack in stacks for state in stack):
-        errors = [None] * len(chunk)
-        solved = duality_stack(np.array(chunk), p_bs, sigma2, errors)
-        yield from zip(solved.min_rate, errors)
+        try:
+            rates = duality_stack(np.array(chunk), p_bs, sigma2).min_rate
+        except RisOptError:
+            rates = _each_state(
+                lambda h: duality_beamformer(h, p_bs, sigma2)[1].min_rate, chunk
+            )
+        yield from rates
 
 
 def perturbation_study(
@@ -563,17 +594,19 @@ def perturbation_study(
     Combinations run in itertools.product order over the users' offset
     indices.  Only the users move, so the scene is synthesized once: the
     solved block (diag(Z_L) - Z_ll)^-1 H_0 of every 1-bit state is built
-    from it by the stacked assembly (a block that cannot be built raises),
-    and every moved user position, K x len(offsets) of them, is traced once.
-    Each combination gathers its users' h_u and g_l rows; its baseline h_u
-    and its channels h_u + g_l @ block, one per block, are solved by
+    from it by the stacked assembly (a chunk that it refuses is built again
+    block by block, and the first block that fails raises), and every moved
+    user position, K x len(offsets) of them, is traced once.  Each
+    combination gathers its users' h_u and g_l rows; its baseline h_u and
+    its channels h_u + g_l @ block, one per block, are solved by
     ``duality_stack`` in chunks of STACK_CHUNK states that run across
     combinations, and it keeps the best min rate over the blocks less the
-    baseline's.  A combination with a position that the tracer rejects (on
-    a wall, or coincident with an antenna or port) is skipped with that
-    GeometryError.  Every solve of the other combinations runs; one with any
-    failed solve is skipped with its first failure in state order (the
-    baseline first).
+    baseline's.  A chunk that ``duality_stack`` refuses is solved again by
+    ``duality_beamformer``, one state at a time.  A combination with a
+    position that the tracer rejects (on a wall, or coincident with an
+    antenna or port) is skipped with that GeometryError.  Every solve of the
+    other combinations runs; one with any failed solve is skipped with its
+    first failure in state order (the baseline first).
     """
     if offsets is None:
         offsets = user_offset_grid()
@@ -581,11 +614,13 @@ def perturbation_study(
     k, _, n = base_components.dims
 
     blocks = []
-    for _, errors, _, solved in _onebit_chunks(base_components, model, grouping):
-        for error in errors:
-            if error is not None:
-                raise error
-        blocks.append(solved)
+    for _, z_loads in _onebit_chunks(base_components, model, grouping):
+        try:
+            blocks.append(assemble_stack(base_components, z_loads)[1])
+        except RisOptError:  # raises the first block that fails
+            blocks.append(
+                [assemble_effective_channel(base_components, z).solved_h0 for z in z_loads]
+            )
     blocks = np.concatenate(blocks)
 
     # position u * len(offsets) + c is user u moved by offsets[c]
@@ -625,8 +660,8 @@ def perturbation_study(
         if isinstance(users, RisOptError):
             logger.warning("combination %s skipped: %s", combo, users)
             continue
-        rates, errors = zip(*itertools.islice(states, 1 + len(blocks)))
-        failed = [error for error in errors if error is not None]
+        rates = list(itertools.islice(states, 1 + len(blocks)))
+        failed = [rate for rate in rates if isinstance(rate, RisOptError)]
         if failed:
             logger.warning("combination %s skipped: %s", combo, failed[0])
             continue

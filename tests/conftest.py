@@ -56,3 +56,50 @@ def load_perfbench(name):
         for sibling in siblings:
             sys.modules.pop(sibling, None)
     return module
+
+
+def fail_states(monkeypatch, module, names, failing, error, at=0):
+    """Fail the states that ``failing`` picks on both solver paths.
+
+    ``names`` are a stacked function of ``module`` and its one-channel
+    oracle; they take their states, or their one state, as positional
+    argument ``at``.  The stacked one refuses a chunk that holds a picked
+    state with the class of ``error``, as the stacked core refuses a chunk
+    with a failed state, and the one-channel one raises ``error`` for a
+    picked state, as it names that state's failure.
+    """
+    stacked, single = (getattr(module, name) for name in names)
+
+    def refusing(*args, **kwargs):
+        if any(failing(state) for state in args[at]):
+            raise type(error)("a state of the chunk failed")
+        return stacked(*args, **kwargs)
+
+    def raising(*args, **kwargs):
+        if failing(args[at]):
+            raise error
+        return single(*args, **kwargs)
+
+    monkeypatch.setattr(module, names[0], refusing)
+    monkeypatch.setattr(module, names[1], raising)
+
+
+def solved_channels(monkeypatch, module):
+    """The channel of every state that ``module`` solves from here on, in
+    solve order: one per state of a ``duality_stack`` call that returns, and
+    one per ``duality_beamformer`` call."""
+    solved = []
+    stacked, single = module.duality_stack, module.duality_beamformer
+
+    def stack(h, *args):
+        solution = stacked(h, *args)
+        solved.extend(np.asarray(h))
+        return solution
+
+    def one(h, *args):
+        solved.append(getattr(h, "matrix", h))
+        return single(h, *args)
+
+    monkeypatch.setattr(module, "duality_stack", stack)
+    monkeypatch.setattr(module, "duality_beamformer", one)
+    return solved

@@ -392,9 +392,13 @@ class TestDualityStack:
     """
 
     @staticmethod
-    def solve_stack(h, p_bs, sigma2):
-        errors = [None] * len(h)
-        return bf.duality_stack(h, p_bs, sigma2, errors), errors
+    def sweep_outcomes(h, p_bs, sigma2):
+        """Min rate or failure per state, as the perturbation sweep solves
+        the stack: through ``duality_stack``, or state by state through
+        ``duality_beamformer`` when it refuses the stack."""
+        import risopt.optimizer as opt
+
+        return list(opt._solved_states([h], p_bs, sigma2))
 
     @pytest.mark.parametrize("p_dbm", [10.0, 20.0, 30.0])
     def test_default_scene_matches_the_scalar_solver(self, p_dbm):
@@ -409,11 +413,9 @@ class TestDualityStack:
             ro.ris.onebit_capacitances(grouping, states, n),
             comps.frequency,
         )
-        errors = [None] * len(states)
-        h, _ = ro.channel.assemble_stack(comps, z_loads, errors)
+        h, _ = ro.channel.assemble_stack(comps, z_loads)
         p_bs, sigma2 = 10.0 ** ((p_dbm - 30.0) / 10.0), noise_power(900.0, 40e6)
-        solved = bf.duality_stack(h, p_bs, sigma2, errors)
-        assert errors == [None] * len(states)
+        solved = bf.duality_stack(h, p_bs, sigma2)
         oracle = np.array(
             [duality_beamformer(channel, p_bs, sigma2)[1].min_rate for channel in h]
         )
@@ -431,15 +433,14 @@ class TestDualityStack:
             m = int(rng.integers(k, 7))
             h = complex_normal(rng, 1, k, m)
             ratio = 10.0 ** rng.uniform(-6.0, 2.0)  # sigma2 / p_bs
-            solved, errors = self.solve_stack(h, 1.0, ratio)
+            solved = bf.duality_stack(h, 1.0, ratio)
             beamformer, report = duality_beamformer(h[0], 1.0, ratio)
-            assert errors == [None], trial
             assert np.array_equal(solved.rates[0], report.rates), trial
             assert np.array_equal(solved.weights[0], beamformer.weights), trial
 
     def test_solution_is_the_scalar_solution(self, rng):
         h = complex_normal(rng, 4, 3, 4)
-        solved, _ = self.solve_stack(h, 2.0, 0.05)
+        solved = bf.duality_stack(h, 2.0, 0.05)
         for i in range(4):
             beamformer, report = duality_beamformer(h[i], 2.0, 0.05)
             got_beamformer, got_report = solved.solution(i)
@@ -449,26 +450,29 @@ class TestDualityStack:
 
     def test_results_do_not_depend_on_the_stack(self, rng):
         h = complex_normal(rng, 65, 3, 4)
-        whole, _ = self.solve_stack(h, 1.0, 0.01)
+        whole = bf.duality_stack(h, 1.0, 0.01)
         for size in (1, 2, 64):
-            part, _ = self.solve_stack(h[:size], 1.0, 0.01)
+            part = bf.duality_stack(h[:size], 1.0, 0.01)
             assert np.array_equal(part.weights, whole.weights[:size])
             assert np.array_equal(part.rates, whole.rates[:size])
 
     def test_a_zero_row_fails_only_its_state(self, rng):
+        # the stacked solver refuses the stack with the scalar's error class;
+        # the sweep's state-by-state solve gives the failed state the scalar
+        # message and its neighbours their stacked bits
         h = complex_normal(rng, 3, 3, 3)
         h[1, 2, :] = 0.0
-        solved, errors = self.solve_stack(h, 1.0, 0.1)
-        assert isinstance(errors[1], ro.InfeasibleUserError)
         with pytest.raises(ro.InfeasibleUserError) as scalar:
             duality_beamformer(h[1], 1.0, 0.1)
-        assert str(errors[1]) == str(scalar.value)
-        assert errors[0] is None and errors[2] is None
-        assert np.all(np.isnan(solved.rates[1]))
-        alone, _ = self.solve_stack(h[[0, 2]], 1.0, 0.1)
-        assert np.array_equal(solved.rates[[0, 2]], alone.rates)
+        with pytest.raises(ro.InfeasibleUserError):
+            bf.duality_stack(h, 1.0, 0.1)
+        outcomes = self.sweep_outcomes(h, 1.0, 0.1)
+        assert isinstance(outcomes[1], ro.InfeasibleUserError)
+        assert str(outcomes[1]) == str(scalar.value)
+        alone = bf.duality_stack(h[[0, 2]], 1.0, 0.1)
+        assert np.array_equal([outcomes[0], outcomes[2]], alone.min_rate)
 
-    def test_singular_recovery_fails_only_its_state(self):
+    def test_singular_recovery_fails_only_its_state(self, monkeypatch):
         # state 1's unit beams see both users equally at SINR 1, which makes
         # its downlink power system exactly singular
         h = np.stack([np.eye(2), np.eye(2)]).astype(complex)
@@ -476,12 +480,30 @@ class TestDualityStack:
         sinr = np.ones((2, 2))
         with pytest.raises(ro.DualityError, match="singular") as scalar:
             downlink_power_recovery(h[1], w_ul[1], sinr[1], 0.5, 1.0)
-        errors = [None, None]
-        p = bf.recovery_stack(h, w_ul, sinr, 0.5, 1.0, errors)
-        assert errors[0] is None
-        assert str(errors[1]) == str(scalar.value)
-        assert np.array_equal(p[0], downlink_power_recovery(h[0], w_ul[0], sinr[0], 0.5, 1.0))
-        assert np.all(np.isnan(p[1]))
+        with pytest.raises(ro.DualityError, match="singular"):
+            bf.recovery_stack(h, w_ul, sinr, 0.5, 1.0)
+
+        # in a sweep, the identity channel between two random ones gets
+        # those beams and SINRs on both solver paths
+        def singular_inputs(real):
+            def recovery(h, w_ul, sinr_ul, *args, **kwargs):
+                w_ul, sinr_ul = np.array(w_ul), np.array(sinr_ul)
+                identity = np.all(h == np.eye(2), axis=(-2, -1))
+                w_ul[identity] = np.sqrt(0.5)
+                sinr_ul[identity] = 1.0
+                return real(h, w_ul, sinr_ul, *args, **kwargs)
+
+            return recovery
+
+        stack = complex_normal(np.random.default_rng(3), 3, 2, 2)
+        stack[1] = np.eye(2)
+        alone = bf.duality_stack(stack[[0, 2]], 1.0, 0.5)
+        for name in ("recovery_stack", "downlink_power_recovery"):
+            monkeypatch.setattr(bf, name, singular_inputs(getattr(bf, name)))
+        outcomes = self.sweep_outcomes(stack, 1.0, 0.5)
+        assert isinstance(outcomes[1], ro.DualityError)
+        assert str(outcomes[1]) == str(scalar.value)
+        assert np.array_equal([outcomes[0], outcomes[2]], alone.min_rate)
 
     def test_capped_balance_warns_as_the_scalar_path(self, rng, monkeypatch):
         monkeypatch.setattr(bf, "BALANCE_MAX_ITER", 1)
@@ -489,6 +511,6 @@ class TestDualityStack:
         with pytest.warns(UserWarning, match="after 1 iterations without converging") as scalar:
             duality_beamformer(h[0], 1.0, 0.3)
         with pytest.warns(UserWarning, match="after 1 iterations without converging") as stacked:
-            self.solve_stack(h, 1.0, 0.3)
+            bf.duality_stack(h, 1.0, 0.3)
         messages = [str(w.message) for w in stacked if "converging" in str(w.message)]
         assert messages == [str(scalar[0].message)] * 2

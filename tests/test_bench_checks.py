@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import load_perfbench
+from conftest import fail_states, load_perfbench, solved_channels
 
 from risopt import cli, optimizer
 from risopt.errors import DualityError
@@ -106,24 +106,21 @@ def test_perturb_workload_runs_as_the_worker_runs_it(workloads, tmp_path):
 
 
 def test_perturb_check_reads_a_skipped_combination(workloads, tmp_path, monkeypatch):
-    # one failed state in the stacked solve skips combination (1, 2, 1);
-    # the check reads that combination from its log record's arguments
+    # one failed state skips combination (1, 2, 1); the check reads that
+    # combination from its log record's arguments
     workload = workloads.Perturb(str(tmp_path))
     workload.prepare()
     offsets = len(workload.offsets_x) * len(workload.offsets_y)
     combos = list(itertools.product(range(offsets), repeat=workload.n_users))
     skipped = (1, 2, 1)
     per_combination = 1 + 2  # the baseline and both states of the one group
-    failing = combos.index(skipped) * per_combination + 1
-    real, solved = optimizer.duality_stack, []
-
-    def flaky(h, p_bs, sigma2, errors):
-        if 0 <= failing - len(solved) < len(h):
-            errors[failing - len(solved)] = DualityError("synthetic failure")
-        solved.extend([None] * len(h))
-        return real(h, p_bs, sigma2, errors)
-
-    monkeypatch.setattr(optimizer, "duality_stack", flaky)
+    channels = solved_channels(monkeypatch, optimizer)
+    run_round(workload, tmp_path / "reference")
+    target = channels[combos.index(skipped) * per_combination + 1]
+    fail_states(
+        monkeypatch, optimizer, ("duality_stack", "duality_beamformer"),
+        lambda h: np.array_equal(h, target), DualityError("synthetic failure"),
+    )
     out = tmp_path / "out"
     _, records = run_round(workload, out)
     assert [(r.args[0], r.getMessage()) for r in records] == [

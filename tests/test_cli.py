@@ -1,6 +1,7 @@
 """Command-line harness: outputs, schemas, determinism, exit codes."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from risopt.fileio import (
 )
 from risopt.scene import ObservationGrid, default_scene, trace_paths, with_users
 
-from conftest import random_components
+from conftest import fail_states, random_components, solved_channels
 
 
 @pytest.fixture
@@ -202,26 +203,22 @@ class TestPerturbCommand:
         # 2 x-offsets, 1 y-offset, 3 users -> 8 combinations; 4 ports -> 2
         # groups, so each combination makes 1 baseline + 4 config solves
         solves_per_combination = 1 + 2**2
-        failing, solved = 3, []
-        real = opt.duality_stack
-
-        def flaky(h, p_bs, sigma2, errors):
-            for i in range(len(h)):
-                # the second solve of the failing combination
-                if len(solved) + i == failing * solves_per_combination + 1:
-                    errors[i] = ro.DualityError("synthetic failure")
-            solved.extend([None] * len(h))
-            return real(h, p_bs, sigma2, errors)
-
-        monkeypatch.setattr(opt, "duality_stack", flaky)
-        out = tmp_path / "out"
-        code = main(
-            [
-                "perturb", "--scene", small_scene_path,
-                "--offset-x", "0", "--offset-x", "0.01", "--offset-y", "0",
-                "--power-dbm", "30", "--out", str(out), "--reproducible",
-            ]
+        args = [
+            "perturb", "--scene", small_scene_path,
+            "--offset-x", "0", "--offset-x", "0.01", "--offset-y", "0",
+            "--power-dbm", "30", "--reproducible",
+        ]
+        channels = solved_channels(monkeypatch, opt)
+        assert main(args + ["--out", str(tmp_path / "reference")]) == 0
+        # the second solve of combination 3
+        target = channels[3 * solves_per_combination + 1]
+        fail_states(
+            monkeypatch, opt, ("duality_stack", "duality_beamformer"),
+            lambda h: np.array_equal(h, target), ro.DualityError("synthetic failure"),
         )
+        solved = solved_channels(monkeypatch, opt)
+        out = tmp_path / "out"
+        code = main(args + ["--out", str(out)])
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["skipped"] == 1
@@ -229,6 +226,33 @@ class TestPerturbCommand:
         assert list(rows["combination"]) == [0, 1, 2, 4, 5, 6, 7]
         # every channel of every combination is solved, combination 3's too
         assert len(solved) == 8 * solves_per_combination
+
+    def test_users_without_a_channel_skip_their_combinations(self, tmp_path, caplog):
+        # real failures, nothing patched: every combination that moves user 0
+        # to y + 1.0 leaves it with an identically zero channel row, so its
+        # chunks are refused by the stacked core and solved state by state
+        scene_path = tmp_path / "scene.json"
+        save_scene(default_scene(n_ports=4, max_reflection_order=1), scene_path)
+        out = tmp_path / "out"
+        with caplog.at_level(logging.WARNING, logger="risopt.optimizer"):
+            code = main(
+                [
+                    "perturb", "--scene", str(scene_path),
+                    "--offset-x", "-0.5", "--offset-x", "0", "--offset-x", "0.5",
+                    "--offset-y", "0", "--offset-y", "1.0",
+                    "--out", str(out), "--reproducible",
+                ]
+            )
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["combinations"] == 216
+        assert summary["skipped"] == 108
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 108
+        assert all(
+            m == f"combination {r.args[0]} skipped: user 0 has an identically zero channel row"
+            for m, r in zip(messages, caplog.records)
+        )
 
     def test_non_finite_offset_is_config_error(self, small_scene_path, tmp_path):
         code = main(
@@ -253,6 +277,26 @@ class TestPerturbCommand:
                 ]
             )
         assert exc.value.code == 2
+
+
+class TestStackedCore:
+    def test_exhaustive_runs_on_the_stacked_core(self, tmp_path, monkeypatch):
+        # no chunk of the default scene falls back to the one-channel path:
+        # the scalar solver runs once, for the no-RIS baseline
+        import risopt.optimizer as opt
+
+        calls = {"duality_beamformer": 0, "assemble_effective_channel": 0}
+        for name in calls:
+            def counting(*args, name=name, real=getattr(opt, name)):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(opt, name, counting)
+        code = main(
+            ["exhaustive", "--power-dbm", "30", "--out", str(tmp_path / "out"), "--reproducible"]
+        )
+        assert code == 0
+        assert calls == {"duality_beamformer": 1, "assemble_effective_channel": 0}
 
 
 class TestWinnerReuse:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_components
+from conftest import fail_states, random_components, solved_channels
 
 import risopt as ro
 from risopt.channel import ChannelComponents, assemble_from_config
@@ -477,8 +477,8 @@ class TestExhaustiveSearch:
     def test_failed_configurations_are_logged_and_skipped(
         self, rng, monkeypatch, caplog
     ):
-        # one state's block fails in the stacked assembly, another state's
-        # solve fails in the stacked duality solve; each is recorded as
+        # one state's block fails in the assembly, another state's solve in
+        # the duality solve, each in its own chunk; each is recorded as
         # missing and the winner comes from the rest
         import risopt.optimizer as opt
 
@@ -493,22 +493,17 @@ class TestExhaustiveSearch:
         unsolvable_h = assemble_from_config(
             comps, MODEL, ro.onebit_configuration(grouping, unsolvable, 8)
         ).matrix
-        real_assemble, real_duality = opt.assemble_stack, opt.duality_stack
-
-        def assemble(components, z_loads, errors):
-            for i, loads in enumerate(z_loads):
-                if np.array_equal(loads, singular_loads):
-                    errors[i] = ro.SingularChannelError("synthetic singular system")
-            return real_assemble(components, z_loads, errors)
-
-        def duality(h, p_bs, sigma2, errors):
-            for i, channel in enumerate(h):
-                if np.array_equal(channel, unsolvable_h):
-                    errors[i] = ro.DualityError("synthetic recovery failure")
-            return real_duality(h, p_bs, sigma2, errors)
-
-        monkeypatch.setattr(opt, "assemble_stack", assemble)
-        monkeypatch.setattr(opt, "duality_stack", duality)
+        fail_states(
+            monkeypatch, opt, ("assemble_stack", "assemble_effective_channel"),
+            lambda loads: np.array_equal(loads, singular_loads),
+            ro.SingularChannelError("synthetic singular system"), at=1,
+        )
+        fail_states(
+            monkeypatch, opt, ("duality_stack", "duality_beamformer"),
+            lambda h: np.array_equal(getattr(h, "matrix", h), unsolvable_h),
+            ro.DualityError("synthetic recovery failure"),
+        )
+        monkeypatch.setattr(opt, "STACK_CHUNK", 4)
         with caplog.at_level(logging.WARNING, logger="risopt.optimizer"):
             result = exhaustive_1bit_search(comps, MODEL, grouping, 1.0, 1e-2)
         assert [r.getMessage() for r in caplog.records] == [
@@ -526,13 +521,10 @@ class TestExhaustiveSearch:
     def test_every_configuration_failing_raises(self, rng, monkeypatch):
         import risopt.optimizer as opt
 
-        real = opt.assemble_stack
-
-        def singular(components, z_loads, errors):
-            errors[:] = [ro.SingularChannelError("synthetic singular system")] * len(errors)
-            return real(components, z_loads, errors)
-
-        monkeypatch.setattr(opt, "assemble_stack", singular)
+        fail_states(
+            monkeypatch, opt, ("assemble_stack", "assemble_effective_channel"),
+            lambda loads: True, ro.SingularChannelError("synthetic singular system"), at=1,
+        )
         comps = random_components(rng, k=2, m=2, n=4)
         with pytest.raises(
             ro.RisOptError, match="every 1-bit configuration failed to evaluate"
@@ -559,7 +551,8 @@ class TestExhaustiveSearch:
         self, rng, monkeypatch, caplog
     ):
         # a real over-limit load system and a real failed recovery, both in
-        # the middle of the one 16-state chunk
+        # the middle of the one 16-state chunk, which is then solved state
+        # by state
         import risopt.beamforming as bf
         import risopt.optimizer as opt
 
@@ -570,21 +563,30 @@ class TestExhaustiveSearch:
         over, unrecovered = 6, 9
         # equal loads at an eigenvalue of Z_ll make diag(Z_L) - Z_ll singular
         resonant = np.full(8, np.linalg.eigvals(comps.z_ll)[0])
-        real_loads, real_recovery = opt.load_impedances, bf.recovery_stack
+        real_loads = opt.load_impedances
+        unrecovered_h = assemble_from_config(
+            comps, MODEL,
+            ro.onebit_configuration(grouping, reference.entries[unrecovered][0], 8),
+        ).matrix
 
         def loads(model, capacitances, frequency):
             z_loads = real_loads(model, capacitances, frequency)
             z_loads[over] = resonant
             return z_loads
 
-        def recovery(h, w_ul, sinr_ul, sigma2, p_bs, errors):
-            # SINR targets the powers cannot reach within the budget
-            sinr_ul = np.array(sinr_ul)
-            sinr_ul[unrecovered] *= 2.0
-            return real_recovery(h, w_ul, sinr_ul, sigma2, p_bs, errors)
+        def doubled(real):
+            # SINR targets the powers cannot reach within the budget, on
+            # both solver paths
+            def recovery(h, w_ul, sinr_ul, *args, **kwargs):
+                sinr_ul = np.array(sinr_ul)
+                sinr_ul[np.all(h == unrecovered_h, axis=(-2, -1))] *= 2.0
+                return real(h, w_ul, sinr_ul, *args, **kwargs)
+
+            return recovery
 
         monkeypatch.setattr(opt, "load_impedances", loads)
-        monkeypatch.setattr(bf, "recovery_stack", recovery)
+        for name in ("recovery_stack", "downlink_power_recovery"):
+            monkeypatch.setattr(bf, name, doubled(getattr(bf, name)))
         with caplog.at_level(logging.WARNING, logger="risopt.optimizer"):
             result = exhaustive_1bit_search(comps, MODEL, grouping, 1.0, 1e-2)
         states = [s for s, _ in reference.entries]
@@ -761,13 +763,10 @@ class TestPerturbationStudy:
     def test_failed_block_raises(self, monkeypatch):
         import risopt.optimizer as opt
 
-        real = opt.assemble_stack
-
-        def singular(components, z_loads, errors):
-            errors[0] = ro.SingularChannelError("synthetic singular system")
-            return real(components, z_loads, errors)
-
-        monkeypatch.setattr(opt, "assemble_stack", singular)
+        fail_states(
+            monkeypatch, opt, ("assemble_stack", "assemble_effective_channel"),
+            lambda loads: True, ro.SingularChannelError("synthetic singular system"), at=1,
+        )
         with pytest.raises(ro.SingularChannelError, match="synthetic"):
             perturbation_study(
                 light_scene(), MODEL, column_paired_grouping(4), 1.0,
@@ -804,22 +803,19 @@ class TestPerturbationChunks:
         grouping = column_paired_grouping(4)
         sigma2 = ro.noise_power(900.0, 40e6)
         offsets = [(0.0, 0.0), (0.05, -0.03)]
+        monkeypatch.setattr(opt, "STACK_CHUNK", 7)
+        channels = solved_channels(monkeypatch, opt)
         reference = perturbation_study(
             scene, MODEL, grouping, 1.0, sigma2, offsets=offsets
         )
         per_combination = 1 + 2 ** len(grouping)
-        failing = {5 * per_combination + 2, 5 * per_combination + 4}
-        real, solved = opt.duality_stack, []
-
-        def flaky(h, p_bs, sigma2, errors):
-            for i in range(len(h)):
-                if len(solved) + i in failing:
-                    errors[i] = ro.DualityError(f"synthetic failure {len(solved) + i}")
-            solved.extend([None] * len(h))
-            return real(h, p_bs, sigma2, errors)
-
-        monkeypatch.setattr(opt, "STACK_CHUNK", 7)
-        monkeypatch.setattr(opt, "duality_stack", flaky)
+        for failing in (5 * per_combination + 4, 5 * per_combination + 2):
+            fail_states(
+                monkeypatch, opt, ("duality_stack", "duality_beamformer"),
+                lambda h, target=channels[failing]: np.array_equal(h, target),
+                ro.DualityError(f"synthetic failure {failing}"),
+            )
+        solved = solved_channels(monkeypatch, opt)
         with caplog.at_level(logging.WARNING, logger="risopt.optimizer"):
             result = perturbation_study(
                 scene, MODEL, grouping, 1.0, sigma2, offsets=offsets
