@@ -95,6 +95,24 @@ class EffectiveChannel:
     solved_h0: np.ndarray  # (N, M) block (diag(Z_L) - Z_ll)^-1 H_0
 
 
+def _assemble(components: ChannelComponents, z_loads: np.ndarray):
+    """The system matrices Z = diag(Z_L) - Z_ll of one load vector, or of
+    each of a stack of them, the solved blocks Z^-1 H_0 and the channels
+    H_eff, after the condition check of every system."""
+    n = z_loads.shape[-1]
+    z = np.zeros(z_loads.shape + (n,), dtype=complex)
+    z.reshape(*z_loads.shape[:-1], n * n)[..., :: n + 1] = z_loads  # diagonals
+    z -= components.z_ll
+    cond = np.linalg.cond(z).max()
+    if not cond <= CONDITION_LIMIT:  # NaN fails too
+        raise SingularChannelError(
+            f"load/coupling system condition number {cond:.3e} exceeds "
+            f"{CONDITION_LIMIT:.0e}"
+        )
+    solved_h0 = np.linalg.solve(z, components.h_0)
+    return z, solved_h0, components.h_u + components.g_l @ solved_h0
+
+
 def assemble_effective_channel(
     components: ChannelComponents, z_loads: np.ndarray
 ) -> EffectiveChannel:
@@ -109,15 +127,7 @@ def assemble_effective_channel(
     _, _, n = components.dims
     if z_loads.shape != (n,):
         raise ValueError(f"expected {n} load impedances, got {z_loads.shape}")
-    z = np.diag(z_loads) - components.z_ll
-    cond = np.linalg.cond(z)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise SingularChannelError(
-            f"load/coupling system condition number {cond:.3e} exceeds "
-            f"{CONDITION_LIMIT:.0e}"
-        )
-    solved_h0 = np.linalg.solve(z, components.h_0)
-    matrix = components.h_u + components.g_l @ solved_h0
+    z, solved_h0, matrix = _assemble(components, z_loads)
     return EffectiveChannel(matrix=matrix, z=z, solved_h0=solved_h0)
 
 
@@ -128,25 +138,17 @@ def assemble_stack(
 
     Returns the (B, K, M) channels and the (B, N, M) solved blocks
     (diag(Z_L) - Z_ll)^-1 H_0, from one batched condition number and one
-    batched solve.  Raises SingularChannelError when any system of the stack
-    is over CONDITION_LIMIT; ``assemble_effective_channel`` of each load
-    vector then names the ones that fail.
+    batched solve.  Raises SingularChannelError, with the largest condition
+    number of the stack, when any system of the stack is over
+    CONDITION_LIMIT; ``assemble_effective_channel`` of each load vector then
+    names the ones that fail.
     """
     z_loads = np.asarray(z_loads, dtype=complex)
     _, _, n = components.dims
     if z_loads.ndim != 2 or z_loads.shape[1] != n:
         raise ValueError(f"expected a stack of {n} load impedances, got {z_loads.shape}")
-    z = np.zeros((len(z_loads), n, n), dtype=complex)
-    z[:, np.arange(n), np.arange(n)] = z_loads
-    z -= components.z_ll
-    cond = np.linalg.cond(z)
-    if not np.all(cond <= CONDITION_LIMIT):  # NaN fails too
-        raise SingularChannelError(
-            f"a load/coupling system of the stack exceeds condition number "
-            f"{CONDITION_LIMIT:.0e}"
-        )
-    solved_h0 = np.linalg.solve(z, components.h_0)
-    return components.h_u + components.g_l @ solved_h0, solved_h0
+    _, solved_h0, matrix = _assemble(components, z_loads)
+    return matrix, solved_h0
 
 
 def assemble_from_config(

@@ -312,6 +312,29 @@ class TestDownlinkPowerRecovery:
             # inflated targets are inconsistent with the budget
             downlink_power_recovery(h, unit, balance.sinr * 2.0, 0.4, p_bs=1.0)
 
+    def test_a_stack_recovers_each_state_as_alone(self):
+        # the stacked recovery (one batched solve, checks over the stack) is
+        # the one-channel recovery of each state, bit for bit
+        rng = np.random.default_rng(29)
+        for b in (1, 2, 64):
+            for trial in range(10):
+                m = int(rng.integers(1, 7))
+                k = int(rng.integers(1, m + 1))
+                h = complex_normal(rng, b, k, m)
+                ratio = 10.0 ** rng.uniform(-6.0, 2.0)  # sigma2 / p_bs
+                balance = bf.balance_stack(h, 1.0, ratio)
+                stacked = downlink_power_recovery(
+                    h, balance.combiner, balance.sinr, ratio, 1.0
+                )
+                alone = [
+                    downlink_power_recovery(
+                        h[i], balance.combiner[i], balance.sinr[i], ratio, 1.0
+                    )
+                    for i in range(b)
+                ]
+                assert stacked.shape == (b, k), (b, trial)
+                assert np.array_equal(stacked, alone), (b, trial)
+
 
 class TestDualityBeamformer:
     def test_single_user_rate_formula(self, rng):
@@ -481,7 +504,7 @@ class TestDualityStack:
         with pytest.raises(ro.DualityError, match="singular") as scalar:
             downlink_power_recovery(h[1], w_ul[1], sinr[1], 0.5, 1.0)
         with pytest.raises(ro.DualityError, match="singular"):
-            bf.recovery_stack(h, w_ul, sinr, 0.5, 1.0)
+            downlink_power_recovery(h, w_ul, sinr, 0.5, 1.0)
 
         # in a sweep, the identity channel between two random ones gets
         # those beams and SINRs on both solver paths
@@ -498,12 +521,29 @@ class TestDualityStack:
         stack = complex_normal(np.random.default_rng(3), 3, 2, 2)
         stack[1] = np.eye(2)
         alone = bf.duality_stack(stack[[0, 2]], 1.0, 0.5)
-        for name in ("recovery_stack", "downlink_power_recovery"):
-            monkeypatch.setattr(bf, name, singular_inputs(getattr(bf, name)))
+        monkeypatch.setattr(bf, "downlink_power_recovery", singular_inputs(downlink_power_recovery))
         outcomes = self.sweep_outcomes(stack, 1.0, 0.5)
         assert isinstance(outcomes[1], ro.DualityError)
         assert str(outcomes[1]) == str(scalar.value)
         assert np.array_equal([outcomes[0], outcomes[2]], alone.min_rate)
+
+    def test_a_capped_balance_warns_before_its_recovery_fails(self, rng, monkeypatch):
+        # non-convergence is never silent: each capped state warns even when
+        # the recovery then refuses the solve, on both solver paths
+        monkeypatch.setattr(bf, "BALANCE_MAX_ITER", 1)
+        monkeypatch.setattr(bf, "POWER_CONSERVATION_TOL", -1.0)
+        h = complex_normal(rng, 2, 3, 3)
+        for solve, channel, states in (
+            (duality_beamformer, h[0], 1),
+            (bf.duality_stack, h, 2),
+        ):
+            with pytest.warns(UserWarning) as caught:
+                with pytest.raises(ro.DualityError, match="conservation"):
+                    solve(channel, 1.0, 0.3)
+            messages = [str(w.message) for w in caught]
+            assert messages == [
+                "power balance stopped after 1 iterations without converging"
+            ] * states
 
     def test_capped_balance_warns_as_the_scalar_path(self, rng, monkeypatch):
         monkeypatch.setattr(bf, "BALANCE_MAX_ITER", 1)

@@ -80,6 +80,19 @@ class TestAssembly:
         with pytest.raises(ro.SingularChannelError):
             assemble_effective_channel(comps, np.array([1.0 + 0j]))
 
+    def test_a_refused_stack_reports_its_largest_condition_number(self, rng):
+        # one assembly rule: the stack's message is that of its worst load
+        # vector assembled alone
+        comps = random_components(rng)
+        z_loads = complex_normal(rng, 3, 20) * 10 + 40.0
+        z_loads[1] = np.linalg.eigvals(comps.z_ll)[0]  # diag(Z_L) - Z_ll singular
+        with pytest.raises(ro.SingularChannelError) as alone:
+            assemble_effective_channel(comps, z_loads[1])
+        with pytest.raises(ro.SingularChannelError) as stacked:
+            ro.channel.assemble_stack(comps, z_loads)
+        assert str(stacked.value) == str(alone.value)
+        assert str(alone.value).startswith("load/coupling system condition number")
+
     def test_unloaded_limit_returns_baseline(self, rng):
         comps = random_components(rng)
         model = DEFAULT_VARACTOR

@@ -1,17 +1,34 @@
 """The program runs on numpy alone: scipy is a test-only oracle.
 
-The check runs in a fresh interpreter, because this test session imports
-scipy itself.  It imports ``risopt.cli`` and runs two commands through
-``cli.main``, so an import moved inside a function is caught too.
+The scipy check runs in a fresh interpreter, because this test session
+imports scipy itself.  It imports ``risopt.cli`` and runs two commands
+through ``cli.main``, so an import moved inside a function is caught too.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+
+def test_the_declared_numpy_has_the_numpy_2_api():
+    # the library uses ndarray.mT and np.vecdot, and the stacked assembly
+    # relies on numpy 2's rule that only a 1-D b of np.linalg.solve is a
+    # vector, so an install that allowed numpy 1.x would fail at run time
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        dependencies = tomllib.load(handle)["project"]["dependencies"]
+    (numpy,) = [d for d in dependencies if re.match(r"numpy\b", d)]
+    floor = re.fullmatch(r"numpy>=(\d+)(\.\d+)*", numpy)
+    assert floor and int(floor[1]) >= 2, numpy
+
 
 PROBE = """
 import json, sys

@@ -585,8 +585,7 @@ class TestExhaustiveSearch:
             return recovery
 
         monkeypatch.setattr(opt, "load_impedances", loads)
-        for name in ("recovery_stack", "downlink_power_recovery"):
-            monkeypatch.setattr(bf, name, doubled(getattr(bf, name)))
+        monkeypatch.setattr(bf, "downlink_power_recovery", doubled(bf.downlink_power_recovery))
         with caplog.at_level(logging.WARNING, logger="risopt.optimizer"):
             result = exhaustive_1bit_search(comps, MODEL, grouping, 1.0, 1e-2)
         states = [s for s, _ in reference.entries]
