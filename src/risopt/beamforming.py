@@ -8,16 +8,13 @@ downlink per-beam powers achieving the same SINRs with the same total power.
 
 ``duality_beamformer`` solves one channel; ``duality_stack`` runs the same
 arithmetic on a stack of channels, state by state bit for bit, for the 1-bit
-sweeps.  The kernels, the power recovery and the finish (scaling to the
-budget, the downlink report, the checks and warnings) take a leading stack
-axis, so each rule of the solver is written once.  Only the balance loop has
-two forms: ``fixed_point_power_balance`` for one channel and
-``balance_stack``, which masks the states that have converged.  The masked
-loop gives the same bits on one channel but took 1.21-1.35 times as long,
-and the optimizer solves one channel at a time.  The stacked solver raises
-when any state of its stack fails; the sweeps then solve that stack again
-with ``duality_beamformer``, one channel at a time, which names each state's
-failure.
+sweeps.  Every stage takes an optional leading stack axis and is written
+once: the kernels, the balance loop (``_balance``, whose one-channel entry
+is ``fixed_point_power_balance``), the power recovery and the finish
+(scaling to the budget, the downlink report, the checks and warnings).  The
+stacked solver raises when any state of its stack fails; the sweeps then
+solve that stack again with ``duality_beamformer``, one channel at a time,
+which names each state's failure.
 """
 
 from __future__ import annotations
@@ -211,7 +208,7 @@ class BalanceResult:
     converged: bool
 
 
-# The two balance loops share their entry and exit checks below.  The
+# The balance's entry and exit checks, for one channel or a stack.  The
 # solvers' warnings name the line that called the public solver, two frames
 # above the helper that issues them.  The solvers' checks test a condition
 # with np.count_nonzero, which takes a one-channel scalar and a stack alike
@@ -252,8 +249,53 @@ def _balanced(h, unit, q, sigma2: float, iterations, converged) -> BalanceResult
     )
 
 
+def _balance(h: np.ndarray, p_bs: float, sigma2: float) -> BalanceResult:
+    """The fixed-point balance of one (K, M) channel, or of each state of a
+    (B, K, M) stack to its own stop rule.  The stack iterates whole until its
+    states stop apart; those that stop are then set aside in per-state
+    arrays.  One channel returns a Python ``int`` and ``bool``, which the
+    benchmark's tracer sums over ``fixed_point_power_balance`` calls; the
+    stacked solver calls this loop, not that name.
+    """
+    k = h.shape[-2]
+    hs = h  # the states still iterating
+    q = np.full(h.shape[:-1], p_bs / k)
+    root = np.nan  # NaN fails the stop rule at the first iteration
+    index = None  # the stack index of each state of hs, once states stop apart
+    for iterations in range(1, BALANCE_MAX_ITER + 1):
+        w = mmse_combiner(hs, q, sigma2)
+        unit = w / np.linalg.norm(w, axis=-2, keepdims=True)
+        gains = np.abs(hs @ unit) ** 2
+        previous = root
+        root, right = perron(extended_coupling_matrix(gains.mT, sigma2, p_bs))
+        q = p_bs * right[..., :k] / right[..., :k].sum(axis=-1, keepdims=True)
+        done = abs(root - previous) <= BALANCE_TOL * root
+        stopped = np.count_nonzero(done)
+        if stopped == done.size or iterations == BALANCE_MAX_ITER:
+            break
+        if stopped:
+            if index is None:
+                index = np.arange(len(h))
+                q_all, unit_all = np.empty_like(q), np.empty_like(unit)
+                iterations_all = np.empty(len(h), dtype=int)
+                converged_all = np.empty(len(h), dtype=bool)
+            out = index[done]
+            q_all[out], unit_all[out] = q[done], unit[done]
+            iterations_all[out], converged_all[out] = iterations, True
+            going = ~done
+            index, hs, q, root = index[going], hs[going], q[going], root[going]
+    if index is None:
+        if h.ndim == 2:
+            return _balanced(h, unit, q, sigma2, iterations, bool(done))
+        return _balanced(h, unit, q, sigma2, np.full(len(h), iterations), done)
+    q_all[index], unit_all[index] = q, unit
+    iterations_all[index], converged_all[index] = iterations, done
+    return _balanced(h, unit_all, q_all, sigma2, iterations_all, converged_all)
+
+
 def fixed_point_power_balance(h, p_bs: float, sigma2: float) -> BalanceResult:
-    """Balance the per-user uplink SINRs under the sum-power constraint.
+    """Balance the per-user uplink SINRs of one channel under the sum-power
+    constraint.
 
     Starting from a uniform split q = p_bs / K, each iteration normalizes the
     MMSE combiners of q to unit beams u and takes the new q from the right
@@ -267,53 +309,7 @@ def fixed_point_power_balance(h, p_bs: float, sigma2: float) -> BalanceResult:
     _check_balance_inputs(hm, p_bs)
     if k > m:
         _warn_users_exceed_antennas(k, m)
-    q = np.full(k, p_bs / k)
-    root = None
-    converged = False
-    for iterations in range(1, BALANCE_MAX_ITER + 1):
-        w = mmse_combiner(hm, q, sigma2)
-        unit = w / np.linalg.norm(w, axis=0)
-        gains = np.abs(hm @ unit) ** 2
-        previous = root
-        root, right = perron(extended_coupling_matrix(gains.T, sigma2, p_bs))
-        q = p_bs * right[:k] / right[:k].sum()
-        if previous is not None and abs(root - previous) <= BALANCE_TOL * root:
-            converged = True
-            break
-    return _balanced(hm, unit, q, sigma2, iterations, converged)
-
-
-def balance_stack(h: np.ndarray, p_bs: float, sigma2: float) -> BalanceResult:
-    """``fixed_point_power_balance`` of every state of a (B, K, M) channel
-    stack.
-
-    Each state iterates until its own Perron root meets the stop rule, so its
-    result does not depend on the other states of the stack.
-    """
-    b, k, m = h.shape
-    _check_balance_inputs(h, p_bs)
-    q = np.full((b, k), p_bs / k)
-    unit = np.empty((b, m, k), dtype=complex)
-    root = np.full(b, np.nan)  # NaN fails the stop rule at the first iteration
-    iterations = np.zeros(b, dtype=int)
-    converged = np.zeros(b, dtype=bool)
-    active = np.arange(b)
-    for iteration in range(1, BALANCE_MAX_ITER + 1):
-        if not active.size:
-            break
-        ha = h[active]
-        w = mmse_combiner(ha, q[active], sigma2)
-        u = w / np.linalg.norm(w, axis=-2, keepdims=True)
-        gains = np.abs(ha @ u) ** 2
-        roots, right = perron(extended_coupling_matrix(gains.mT, sigma2, p_bs))
-        q[active] = p_bs * right[:, :k] / right[:, :k].sum(axis=-1, keepdims=True)
-        unit[active] = u
-        iterations[active] = iteration
-        done = np.abs(roots - root[active]) <= BALANCE_TOL * roots
-        root[active] = roots
-        converged[active[done]] = True
-        active = active[~done]
-    return _balanced(h, unit, q, sigma2, iterations, converged)
+    return _balance(hm, p_bs, sigma2)
 
 
 def downlink_power_recovery(
@@ -463,15 +459,15 @@ def duality_stack(h, p_bs: float, sigma2: float) -> StackSolution:
     """``duality_beamformer`` of every state of a (B, K, M) channel stack,
     with the same arithmetic state by state.
 
-    Only the balance loop differs (``balance_stack``); the recovery, the
-    finish and every check and warning are those of ``duality_beamformer``.
-    A failed state raises the one-channel error for the whole stack; each
-    capped state warns before the recovery is checked, and K > M users warn
-    once every check has passed.
+    The balance, the recovery, the finish and every check and warning are
+    those of ``duality_beamformer``.  A failed state raises the one-channel
+    error for the whole stack; each capped state warns before the recovery
+    is checked, and K > M users warn once every check has passed.
     """
     h = np.asarray(h, dtype=complex)
     _, k, m = h.shape
-    solved = _solve(h, balance_stack(h, p_bs, sigma2), p_bs, sigma2)
+    _check_balance_inputs(h, p_bs)
+    solved = _solve(h, _balance(h, p_bs, sigma2), p_bs, sigma2)
     if k > m:
         _warn_users_exceed_antennas(k, m)
     return solved

@@ -7,7 +7,9 @@ coupling matrix) with the tunable load impedances:
     H_eff = H_u + G_l (diag(Z_L) - Z_ll)^-1 H_0
 
 The N x N system Z = diag(Z_L) - Z_ll is solved against H_0 once per load
-vector.  The assembled channel keeps Z and the solved block Z^-1 H_0; the
+vector.  ``assemble_effective_channel`` takes one load vector or a stack of
+them, which the 1-bit sweeps assemble in one batched condition check and
+solve.  The assembled channel keeps Z and the solved block Z^-1 H_0; the
 analytic derivative of H_eff with respect to one load capacitance solves Z
 once more, against the unit vector of that element.
 """
@@ -84,7 +86,8 @@ class ChannelComponents:
 
 @dataclass
 class EffectiveChannel:
-    """Assembled K x M channel for one load vector.
+    """Assembled K x M channel for one load vector; for a stack of load
+    vectors each field carries the leading stack axis.
 
     ``matrix`` is H_eff; the system matrix Z = diag(Z_L) - Z_ll and the
     solved block Z^-1 H_0 are retained for derivative evaluations.
@@ -95,11 +98,24 @@ class EffectiveChannel:
     solved_h0: np.ndarray  # (N, M) block (diag(Z_L) - Z_ll)^-1 H_0
 
 
-def _assemble(components: ChannelComponents, z_loads: np.ndarray):
-    """The system matrices Z = diag(Z_L) - Z_ll of one load vector, or of
-    each of a stack of them, the solved blocks Z^-1 H_0 and the channels
-    H_eff, after the condition check of every system."""
-    n = z_loads.shape[-1]
+def assemble_effective_channel(
+    components: ChannelComponents, z_loads: np.ndarray
+) -> EffectiveChannel:
+    """Assemble H_eff = H_u + G_l (diag(Z_L) - Z_ll)^-1 H_0 for one (N,)
+    load vector, or for each row of a (B, N) stack of them.
+
+    The inverse is never formed; the N x N system is solved against H_0, a
+    stack of systems in one batched solve.  Raises SingularChannelError when
+    a system is singular or its condition number exceeds CONDITION_LIMIT (a
+    physically meaningful load resonance); for a stack the message gives the
+    largest condition number, that of the worst load vector assembled alone.
+    """
+    z_loads = np.asarray(z_loads, dtype=complex)
+    _, _, n = components.dims
+    if z_loads.ndim not in (1, 2) or z_loads.shape[-1] != n:
+        raise ValueError(
+            f"expected {n} load impedances or a stack of them, got {z_loads.shape}"
+        )
     z = np.zeros(z_loads.shape + (n,), dtype=complex)
     z.reshape(*z_loads.shape[:-1], n * n)[..., :: n + 1] = z_loads  # diagonals
     z -= components.z_ll
@@ -110,45 +126,8 @@ def _assemble(components: ChannelComponents, z_loads: np.ndarray):
             f"{CONDITION_LIMIT:.0e}"
         )
     solved_h0 = np.linalg.solve(z, components.h_0)
-    return z, solved_h0, components.h_u + components.g_l @ solved_h0
-
-
-def assemble_effective_channel(
-    components: ChannelComponents, z_loads: np.ndarray
-) -> EffectiveChannel:
-    """Assemble H_eff = H_u + G_l (diag(Z_L) - Z_ll)^-1 H_0.
-
-    The inverse is never formed; the N x N system is solved against H_0.
-    Raises
-    SingularChannelError when the system is singular or its condition number
-    exceeds CONDITION_LIMIT (a physically meaningful load resonance).
-    """
-    z_loads = np.asarray(z_loads, dtype=complex)
-    _, _, n = components.dims
-    if z_loads.shape != (n,):
-        raise ValueError(f"expected {n} load impedances, got {z_loads.shape}")
-    z, solved_h0, matrix = _assemble(components, z_loads)
+    matrix = components.h_u + components.g_l @ solved_h0
     return EffectiveChannel(matrix=matrix, z=z, solved_h0=solved_h0)
-
-
-def assemble_stack(
-    components: ChannelComponents, z_loads: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``assemble_effective_channel`` of a (B, N) stack of load vectors.
-
-    Returns the (B, K, M) channels and the (B, N, M) solved blocks
-    (diag(Z_L) - Z_ll)^-1 H_0, from one batched condition number and one
-    batched solve.  Raises SingularChannelError, with the largest condition
-    number of the stack, when any system of the stack is over
-    CONDITION_LIMIT; ``assemble_effective_channel`` of each load vector then
-    names the ones that fail.
-    """
-    z_loads = np.asarray(z_loads, dtype=complex)
-    _, _, n = components.dims
-    if z_loads.ndim != 2 or z_loads.shape[1] != n:
-        raise ValueError(f"expected a stack of {n} load impedances, got {z_loads.shape}")
-    _, solved_h0, matrix = _assemble(components, z_loads)
-    return matrix, solved_h0
 
 
 def assemble_from_config(

@@ -175,7 +175,8 @@ def _matrix_to_pairs(matrix: np.ndarray) -> list:
 
 def _pairs_to_matrix(data, rows: int, cols: int, name: str) -> np.ndarray:
     """Entries must be [re, im] pairs of numbers; their finiteness is left to
-    ChannelComponents, which names the matrix."""
+    ChannelComponents, which names the matrix, except for an integer beyond
+    the float range, which is refused here with the same message."""
     if not isinstance(data, list) or len(data) != rows:
         raise ChannelFileError(
             f"field '{name}': expected {rows} rows, got "
@@ -194,7 +195,12 @@ def _pairs_to_matrix(data, rows: int, cols: int, name: str) -> np.ndarray:
                 raise ChannelFileError(
                     f"field '{name}': entry ({i}, {j}) is not a [re, im] pair"
                 )
-            out[i, j] = complex(pair[0], pair[1])
+            try:
+                out[i, j] = complex(pair[0], pair[1])
+            except OverflowError:
+                raise ChannelFileError(
+                    f"field '{name}': {name} contains non-finite entries"
+                ) from None
     return out
 
 
@@ -345,7 +351,7 @@ def load_scene(path) -> SceneDescription:
         if reflection == 0:
             panel = None
         grid = None
-        if doc.get("grid"):
+        if doc.get("grid") is not None:
             gdoc = _container(doc["grid"], dict, "grid")
             spacing_g = gdoc.get("spacing", [0.1, 0.1])
             grid = ObservationGrid(

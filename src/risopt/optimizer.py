@@ -10,11 +10,12 @@ always evaluated under its best transmit strategy.
 
 Also provides the exhaustive 1-bit configuration sweep and the user-location
 perturbation study built on top of it.  Both assemble and solve their channel
-states STACK_CHUNK at a time through the stacked core
-(``channel.assemble_stack`` and ``beamforming.duality_stack``).  The core
-raises when any state of a chunk fails; that chunk is then solved again one
-channel at a time (``assemble_effective_channel``, ``duality_beamformer``),
-which names the failure of each state and gives the rest the same bits.
+states STACK_CHUNK at a time: ``assemble_effective_channel`` takes the
+chunk's stack of load vectors and ``duality_stack`` its stack of channels.
+Either raises when any state of a chunk fails; that chunk is then assembled
+and solved again one state at a time (``assemble_effective_channel`` of one
+load vector, ``duality_beamformer``), which names the failure of each state
+and gives the rest the same bits.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .channel import (
     ChannelComponents,
     assemble_effective_channel,
     assemble_from_config,
-    assemble_stack,
     group_channel_derivative,
 )
 from .errors import GeometryError, RisOptError
@@ -472,10 +472,11 @@ def exhaustive_1bit_search(
     """Evaluate every binary configuration with a full duality solve each.
 
     Enumeration order is deterministic (lexicographic).  The states are
-    assembled and solved STACK_CHUNK at a time by the stacked core
-    (``assemble_stack`` and ``duality_stack``), with the arithmetic of the
-    scalar solver state by state.  A chunk that the core refuses is solved
-    again one channel at a time (``assemble_effective_channel`` and
+    assembled and solved STACK_CHUNK at a time (``assemble_effective_channel``
+    of the chunk's load vectors, then ``duality_stack``), with the
+    arithmetic of the one-channel solver state by state.  A chunk that either
+    refuses is assembled and solved again one state at a time
+    (``assemble_effective_channel`` of each load vector and
     ``duality_beamformer``); a configuration that fails there is logged and
     recorded as a missing entry.  The winner's beamformer and report are the
     ones its sweep solve produced.
@@ -485,7 +486,7 @@ def exhaustive_1bit_search(
     best = None  # (states, rate, its chunk's solution(i), i); ties keep the first
     for chunk, z_loads in _onebit_chunks(components, model, grouping):
         try:
-            channels, _ = assemble_stack(components, z_loads)
+            channels = assemble_effective_channel(components, z_loads).matrix
             solved = duality_stack(channels, p_bs, sigma2)
             rates, solution = solved.min_rate, solved.solution
         except RisOptError:
@@ -616,7 +617,7 @@ def perturbation_study(
     blocks = []
     for _, z_loads in _onebit_chunks(base_components, model, grouping):
         try:
-            blocks.append(assemble_stack(base_components, z_loads)[1])
+            blocks.append(assemble_effective_channel(base_components, z_loads).solved_h0)
         except RisOptError:  # raises the first block that fails
             blocks.append(
                 [assemble_effective_channel(base_components, z).solved_h0 for z in z_loads]

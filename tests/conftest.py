@@ -62,12 +62,15 @@ def fail_states(monkeypatch, module, names, failing, error, at=0):
     """Fail the states that ``failing`` picks on both solver paths.
 
     ``names`` are a stacked function of ``module`` and its one-channel
-    oracle; they take their states, or their one state, as positional
-    argument ``at``.  The stacked one refuses a chunk that holds a picked
-    state with the class of ``error``, as the stacked core refuses a chunk
-    with a failed state, and the one-channel one raises ``error`` for a
-    picked state, as it names that state's failure.
+    oracle, which take their states, or their one state, as positional
+    argument ``at``; or the one name of the assembly, which takes a (B, N)
+    stack of load vectors or one (N,) vector there.  A stacked call refuses
+    a chunk that holds a picked state with the class of ``error``, as the
+    stacked core refuses a chunk with a failed state, and a one-state call
+    raises ``error`` for a picked state, as it names that state's failure.
     """
+    if isinstance(names, str):
+        names = (names, names)
     stacked, single = (getattr(module, name) for name in names)
 
     def refusing(*args, **kwargs):
@@ -80,8 +83,14 @@ def fail_states(monkeypatch, module, names, failing, error, at=0):
             raise error
         return single(*args, **kwargs)
 
-    monkeypatch.setattr(module, names[0], refusing)
-    monkeypatch.setattr(module, names[1], raising)
+    def either(*args, **kwargs):
+        return (refusing if np.ndim(args[at]) == 2 else raising)(*args, **kwargs)
+
+    if names[0] == names[1]:
+        monkeypatch.setattr(module, names[0], either)
+    else:
+        monkeypatch.setattr(module, names[0], refusing)
+        monkeypatch.setattr(module, names[1], raising)
 
 
 def solved_channels(monkeypatch, module):

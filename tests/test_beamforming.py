@@ -273,6 +273,35 @@ class TestFixedPointBalance:
             worst = max(worst, gap)
         assert worst <= 1e-6, f"worst rate gap {worst:.3e} bps/Hz"
 
+    @pytest.mark.parametrize("max_iter", [bf.BALANCE_MAX_ITER, 4])
+    def test_a_stack_whose_states_stop_apart(self, monkeypatch, max_iter):
+        # random 3 x 3 channels stop at 3, 4 or 5 iterations, so the loop
+        # sets states aside mid-stack; with the cap at 4 the states that
+        # need 5 stop capped next to converged ones.  Each state is its
+        # one-channel balance.
+        monkeypatch.setattr(bf, "BALANCE_MAX_ITER", max_iter)
+        rng = np.random.default_rng(5)
+        stopped_capped = 0
+        for ratio in (1e-3, 0.1, 10.0):  # sigma2 / p_bs
+            h = complex_normal(rng, 32, 3, 3)
+            stacked = bf._balance(h, 1.0, ratio)
+            stops = set(zip(stacked.iterations.tolist(), stacked.converged.tolist()))
+            assert len(stops) >= 2, ratio  # the states stop apart
+            for i in range(len(h)):
+                alone = fixed_point_power_balance(h[i], 1.0, ratio)
+                assert type(alone.iterations) is int
+                assert type(alone.converged) is bool
+                assert stacked.iterations[i] == alone.iterations, (ratio, i)
+                assert stacked.converged[i] == alone.converged, (ratio, i)
+                for field in ("powers", "combiner", "sinr"):
+                    assert np.array_equal(
+                        getattr(stacked, field)[i], getattr(alone, field)
+                    ), (ratio, i, field)
+            capped = np.logical_not(stacked.converged)
+            assert np.all(stacked.iterations[capped] == max_iter)
+            stopped_capped += np.count_nonzero(capped)
+        assert (stopped_capped > 0) == (max_iter == 4)
+
 
 class TestDownlinkPowerRecovery:
     def test_diagonal_gains_decouple(self):
@@ -322,7 +351,7 @@ class TestDownlinkPowerRecovery:
                 k = int(rng.integers(1, m + 1))
                 h = complex_normal(rng, b, k, m)
                 ratio = 10.0 ** rng.uniform(-6.0, 2.0)  # sigma2 / p_bs
-                balance = bf.balance_stack(h, 1.0, ratio)
+                balance = bf._balance(h, 1.0, ratio)
                 stacked = downlink_power_recovery(
                     h, balance.combiner, balance.sinr, ratio, 1.0
                 )
@@ -436,7 +465,7 @@ class TestDualityStack:
             ro.ris.onebit_capacitances(grouping, states, n),
             comps.frequency,
         )
-        h, _ = ro.channel.assemble_stack(comps, z_loads)
+        h = ro.assemble_effective_channel(comps, z_loads).matrix
         p_bs, sigma2 = 10.0 ** ((p_dbm - 30.0) / 10.0), noise_power(900.0, 40e6)
         solved = bf.duality_stack(h, p_bs, sigma2)
         oracle = np.array(

@@ -89,9 +89,24 @@ class TestAssembly:
         with pytest.raises(ro.SingularChannelError) as alone:
             assemble_effective_channel(comps, z_loads[1])
         with pytest.raises(ro.SingularChannelError) as stacked:
-            ro.channel.assemble_stack(comps, z_loads)
+            assemble_effective_channel(comps, z_loads)
         assert str(stacked.value) == str(alone.value)
         assert str(alone.value).startswith("load/coupling system condition number")
+
+    def test_a_stack_is_each_row_assembled_alone(self, rng):
+        comps = random_components(rng)
+        z_loads = complex_normal(rng, 5, 20) * 10 + 40.0
+        stacked = assemble_effective_channel(comps, z_loads)
+        for i, row in enumerate(z_loads):
+            alone = assemble_effective_channel(comps, row)
+            for field in ("matrix", "z", "solved_h0"):
+                assert np.array_equal(getattr(stacked, field)[i], getattr(alone, field))
+
+    @pytest.mark.parametrize("shape", [(2, 3, 20), (19,), (4, 21)])
+    def test_load_array_of_the_wrong_shape_raises(self, rng, shape):
+        comps = random_components(rng)
+        with pytest.raises(ValueError, match="load impedances"):
+            assemble_effective_channel(comps, np.full(shape, 50.0 + 0j))
 
     def test_unloaded_limit_returns_baseline(self, rng):
         comps = random_components(rng)

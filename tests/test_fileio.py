@@ -98,17 +98,18 @@ class TestChannelFile:
             load_components(path)
 
     def test_non_finite_entry_names_its_matrix(self, rng, tmp_path):
-        # Python's json reads and writes NaN
+        # Python's json reads and writes NaN, and integers of any size
         comps = random_components(rng, k=2, m=2, n=3)
         path = tmp_path / "channels.json"
         save_components(comps, path)
         doc = json.loads(path.read_text())
-        doc["h_u"][0][1][0] = float("nan")
-        path.write_text(json.dumps(doc))
-        with pytest.raises(
-            ro.ChannelFileError, match="^field 'h_u': h_u contains non-finite"
-        ):
-            load_components(path)
+        for bad in (float("nan"), 10**400):
+            doc["h_u"][0][1][0] = bad
+            path.write_text(json.dumps(doc))
+            with pytest.raises(
+                ro.ChannelFileError, match="^field 'h_u': h_u contains non-finite"
+            ):
+                load_components(path)
 
 
 @pytest.mark.parametrize(
@@ -184,6 +185,31 @@ class TestSceneFile:
         path.write_text(json.dumps(doc))
         with pytest.raises(ro.SceneFileError, match=r"walls\[0\]"):
             load_scene(path)
+
+    @pytest.mark.parametrize("grid", [0, False, [], "", "abc"])
+    def test_a_grid_that_is_not_an_object_is_refused(self, grid, tmp_path):
+        path = tmp_path / "scene.json"
+        save_scene(default_scene(n_ports=2, max_reflection_order=1), path)
+        doc = json.loads(path.read_text())
+        doc["grid"] = grid
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ro.SceneFileError, match="^field 'grid': expected an object"):
+            load_scene(path)
+
+    def test_only_an_absent_or_null_grid_means_no_grid(self, tmp_path):
+        path = tmp_path / "scene.json"
+        save_scene(default_scene(n_ports=2, max_reflection_order=1), path)
+        doc = json.loads(path.read_text())
+        doc["grid"] = {}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ro.SceneFileError, match="^field 'grid.origin'"):
+            load_scene(path)
+        doc["grid"] = None
+        path.write_text(json.dumps(doc))
+        assert load_scene(path).grid is None
+        del doc["grid"]
+        path.write_text(json.dumps(doc))
+        assert load_scene(path).grid is None
 
     def test_bad_n_ports_rejected(self, tmp_path):
         doc = {

@@ -494,7 +494,7 @@ class TestExhaustiveSearch:
             comps, MODEL, ro.onebit_configuration(grouping, unsolvable, 8)
         ).matrix
         fail_states(
-            monkeypatch, opt, ("assemble_stack", "assemble_effective_channel"),
+            monkeypatch, opt, "assemble_effective_channel",
             lambda loads: np.array_equal(loads, singular_loads),
             ro.SingularChannelError("synthetic singular system"), at=1,
         )
@@ -522,7 +522,7 @@ class TestExhaustiveSearch:
         import risopt.optimizer as opt
 
         fail_states(
-            monkeypatch, opt, ("assemble_stack", "assemble_effective_channel"),
+            monkeypatch, opt, "assemble_effective_channel",
             lambda loads: True, ro.SingularChannelError("synthetic singular system"), at=1,
         )
         comps = random_components(rng, k=2, m=2, n=4)
@@ -763,7 +763,7 @@ class TestPerturbationStudy:
         import risopt.optimizer as opt
 
         fail_states(
-            monkeypatch, opt, ("assemble_stack", "assemble_effective_channel"),
+            monkeypatch, opt, "assemble_effective_channel",
             lambda loads: True, ro.SingularChannelError("synthetic singular system"), at=1,
         )
         with pytest.raises(ro.SingularChannelError, match="synthetic"):
