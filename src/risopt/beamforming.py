@@ -6,15 +6,15 @@ the uplink extended coupling matrix, which balances the per-user SINRs at the
 inverse of its Perron root.  A K x K linear system then recovers the
 downlink per-beam powers achieving the same SINRs with the same total power.
 
-``duality_beamformer`` solves one channel; ``duality_stack`` runs the same
-arithmetic on a stack of channels, state by state bit for bit, for the 1-bit
-sweeps.  Every stage takes an optional leading stack axis and is written
-once: the kernels, the balance loop (``_balance``, whose one-channel entry
-is ``fixed_point_power_balance``), the power recovery and the finish
-(scaling to the budget, the downlink report, the checks and warnings).  The
-stacked solver raises when any state of its stack fails; the sweeps then
-solve that stack again with ``duality_beamformer``, one channel at a time,
-which names each state's failure.
+``duality_beamformer`` solves one channel, or a stack of channels for the
+1-bit sweeps with the same arithmetic, state by state bit for bit.  Every
+stage takes an optional leading stack axis and is written once: the
+kernels, the balance loop (``_balance``, whose one-channel entry is
+``fixed_point_power_balance``), the power recovery and the finish (scaling
+to the budget, the downlink report, the checks and warnings).  A stack
+raises when any of its states fails; the sweeps then solve that stack again
+one channel at a time, which names each state's failure, and
+``solution_state`` takes one state out of a stacked solve.
 """
 
 from __future__ import annotations
@@ -36,12 +36,15 @@ POWER_CONSERVATION_TOL = 1e-8
 
 
 def noise_power(temperature: float, bandwidth: float) -> float:
-    """Thermal noise power k*T*B in watts."""
+    """Thermal noise power k*T*B in watts: a positive finite float."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
-    return BOLTZMANN * temperature * bandwidth
+    power = BOLTZMANN * temperature * bandwidth
+    if not 0.0 < power < np.inf:
+        raise ValueError(f"noise power k*T*B = {power!r} W is not a positive finite number")
+    return power
 
 
 def _channel_matrix(h) -> np.ndarray:
@@ -50,29 +53,27 @@ def _channel_matrix(h) -> np.ndarray:
 
 @dataclass
 class BeamformerMatrix:
-    """M x K transmit weights constrained to a total power budget."""
+    """M x K transmit weights constrained to a total power budget; a stack
+    of beamformers carries a leading stack axis on ``weights``."""
 
     weights: np.ndarray
     power_budget: float
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=complex)
-        if self.weights.ndim != 2:
-            raise ValueError("weights must be an M x K matrix")
+        if self.weights.ndim < 2:
+            raise ValueError("weights must be an M x K matrix or a stack of them")
         if self.power_budget < 0:
             raise ValueError("power budget must be nonnegative")
-
-    @property
-    def total_power(self) -> float:
-        return float(np.linalg.norm(self.weights) ** 2)
 
 
 @dataclass
 class SinrReport:
-    """Per-user SINR/rate summary for one channel + beamformer.
+    """Per-user SINR/rate summary for one channel + beamformer, or for a
+    stack with the leading stack axis on every field but ``noise_power``.
 
-    Rates are spectral efficiencies in bps/Hz; the serialized report states
-    that as ``"bandwidth": 1.0``.
+    Rates are spectral efficiencies in bps/Hz; the serialized report of one
+    channel states that as ``"bandwidth": 1.0``.
     """
 
     sinr: np.ndarray  # linear
@@ -90,6 +91,23 @@ class SinrReport:
             "noise_power": float(self.noise_power),
             "bandwidth": 1.0,
         }
+
+
+def solution_state(
+    solution: tuple[BeamformerMatrix, SinrReport], i: int
+) -> tuple[BeamformerMatrix, SinrReport]:
+    """State ``i`` of a stacked ``duality_beamformer`` solution as the
+    one-channel solve returns it: its arrays views of the stack's, its
+    ``min_rate`` and ``avg_received_power`` Python floats."""
+    beamformer, report = solution
+    rates = report.rates[i]
+    return BeamformerMatrix(beamformer.weights[i], beamformer.power_budget), SinrReport(
+        sinr=report.sinr[i],
+        rates=rates,
+        min_rate=float(rates.min()),
+        avg_received_power=float(report.avg_received_power[i]),
+        noise_power=report.noise_power,
+    )
 
 
 def rates_from_sinr(sinr: np.ndarray) -> np.ndarray:
@@ -253,9 +271,11 @@ def _balance(h: np.ndarray, p_bs: float, sigma2: float) -> BalanceResult:
     """The fixed-point balance of one (K, M) channel, or of each state of a
     (B, K, M) stack to its own stop rule.  The stack iterates whole until its
     states stop apart; those that stop are then set aside in per-state
-    arrays.  One channel returns a Python ``int`` and ``bool``, which the
-    benchmark's tracer sums over ``fixed_point_power_balance`` calls; the
-    stacked solver calls this loop, not that name.
+    arrays.  A user whose uplink power underflows to zero (at a noise power
+    some 1e240 times the budget) raises before its combiner is normalized.
+    One channel returns a Python ``int`` and ``bool``, which the benchmark's
+    tracer sums over ``fixed_point_power_balance`` calls; a stacked
+    ``duality_beamformer`` calls this loop, not that name.
     """
     k = h.shape[-2]
     hs = h  # the states still iterating
@@ -264,7 +284,13 @@ def _balance(h: np.ndarray, p_bs: float, sigma2: float) -> BalanceResult:
     index = None  # the stack index of each state of hs, once states stop apart
     for iterations in range(1, BALANCE_MAX_ITER + 1):
         w = mmse_combiner(hs, q, sigma2)
-        unit = w / np.linalg.norm(w, axis=-2, keepdims=True)
+        norm = np.linalg.norm(w, axis=-2, keepdims=True)
+        if np.count_nonzero(norm) < norm.size:
+            raise InfeasibleUserError(
+                f"the uplink power of user {np.nonzero(norm == 0)[-1][0]} "
+                "underflowed to zero during balancing"
+            )
+        unit = w / norm
         gains = np.abs(hs @ unit) ** 2
         previous = root
         root, right = perron(extended_coupling_matrix(gains.mT, sigma2, p_bs))
@@ -355,41 +381,9 @@ def downlink_power_recovery(
     return p
 
 
-@dataclass
-class StackSolution:
-    """Max-min solution of one channel state, or of each state of a stack of
-    B states, with the leading stack axis on every array field.  Every state
-    is solved: the solvers raise rather than return a failed state."""
-
-    weights: np.ndarray  # (B, M, K) beamformers scaled to the budget
-    sinr: np.ndarray  # (B, K) from the true downlink received signals
-    rates: np.ndarray  # (B, K) bps/Hz
-    avg_received_power: np.ndarray  # (B,)
-    power_budget: float
-    noise_power: float
-
-    @property
-    def min_rate(self) -> np.ndarray:
-        return self.rates.min(axis=-1)
-
-    def solution(self, i: int | tuple[()]) -> tuple[BeamformerMatrix, SinrReport]:
-        """State ``i`` as ``duality_beamformer`` returns it, its arrays views
-        of this solution's; the index ``()`` takes the one state of a
-        one-channel solution."""
-        rates = self.rates[i]
-        report = SinrReport(
-            sinr=self.sinr[i],
-            rates=rates,
-            min_rate=float(rates.min()),
-            avg_received_power=float(self.avg_received_power[i]),
-            noise_power=self.noise_power,
-        )
-        return BeamformerMatrix(self.weights[i], self.power_budget), report
-
-
 def _solve(
     h: np.ndarray, balance: BalanceResult, p_bs: float, sigma2: float
-) -> StackSolution:
+) -> tuple[BeamformerMatrix, SinrReport]:
     """Recover the downlink powers of a balance and finish the max-min solve,
     for one channel or for each state of a stack.
 
@@ -428,12 +422,15 @@ def _solve(
                 f"{g:.3e}",
                 stacklevel=3,
             )
-    return StackSolution(
-        weights=weights,
+    rates = rates_from_sinr(sinr)
+    min_rate, avg = rates.min(axis=-1), (np.abs(y) ** 2).sum(axis=-1).mean(axis=-1)
+    if h.ndim == 2:  # one channel reports Python floats, as solution_state does
+        min_rate, avg = float(min_rate), float(avg)
+    return BeamformerMatrix(weights, p_bs), SinrReport(
         sinr=sinr,
-        rates=rates_from_sinr(sinr),
-        avg_received_power=(np.abs(y) ** 2).sum(axis=-1).mean(axis=-1),
-        power_budget=p_bs,
+        rates=rates,
+        min_rate=min_rate,
+        avg_received_power=avg,
         noise_power=sigma2,
     )
 
@@ -441,33 +438,26 @@ def _solve(
 def duality_beamformer(
     h, p_bs: float, sigma2: float
 ) -> tuple[BeamformerMatrix, SinrReport]:
-    """Max-min downlink beamformer for one channel state.
+    """Max-min downlink beamformer of one (K, M) channel, or of each state of
+    a (B, K, M) stack with the same arithmetic state by state.
 
-    Runs the uplink balance (``fixed_point_power_balance``), recovers the
-    downlink powers, and returns the beamformer scaled to the budget
-    together with a report computed from the true downlink received
-    signals.  A balance that stops at its iteration cap warns before the
-    recovery is checked, and a mismatch beyond 1e-6 relative between the
-    downlink and uplink SINRs warns after.
+    Runs the uplink balance, recovers the downlink powers, and returns the
+    beamformer scaled to the budget and its true downlink report; for a
+    stack every field but ``power_budget`` and ``noise_power`` carries the
+    leading stack axis.  A capped balance warns before the recovery is
+    checked, and a downlink SINR off its uplink value by over 1e-6 relative
+    warns after.  One channel runs through ``fixed_point_power_balance`` and
+    warns of K > M users before it; a stack raises the one-channel error for
+    the whole stack when any state fails, and warns of K > M users last.
     """
     hm = _channel_matrix(h)
-    balance = fixed_point_power_balance(hm, p_bs, sigma2)
-    return _solve(hm, balance, p_bs, sigma2).solution(())
-
-
-def duality_stack(h, p_bs: float, sigma2: float) -> StackSolution:
-    """``duality_beamformer`` of every state of a (B, K, M) channel stack,
-    with the same arithmetic state by state.
-
-    The balance, the recovery, the finish and every check and warning are
-    those of ``duality_beamformer``.  A failed state raises the one-channel
-    error for the whole stack; each capped state warns before the recovery
-    is checked, and K > M users warn once every check has passed.
-    """
-    h = np.asarray(h, dtype=complex)
-    _, k, m = h.shape
-    _check_balance_inputs(h, p_bs)
-    solved = _solve(h, _balance(h, p_bs, sigma2), p_bs, sigma2)
+    if hm.ndim == 2:
+        return _solve(hm, fixed_point_power_balance(hm, p_bs, sigma2), p_bs, sigma2)
+    if hm.ndim != 3:
+        raise ValueError(f"expected a (K, M) channel or a (B, K, M) stack, got {hm.shape}")
+    _, k, m = hm.shape
+    _check_balance_inputs(hm, p_bs)
+    solved = _solve(hm, _balance(hm, p_bs, sigma2), p_bs, sigma2)
     if k > m:
         _warn_users_exceed_antennas(k, m)
     return solved

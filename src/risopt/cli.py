@@ -132,10 +132,10 @@ class ExperimentConfig:
                 "--power-dbm must give a finite power above 0 W, "
                 f"got {list(self.powers_dbm)} dBm"
             )
-        if self.bandwidth_hz <= 0:
-            raise ValueError("--bandwidth-hz must be positive")
-        if self.temperature_k <= 0:
-            raise ValueError("--temperature-k must be positive")
+        try:  # both positive, and k*T*B neither overflows nor underflows
+            self.sigma2
+        except ValueError as exc:
+            raise ValueError(f"--temperature-k and --bandwidth-hz: {exc}") from exc
         if self.bin_width <= 0:
             raise ValueError("--bin-width must be positive")
         if self.max_sweeps < 0:
@@ -175,7 +175,8 @@ class Workspace:
     file emission under the command's name.
 
     Channel components are loaded or synthesized only for a command that
-    accepts ``--channels``; the ``--ris-config`` warm start is read once.
+    accepts ``--channels``; the ``--ris-config`` warm start is read once and
+    must hold one capacitance per RIS port of the channel.
     """
 
     def __init__(self, cfg: ExperimentConfig, command: str):
@@ -198,6 +199,12 @@ class Workspace:
         self.initial_config = (
             load_ris_config(cfg.ris_config_path) if cfg.ris_config_path else None
         )
+        config = self.initial_config
+        if config is not None and config.capacitances.size != self.components.dims[2]:
+            raise SceneFileError(
+                f"--ris-config {cfg.ris_config_path} holds {config.capacitances.size} "
+                f"capacitances, the channel has {self.components.dims[2]} RIS ports"
+            )
 
     def header(self) -> list:
         lines = [f"risopt {self.command}"]

@@ -11,15 +11,16 @@ always evaluated under its best transmit strategy.
 Also provides the exhaustive 1-bit configuration sweep and the user-location
 perturbation study built on top of it.  Both assemble and solve their channel
 states STACK_CHUNK at a time: ``assemble_effective_channel`` takes the
-chunk's stack of load vectors and ``duality_stack`` its stack of channels.
-Either raises when any state of a chunk fails; that chunk is then assembled
-and solved again one state at a time (``assemble_effective_channel`` of one
-load vector, ``duality_beamformer``), which names the failure of each state
-and gives the rest the same bits.
+chunk's stack of load vectors and ``duality_beamformer`` its stack of
+channels.  Either raises when any state of a chunk fails; that chunk is then
+assembled and solved again one state at a time (the same two functions on
+one load vector and one channel), which names the failure of each state and
+gives the rest the same bits.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 from dataclasses import dataclass, replace
@@ -30,9 +31,9 @@ from .beamforming import (
     BeamformerMatrix,
     SinrReport,
     duality_beamformer,
-    duality_stack,
     extended_coupling_matrix,
     perron,
+    solution_state,
 )
 from .channel import (
     ChannelComponents,
@@ -473,29 +474,29 @@ def exhaustive_1bit_search(
 
     Enumeration order is deterministic (lexicographic).  The states are
     assembled and solved STACK_CHUNK at a time (``assemble_effective_channel``
-    of the chunk's load vectors, then ``duality_stack``), with the
-    arithmetic of the one-channel solver state by state.  A chunk that either
-    refuses is assembled and solved again one state at a time
-    (``assemble_effective_channel`` of each load vector and
-    ``duality_beamformer``); a configuration that fails there is logged and
-    recorded as a missing entry.  The winner's beamformer and report are the
-    ones its sweep solve produced.
+    of the chunk's load vectors, then ``duality_beamformer`` of its channel
+    stack), with the arithmetic of the one-channel solver state by state.  A
+    chunk that either refuses is assembled and solved again one state at a
+    time by the same two functions; a configuration that fails there is
+    logged and recorded as a missing entry.  The winner's beamformer and
+    report are the ones its sweep solve produced.
     """
     _, _, n = components.dims
     entries = []
-    best = None  # (states, rate, its chunk's solution(i), i); ties keep the first
+    best = None  # (states, rate, its (beamformer, report)); ties keep the first
+
+    def solve(z_loads):
+        return duality_beamformer(
+            assemble_effective_channel(components, z_loads), p_bs, sigma2
+        )
+
     for chunk, z_loads in _onebit_chunks(components, model, grouping):
         try:
-            channels = assemble_effective_channel(components, z_loads).matrix
-            solved = duality_stack(channels, p_bs, sigma2)
-            rates, solution = solved.min_rate, solved.solution
+            solved = solve(z_loads)
+            rates = solved[1].min_rate
+            solution = functools.partial(solution_state, solved)
         except RisOptError:
-            solutions = _each_state(
-                lambda z: duality_beamformer(
-                    assemble_effective_channel(components, z), p_bs, sigma2
-                ),
-                z_loads,
-            )
+            solutions = _each_state(solve, z_loads)
             rates = [
                 s if isinstance(s, RisOptError) else s[1].min_rate for s in solutions
             ]
@@ -508,15 +509,14 @@ def exhaustive_1bit_search(
             rate = float(rate)
             entries.append((states, rate))
             if best is None or rate > best[1]:
-                best = (states, rate, solution, i)
+                best = (states, rate, solution(i))
     if best is None:
         raise RisOptError("every 1-bit configuration failed to evaluate")
     ranked = sorted(
         ((s, r) for s, r in entries if r is not None),
         key=lambda item: (-item[1], item[0]),
     )
-    best_states, best_rate, solution, i = best
-    best_beamformer, best_report = solution(i)
+    best_states, best_rate, (best_beamformer, best_report) = best
     _, baseline_report = duality_beamformer(components.h_u, p_bs, sigma2)
     baseline = float(baseline_report.min_rate)
     fraction = float(np.mean([r > baseline for _, r in ranked]))
@@ -568,12 +568,12 @@ def _user_rows(scene, positions) -> list:
 
 def _solved_states(stacks, p_bs, sigma2):
     """Min rate, or the RisOptError that failed it, of every state of a
-    sequence of channel stacks, in order; the states run through
-    ``duality_stack`` STACK_CHUNK at a time, across stacks, and a chunk
-    that it refuses through ``duality_beamformer`` one state at a time."""
+    sequence of channel stacks, in order; ``duality_beamformer`` solves the
+    states STACK_CHUNK at a time, across stacks, and a chunk that it
+    refuses one state at a time."""
     for chunk in _chunks(state for stack in stacks for state in stack):
         try:
-            rates = duality_stack(np.array(chunk), p_bs, sigma2).min_rate
+            rates = duality_beamformer(np.array(chunk), p_bs, sigma2)[1].min_rate
         except RisOptError:
             rates = _each_state(
                 lambda h: duality_beamformer(h, p_bs, sigma2)[1].min_rate, chunk
@@ -600,10 +600,10 @@ def perturbation_study(
     user position, K x len(offsets) of them, is traced once.  Each
     combination gathers its users' h_u and g_l rows; its baseline h_u and
     its channels h_u + g_l @ block, one per block, are solved by
-    ``duality_stack`` in chunks of STACK_CHUNK states that run across
+    ``duality_beamformer`` in chunks of STACK_CHUNK states that run across
     combinations, and it keeps the best min rate over the blocks less the
-    baseline's.  A chunk that ``duality_stack`` refuses is solved again by
-    ``duality_beamformer``, one state at a time.  A combination with a
+    baseline's.  A chunk that it refuses is solved again one state at a
+    time.  A combination with a
     position that the tracer rejects (on a wall, or coincident with an
     antenna or port) is skipped with that GeometryError.  Every solve of the
     other combinations runs; one with any failed solve is skipped with its

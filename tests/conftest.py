@@ -58,57 +58,58 @@ def load_perfbench(name):
     return module
 
 
-def fail_states(monkeypatch, module, names, failing, error, at=0):
-    """Fail the states that ``failing`` picks on both solver paths.
+# Where each solver entry of the 1-bit sweeps takes its states: (positional
+# argument, number of dimensions of a stack of states there).
+STATES_AT = {"assemble_effective_channel": (1, 2), "duality_beamformer": (0, 3)}
 
-    ``names`` are a stacked function of ``module`` and its one-channel
-    oracle, which take their states, or their one state, as positional
-    argument ``at``; or the one name of the assembly, which takes a (B, N)
-    stack of load vectors or one (N,) vector there.  A stacked call refuses
-    a chunk that holds a picked state with the class of ``error``, as the
-    stacked core refuses a chunk with a failed state, and a one-state call
-    raises ``error`` for a picked state, as it names that state's failure.
+
+def call_states(args, name):
+    """The states argument of a call to ``name``, an EffectiveChannel read
+    as its channel matrix, and whether it is a stack."""
+    at, stack_ndim = STATES_AT[name]
+    states = getattr(args[at], "matrix", args[at])
+    return states, np.ndim(states) == stack_ndim
+
+
+def fail_states(monkeypatch, module, name, failing, error):
+    """Fail the states that ``failing`` picks on both paths of ``name``.
+
+    ``name`` is the assembly (a (B, N) stack of load vectors or one (N,)
+    vector) or the duality solve (a (B, K, M) stack of channels or one
+    (K, M) channel) as ``module`` calls it; ``failing`` sees one state's
+    array.  A stacked call refuses a chunk that holds a picked state with
+    the class of ``error``, as the stacked core refuses a chunk with a
+    failed state, and a one-state call raises ``error`` for a picked state,
+    as it names that state's failure.
     """
-    if isinstance(names, str):
-        names = (names, names)
-    stacked, single = (getattr(module, name) for name in names)
+    real = getattr(module, name)
 
-    def refusing(*args, **kwargs):
-        if any(failing(state) for state in args[at]):
+    def failing_states(*args, **kwargs):
+        states, stacked = call_states(args, name)
+        if stacked and any(failing(state) for state in states):
             raise type(error)("a state of the chunk failed")
-        return stacked(*args, **kwargs)
-
-    def raising(*args, **kwargs):
-        if failing(args[at]):
+        if not stacked and failing(states):
             raise error
-        return single(*args, **kwargs)
+        return real(*args, **kwargs)
 
-    def either(*args, **kwargs):
-        return (refusing if np.ndim(args[at]) == 2 else raising)(*args, **kwargs)
-
-    if names[0] == names[1]:
-        monkeypatch.setattr(module, names[0], either)
-    else:
-        monkeypatch.setattr(module, names[0], refusing)
-        monkeypatch.setattr(module, names[1], raising)
+    monkeypatch.setattr(module, name, failing_states)
 
 
 def solved_channels(monkeypatch, module):
     """The channel of every state that ``module`` solves from here on, in
-    solve order: one per state of a ``duality_stack`` call that returns, and
-    one per ``duality_beamformer`` call."""
+    solve order: one per state of a stacked ``duality_beamformer`` call that
+    returns, and one per one-channel call."""
     solved = []
-    stacked, single = module.duality_stack, module.duality_beamformer
+    real = module.duality_beamformer
 
-    def stack(h, *args):
-        solution = stacked(h, *args)
-        solved.extend(np.asarray(h))
+    def solving(*args):
+        channels, stacked = call_states(args, "duality_beamformer")
+        if not stacked:
+            solved.append(channels)
+            return real(*args)
+        solution = real(*args)
+        solved.extend(channels)
         return solution
 
-    def one(h, *args):
-        solved.append(getattr(h, "matrix", h))
-        return single(h, *args)
-
-    monkeypatch.setattr(module, "duality_stack", stack)
-    monkeypatch.setattr(module, "duality_beamformer", one)
+    monkeypatch.setattr(module, "duality_beamformer", solving)
     return solved

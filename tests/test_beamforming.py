@@ -45,6 +45,12 @@ class TestNoisePower:
         with pytest.raises(ValueError):
             noise_power(290.0, 0.0)
 
+    @pytest.mark.parametrize("factors", [(1e300, 1e300), (1e-300, 1e-300)])
+    def test_a_product_that_overflows_or_underflows_is_rejected(self, factors):
+        # k*T*B of two positive finite factors can still round to inf or 0
+        with pytest.raises(ValueError, match="not a positive finite number"):
+            noise_power(*factors)
+
 
 class TestDownlinkSinr:
     def test_single_user_unit_snr(self):
@@ -393,7 +399,7 @@ class TestDualityBeamformer:
     def test_power_budget_invariant(self, rng):
         h = complex_normal(rng, 3, 5)
         beamformer, _ = duality_beamformer(h, 2.3, 0.2)
-        assert beamformer.total_power == pytest.approx(2.3, rel=1e-10)
+        assert np.linalg.norm(beamformer.weights) ** 2 == pytest.approx(2.3, rel=1e-10)
 
     def test_monotone_in_budget(self, rng):
         for _ in range(10):
@@ -437,20 +443,33 @@ class TestDualityBeamformer:
 
 
 class TestDualityStack:
-    """The stacked solver against the scalar ``duality_beamformer`` oracle.
+    """``duality_beamformer`` of a channel stack against its one-channel
+    solve of each state, the oracle.
 
-    The stacked solver runs the scalar arithmetic state by state, so the
-    results are compared for equality, not within a tolerance.
+    The stack runs the one-channel arithmetic state by state, so the results
+    are compared for equality, not within a tolerance.
     """
 
     @staticmethod
     def sweep_outcomes(h, p_bs, sigma2):
         """Min rate or failure per state, as the perturbation sweep solves
-        the stack: through ``duality_stack``, or state by state through
-        ``duality_beamformer`` when it refuses the stack."""
+        the stack: whole, or state by state when the stack is refused."""
         import risopt.optimizer as opt
 
         return list(opt._solved_states([h], p_bs, sigma2))
+
+    @staticmethod
+    def assert_states_are_one_channel_solves(solved, h, p_bs, sigma2):
+        beamformers, reports = solved
+        assert beamformers.power_budget == p_bs
+        assert reports.noise_power == sigma2
+        for i, channel in enumerate(h):
+            beamformer, report = duality_beamformer(channel, p_bs, sigma2)
+            assert np.array_equal(beamformers.weights[i], beamformer.weights), i
+            for field in ("sinr", "rates", "min_rate", "avg_received_power"):
+                assert np.array_equal(
+                    getattr(reports, field)[i], getattr(report, field)
+                ), (i, field)
 
     @pytest.mark.parametrize("p_dbm", [10.0, 20.0, 30.0])
     def test_default_scene_matches_the_scalar_solver(self, p_dbm):
@@ -465,17 +484,19 @@ class TestDualityStack:
             ro.ris.onebit_capacitances(grouping, states, n),
             comps.frequency,
         )
-        h = ro.assemble_effective_channel(comps, z_loads).matrix
+        effective = ro.assemble_effective_channel(comps, z_loads)
         p_bs, sigma2 = 10.0 ** ((p_dbm - 30.0) / 10.0), noise_power(900.0, 40e6)
-        solved = bf.duality_stack(h, p_bs, sigma2)
-        oracle = np.array(
-            [duality_beamformer(channel, p_bs, sigma2)[1].min_rate for channel in h]
-        )
-        assert np.array_equal(solved.min_rate, oracle)
+        solved = duality_beamformer(effective, p_bs, sigma2)
+        self.assert_states_are_one_channel_solves(solved, effective.matrix, p_bs, sigma2)
         # the ranking by rate, ties to the earlier state, is the same
+        rates = solved[1].min_rate
+        oracle = [
+            duality_beamformer(channel, p_bs, sigma2)[1].min_rate
+            for channel in effective.matrix
+        ]
         assert np.array_equal(
-            np.lexsort((np.arange(len(states)), -solved.min_rate)),
-            np.lexsort((np.arange(len(states)), -oracle)),
+            np.lexsort((np.arange(len(states)), -rates)),
+            np.lexsort((np.arange(len(states)), -np.array(oracle))),
         )
 
     def test_random_channels_at_any_snr(self):
@@ -483,46 +504,66 @@ class TestDualityStack:
         for trial in range(200):
             k = int(rng.integers(1, 5))
             m = int(rng.integers(k, 7))
-            h = complex_normal(rng, 1, k, m)
+            h = complex_normal(rng, int(rng.integers(1, 4)), k, m)
             ratio = 10.0 ** rng.uniform(-6.0, 2.0)  # sigma2 / p_bs
-            solved = bf.duality_stack(h, 1.0, ratio)
-            beamformer, report = duality_beamformer(h[0], 1.0, ratio)
-            assert np.array_equal(solved.rates[0], report.rates), trial
-            assert np.array_equal(solved.weights[0], beamformer.weights), trial
+            solved = duality_beamformer(h, 1.0, ratio)
+            self.assert_states_are_one_channel_solves(solved, h, 1.0, ratio)
+
+    def test_one_channel_report_holds_floats(self, rng):
+        _, report = duality_beamformer(complex_normal(rng, 3, 4), 1.0, 0.1)
+        assert type(report.min_rate) is float
+        assert type(report.avg_received_power) is float
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 3, 4)])
+    def test_other_dimensions_are_rejected(self, rng, shape):
+        with pytest.raises(ValueError, match="expected a"):
+            duality_beamformer(complex_normal(rng, *shape), 1.0, 0.1)
 
     def test_solution_is_the_scalar_solution(self, rng):
         h = complex_normal(rng, 4, 3, 4)
-        solved = bf.duality_stack(h, 2.0, 0.05)
+        solved = duality_beamformer(h, 2.0, 0.05)
         for i in range(4):
             beamformer, report = duality_beamformer(h[i], 2.0, 0.05)
-            got_beamformer, got_report = solved.solution(i)
+            got_beamformer, got_report = bf.solution_state(solved, i)
             assert got_beamformer.power_budget == beamformer.power_budget
             assert np.array_equal(got_beamformer.weights, beamformer.weights)
             assert got_report.to_dict() == report.to_dict()
+            assert type(got_report.min_rate) is float
 
     def test_results_do_not_depend_on_the_stack(self, rng):
         h = complex_normal(rng, 65, 3, 4)
-        whole = bf.duality_stack(h, 1.0, 0.01)
+        whole_beamformers, whole = duality_beamformer(h, 1.0, 0.01)
         for size in (1, 2, 64):
-            part = bf.duality_stack(h[:size], 1.0, 0.01)
-            assert np.array_equal(part.weights, whole.weights[:size])
+            part_beamformers, part = duality_beamformer(h[:size], 1.0, 0.01)
+            assert np.array_equal(part_beamformers.weights, whole_beamformers.weights[:size])
             assert np.array_equal(part.rates, whole.rates[:size])
 
     def test_a_zero_row_fails_only_its_state(self, rng):
-        # the stacked solver refuses the stack with the scalar's error class;
-        # the sweep's state-by-state solve gives the failed state the scalar
-        # message and its neighbours their stacked bits
+        # the stack is refused with the one-channel error class; the
+        # sweep's state-by-state solve gives the failed state the
+        # one-channel message and its neighbours their stacked bits
         h = complex_normal(rng, 3, 3, 3)
         h[1, 2, :] = 0.0
         with pytest.raises(ro.InfeasibleUserError) as scalar:
             duality_beamformer(h[1], 1.0, 0.1)
         with pytest.raises(ro.InfeasibleUserError):
-            bf.duality_stack(h, 1.0, 0.1)
+            duality_beamformer(h, 1.0, 0.1)
         outcomes = self.sweep_outcomes(h, 1.0, 0.1)
         assert isinstance(outcomes[1], ro.InfeasibleUserError)
         assert str(outcomes[1]) == str(scalar.value)
-        alone = bf.duality_stack(h[[0, 2]], 1.0, 0.1)
+        _, alone = duality_beamformer(h[[0, 2]], 1.0, 0.1)
         assert np.array_equal([outcomes[0], outcomes[2]], alone.min_rate)
+
+    def test_an_underflowed_uplink_power_names_its_user(self, rng):
+        # at a noise power 1e240 times the budget the balance loses a user's
+        # uplink power to underflow; that raises before its combiner is
+        # normalized (0 / 0), for one channel and for a stack
+        h = complex_normal(rng, 2, 3, 4)
+        message = r"the uplink power of user \d underflowed to zero"
+        with pytest.raises(ro.InfeasibleUserError, match=message):
+            duality_beamformer(h[0], 1.0, 1e240)
+        with pytest.raises(ro.InfeasibleUserError, match=message):
+            duality_beamformer(h, 1.0, 1e240)
 
     def test_singular_recovery_fails_only_its_state(self, monkeypatch):
         # state 1's unit beams see both users equally at SINR 1, which makes
@@ -549,7 +590,7 @@ class TestDualityStack:
 
         stack = complex_normal(np.random.default_rng(3), 3, 2, 2)
         stack[1] = np.eye(2)
-        alone = bf.duality_stack(stack[[0, 2]], 1.0, 0.5)
+        _, alone = duality_beamformer(stack[[0, 2]], 1.0, 0.5)
         monkeypatch.setattr(bf, "downlink_power_recovery", singular_inputs(downlink_power_recovery))
         outcomes = self.sweep_outcomes(stack, 1.0, 0.5)
         assert isinstance(outcomes[1], ro.DualityError)
@@ -558,17 +599,14 @@ class TestDualityStack:
 
     def test_a_capped_balance_warns_before_its_recovery_fails(self, rng, monkeypatch):
         # non-convergence is never silent: each capped state warns even when
-        # the recovery then refuses the solve, on both solver paths
+        # the recovery then refuses the solve, for one channel and a stack
         monkeypatch.setattr(bf, "BALANCE_MAX_ITER", 1)
         monkeypatch.setattr(bf, "POWER_CONSERVATION_TOL", -1.0)
         h = complex_normal(rng, 2, 3, 3)
-        for solve, channel, states in (
-            (duality_beamformer, h[0], 1),
-            (bf.duality_stack, h, 2),
-        ):
+        for channel, states in ((h[0], 1), (h, 2)):
             with pytest.warns(UserWarning) as caught:
                 with pytest.raises(ro.DualityError, match="conservation"):
-                    solve(channel, 1.0, 0.3)
+                    duality_beamformer(channel, 1.0, 0.3)
             messages = [str(w.message) for w in caught]
             assert messages == [
                 "power balance stopped after 1 iterations without converging"
@@ -580,6 +618,6 @@ class TestDualityStack:
         with pytest.warns(UserWarning, match="after 1 iterations without converging") as scalar:
             duality_beamformer(h[0], 1.0, 0.3)
         with pytest.warns(UserWarning, match="after 1 iterations without converging") as stacked:
-            bf.duality_stack(h, 1.0, 0.3)
+            duality_beamformer(h, 1.0, 0.3)
         messages = [str(w.message) for w in stacked if "converging" in str(w.message)]
         assert messages == [str(scalar[0].message)] * 2

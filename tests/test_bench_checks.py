@@ -118,7 +118,7 @@ def test_perturb_check_reads_a_skipped_combination(workloads, tmp_path, monkeypa
     run_round(workload, tmp_path / "reference")
     target = channels[combos.index(skipped) * per_combination + 1]
     fail_states(
-        monkeypatch, optimizer, ("duality_stack", "duality_beamformer"),
+        monkeypatch, optimizer, "duality_beamformer",
         lambda h: np.array_equal(h, target), DualityError("synthetic failure"),
     )
     out = tmp_path / "out"

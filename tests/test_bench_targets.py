@@ -7,6 +7,7 @@ deleting one would otherwise surface only in a traced benchmark run
 """
 
 import importlib
+import json
 import sys
 
 import numpy as np
@@ -65,6 +66,23 @@ def test_install_wraps_every_target_and_uninstall_restores_all():
     assert after.keys() == before.keys()
     changed = [key for key, value in before.items() if after[key] is not value]
     assert not changed, f"{len(changed)} bindings not restored"
+
+
+def test_a_stacked_solve_is_one_duality_call_that_the_balance_hook_skips():
+    # the stacked balance runs outside fixed_point_power_balance, whose hook
+    # sums Python ints and bools, so the counts stay JSON numbers
+    h = np.random.default_rng(2).standard_normal((4, 2, 3)) + 0j
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        before = tracer.metrics()
+        risopt.beamforming.duality_beamformer(h, 1.0, 1e-2)
+        after = tracer.metrics()
+    finally:
+        tracer.uninstall()
+    json.dumps(after)
+    assert after["beamforming.balance_iters"] == before["beamforming.balance_iters"]
+    assert after["beamforming.duality_calls"] == before["beamforming.duality_calls"] + 1
 
 
 def test_gradient_span_counts_the_ascent_gradient(tmp_path):

@@ -25,7 +25,7 @@ from risopt.fileio import (
 )
 from risopt.scene import ObservationGrid, default_scene, trace_paths, with_users
 
-from conftest import fail_states, random_components, solved_channels
+from conftest import call_states, fail_states, random_components, solved_channels
 
 
 @pytest.fixture
@@ -213,7 +213,7 @@ class TestPerturbCommand:
         # the second solve of combination 3
         target = channels[3 * solves_per_combination + 1]
         fail_states(
-            monkeypatch, opt, ("duality_stack", "duality_beamformer"),
+            monkeypatch, opt, "duality_beamformer",
             lambda h: np.array_equal(h, target), ro.DualityError("synthetic failure"),
         )
         solved = solved_channels(monkeypatch, opt)
@@ -281,16 +281,15 @@ class TestPerturbCommand:
 
 class TestStackedCore:
     def test_exhaustive_runs_on_the_stacked_core(self, tmp_path, monkeypatch):
-        # no chunk of the default scene falls back to the one-channel path:
-        # the scalar solver runs once, for the no-RIS baseline, and the
-        # assembly takes only stacks of load vectors
+        # no chunk of the default scene falls back to the one-state path:
+        # the solver takes one channel once, for the no-RIS baseline, and
+        # the assembly takes only stacks of load vectors
         import risopt.optimizer as opt
 
         calls = {"duality_beamformer": 0, "assemble_effective_channel": 0}
         for name in calls:
             def counting(*args, name=name, real=getattr(opt, name)):
-                if name == "duality_beamformer" or np.ndim(args[1]) == 1:
-                    calls[name] += 1
+                calls[name] += not call_states(args, name)[1]
                 return real(*args)
 
             monkeypatch.setattr(opt, name, counting)
@@ -308,27 +307,8 @@ class TestWinnerReuse:
         import risopt.cli as cli_module
         import risopt.optimizer as opt
 
-        calls = []  # one entry per channel solved, by either solver
-
-        def counting(real):
-            def wrapper(*args, **kwargs):
-                calls.append(None)
-                return real(*args, **kwargs)
-
-            return wrapper
-
-        def counting_stack(real):
-            def wrapper(h, *args, **kwargs):
-                calls.extend([None] * len(h))
-                return real(h, *args, **kwargs)
-
-            return wrapper
-
-        for module in (cli_module, opt):
-            monkeypatch.setattr(
-                module, "duality_beamformer", counting(module.duality_beamformer)
-            )
-        monkeypatch.setattr(opt, "duality_stack", counting_stack(opt.duality_stack))
+        # one entry per channel solved, from either module
+        solved = [solved_channels(monkeypatch, module) for module in (cli_module, opt)]
         code = main(
             [
                 "sweep", "--scene", small_scene_path,
@@ -339,7 +319,7 @@ class TestWinnerReuse:
         )
         assert code == 0
         # per power: 2**2 configurations plus the no-RIS baseline
-        assert len(calls) == 2 * (2**2 + 1)
+        assert sum(map(len, solved)) == 2 * (2**2 + 1)
 
 
 class TestGainmapCommand:
@@ -898,6 +878,73 @@ class TestExitCodes:
         )
         assert code == 2
         assert "--power-dbm must give a finite power" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("factor", ["1e300", "1e-300"])
+    @pytest.mark.parametrize("command", ["exhaustive", "sweep"])
+    def test_noise_power_out_of_range_rejected_before_any_work(
+        self, command, factor, tmp_path, monkeypatch, capsys
+    ):
+        # k*T*B of these finite flags overflows to inf or underflows to 0
+        import risopt.cli as cli_module
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("workspace built for a rejected configuration")
+
+        monkeypatch.setattr(cli_module, "Workspace", unreachable)
+        out = tmp_path / "out"
+        code = main(
+            [command, "--temperature-k", factor, "--bandwidth-hz", factor,
+             "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--temperature-k and --bandwidth-hz" in err
+        assert "not a positive finite number" in err
+        assert not out.exists()
+
+    def test_underflowed_uplink_power_is_a_numerical_failure(
+        self, small_scene_path, tmp_path, capsys
+    ):
+        # at -2500 dBm the noise power is about 1e240 times the budget and
+        # the balance loses a user's uplink power to underflow: exhaustive
+        # fails every configuration, and a sweep writes its NaN row
+        out = tmp_path / "out"
+        code = main(
+            ["exhaustive", "--scene", small_scene_path, "--power-dbm", "-2500",
+             "--out", str(out / "exhaustive"), "--reproducible"]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "every 1-bit configuration failed to evaluate" in err
+        code = main(
+            ["sweep", "--scene", small_scene_path, "--mode", "no-ris",
+             "--power-dbm", "-2500", "--out", str(out / "sweep"), "--reproducible"]
+        )
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "underflowed to zero during balancing" in err
+        assert "infs or NaNs" not in err
+        _, cols = read_csv(out / "sweep" / "sweep.csv")
+        assert np.isnan(cols["min_rate_bps_hz"]).all()
+
+    @pytest.mark.parametrize("command", ["optimize", "sweep", "gainmap"])
+    def test_ris_config_of_the_wrong_size_is_config_error(
+        self, command, small_scene_path, tmp_path, capsys
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(
+            json.dumps({"mode": "continuous-per-element", "capacitances_pf": [0.5] * 3})
+        )
+        out = tmp_path / "out"
+        code = main(
+            [command, "--scene", small_scene_path, "--ris-config", str(path),
+             "--out", str(out), "--reproducible"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"--ris-config {path} holds 3 capacitances" in err
+        assert "the channel has 4 RIS ports" in err
         assert not out.exists()
 
     def test_missing_scene_file_is_config_error(self, tmp_path):

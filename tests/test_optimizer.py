@@ -496,11 +496,11 @@ class TestExhaustiveSearch:
         fail_states(
             monkeypatch, opt, "assemble_effective_channel",
             lambda loads: np.array_equal(loads, singular_loads),
-            ro.SingularChannelError("synthetic singular system"), at=1,
+            ro.SingularChannelError("synthetic singular system"),
         )
         fail_states(
-            monkeypatch, opt, ("duality_stack", "duality_beamformer"),
-            lambda h: np.array_equal(getattr(h, "matrix", h), unsolvable_h),
+            monkeypatch, opt, "duality_beamformer",
+            lambda h: np.array_equal(h, unsolvable_h),
             ro.DualityError("synthetic recovery failure"),
         )
         monkeypatch.setattr(opt, "STACK_CHUNK", 4)
@@ -523,7 +523,7 @@ class TestExhaustiveSearch:
 
         fail_states(
             monkeypatch, opt, "assemble_effective_channel",
-            lambda loads: True, ro.SingularChannelError("synthetic singular system"), at=1,
+            lambda loads: True, ro.SingularChannelError("synthetic singular system"),
         )
         comps = random_components(rng, k=2, m=2, n=4)
         with pytest.raises(
@@ -764,7 +764,7 @@ class TestPerturbationStudy:
 
         fail_states(
             monkeypatch, opt, "assemble_effective_channel",
-            lambda loads: True, ro.SingularChannelError("synthetic singular system"), at=1,
+            lambda loads: True, ro.SingularChannelError("synthetic singular system"),
         )
         with pytest.raises(ro.SingularChannelError, match="synthetic"):
             perturbation_study(
@@ -810,7 +810,7 @@ class TestPerturbationChunks:
         per_combination = 1 + 2 ** len(grouping)
         for failing in (5 * per_combination + 4, 5 * per_combination + 2):
             fail_states(
-                monkeypatch, opt, ("duality_stack", "duality_beamformer"),
+                monkeypatch, opt, "duality_beamformer",
                 lambda h, target=channels[failing]: np.array_equal(h, target),
                 ro.DualityError(f"synthetic failure {failing}"),
             )
