@@ -13,8 +13,7 @@ kernels, the balance loop (``_balance``, whose one-channel entry is
 ``fixed_point_power_balance``), the power recovery and the finish (scaling
 to the budget, the downlink report, the checks and warnings).  A stack
 raises when any of its states fails; the sweeps then solve that stack again
-one channel at a time, which names each state's failure, and
-``solution_state`` takes one state out of a stacked solve.
+one channel at a time, which names each state's failure.
 """
 
 from __future__ import annotations
@@ -91,23 +90,6 @@ class SinrReport:
             "noise_power": float(self.noise_power),
             "bandwidth": 1.0,
         }
-
-
-def solution_state(
-    solution: tuple[BeamformerMatrix, SinrReport], i: int
-) -> tuple[BeamformerMatrix, SinrReport]:
-    """State ``i`` of a stacked ``duality_beamformer`` solution as the
-    one-channel solve returns it: its arrays views of the stack's, its
-    ``min_rate`` and ``avg_received_power`` Python floats."""
-    beamformer, report = solution
-    rates = report.rates[i]
-    return BeamformerMatrix(beamformer.weights[i], beamformer.power_budget), SinrReport(
-        sinr=report.sinr[i],
-        rates=rates,
-        min_rate=float(rates.min()),
-        avg_received_power=float(report.avg_received_power[i]),
-        noise_power=report.noise_power,
-    )
 
 
 def rates_from_sinr(sinr: np.ndarray) -> np.ndarray:
@@ -424,7 +406,7 @@ def _solve(
             )
     rates = rates_from_sinr(sinr)
     min_rate, avg = rates.min(axis=-1), (np.abs(y) ** 2).sum(axis=-1).mean(axis=-1)
-    if h.ndim == 2:  # one channel reports Python floats, as solution_state does
+    if h.ndim == 2:  # one channel reports Python floats
         min_rate, avg = float(min_rate), float(avg)
     return BeamformerMatrix(weights, p_bs), SinrReport(
         sinr=sinr,

@@ -27,8 +27,8 @@ with --reproducible the volatile timestamp header is suppressed so repeated
 runs are byte-identical.
 
 Exit codes: 0 success, 2 configuration error (a rejected scene geometry, such
-as a point on a wall, a non-finite number flag and a negative ``--seed``
-included), 3 numerical failure.
+as a point on a wall, a non-finite number flag, a negative ``--seed`` and an
+``--out`` that cannot become a directory included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -180,6 +180,13 @@ class Workspace:
     """
 
     def __init__(self, cfg: ExperimentConfig, command: str):
+        # refuse an --out that cannot become a directory before any work:
+        # an existing non-directory, or a path under one
+        probe = os.path.abspath(cfg.out_dir)
+        while not os.path.exists(probe):
+            probe = os.path.dirname(probe)
+        if not os.path.isdir(probe):
+            raise ValueError(f"--out {cfg.out_dir}: {probe} is not a directory")
         self.cfg = cfg
         self.command = command
         self.model = (
@@ -215,7 +222,10 @@ class Workspace:
         return lines
 
     def out_path(self, name: str) -> str:
-        os.makedirs(self.cfg.out_dir, exist_ok=True)
+        try:
+            os.makedirs(self.cfg.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"--out {self.cfg.out_dir}: {exc}") from exc
         return os.path.join(self.cfg.out_dir, name)
 
     def write_json(self, name: str, payload: dict) -> str:

@@ -9,18 +9,18 @@ accepted trial's solve becomes the new state, so each channel state is
 always evaluated under its best transmit strategy.
 
 Also provides the exhaustive 1-bit configuration sweep and the user-location
-perturbation study built on top of it.  Both assemble and solve their channel
-states STACK_CHUNK at a time: ``assemble_effective_channel`` takes the
-chunk's stack of load vectors and ``duality_beamformer`` its stack of
+perturbation study built on top of it.  Both run every stage through one
+chunk loop, ``_per_state``: ``assemble_effective_channel`` takes a chunk's
+stack of STACK_CHUNK load vectors and ``duality_beamformer`` its stack of
 channels.  Either raises when any state of a chunk fails; that chunk is then
 assembled and solved again one state at a time (the same two functions on
 one load vector and one channel), which names the failure of each state and
-gives the rest the same bits.
+gives the rest the same bits.  The exhaustive winner is assembled and solved
+once more, alone, for its beamformer and report.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import logging
 from dataclasses import dataclass, replace
@@ -33,7 +33,6 @@ from .beamforming import (
     duality_beamformer,
     extended_coupling_matrix,
     perron,
-    solution_state,
 )
 from .channel import (
     ChannelComponents,
@@ -390,7 +389,7 @@ class ExhaustiveResult:
     best_states: tuple
     best_config: RisConfiguration
     best_min_rate: float
-    best_beamformer: BeamformerMatrix  # the sweep's duality solve of the winner
+    best_beamformer: BeamformerMatrix  # the winner's duality solve, alone
     best_report: SinrReport
     baseline_min_rate: float  # no-RIS duality on h_u
     fraction_beating_baseline: float
@@ -442,25 +441,36 @@ def _chunks(items):
         yield chunk
 
 
-def _onebit_chunks(components, model, grouping):
-    """The 1-bit states in enumeration order, STACK_CHUNK at a time: yields
-    (states, load vectors) per chunk."""
+def _onebit_loads(components, model, grouping):
+    """Load vector of every 1-bit state in enumeration order, built
+    STACK_CHUNK states at a time."""
     _, _, n = components.dims
     for chunk in _chunks(enumerate_1bit_configs(len(grouping))):
         capacitances = onebit_capacitances(grouping, chunk, n)
-        yield chunk, load_impedances(model, capacitances, components.frequency)
+        yield from load_impedances(model, capacitances, components.frequency)
 
 
-def _each_state(solve, items) -> list:
-    """``solve`` of each item of a chunk that the stacked core refused, one
-    at a time: per item, its result or the RisOptError that failed it."""
-    outcomes = []
-    for item in items:
+def _per_state(solve, items):
+    """``solve`` of each of ``items``, in order: per item, its result or the
+    RisOptError that failed it.
+
+    ``solve`` takes a stack of up to STACK_CHUNK items and returns one
+    result per item.  A chunk that it refuses with a RisOptError is solved
+    again one item at a time, which names each item's failure and gives the
+    rest the same bits; any other error propagates.
+    """
+    for chunk in _chunks(items):
         try:
-            outcomes.append(solve(item))
-        except RisOptError as exc:
-            outcomes.append(exc)
-    return outcomes
+            solved = solve(np.array(chunk))
+        except RisOptError:
+            for item in chunk:
+                try:
+                    outcome = solve(item)
+                except RisOptError as exc:
+                    outcome = exc
+                yield outcome
+        else:
+            yield from solved
 
 
 def exhaustive_1bit_search(
@@ -472,51 +482,41 @@ def exhaustive_1bit_search(
 ) -> ExhaustiveResult:
     """Evaluate every binary configuration with a full duality solve each.
 
-    Enumeration order is deterministic (lexicographic).  The states are
-    assembled and solved STACK_CHUNK at a time (``assemble_effective_channel``
-    of the chunk's load vectors, then ``duality_beamformer`` of its channel
-    stack), with the arithmetic of the one-channel solver state by state.  A
-    chunk that either refuses is assembled and solved again one state at a
-    time by the same two functions; a configuration that fails there is
-    logged and recorded as a missing entry.  The winner's beamformer and
-    report are the ones its sweep solve produced.
+    Enumeration order is deterministic (lexicographic).  ``_per_state``
+    assembles and solves the states STACK_CHUNK at a time
+    (``assemble_effective_channel`` of the chunk's load vectors, then
+    ``duality_beamformer`` of its channel stack), with the arithmetic of the
+    one-channel solver state by state.  A chunk that either refuses is
+    assembled and solved again one state at a time by the same two
+    functions; a configuration that fails there is logged and recorded as a
+    missing entry.  The winner, the best rate with ties to the first state,
+    is assembled and solved once more, alone, for its beamformer and report.
     """
     _, _, n = components.dims
+
+    def min_rates(z_loads):
+        effective = assemble_effective_channel(components, z_loads)
+        return duality_beamformer(effective, p_bs, sigma2)[1].min_rate
+
     entries = []
-    best = None  # (states, rate, its (beamformer, report)); ties keep the first
-
-    def solve(z_loads):
-        return duality_beamformer(
-            assemble_effective_channel(components, z_loads), p_bs, sigma2
-        )
-
-    for chunk, z_loads in _onebit_chunks(components, model, grouping):
-        try:
-            solved = solve(z_loads)
-            rates = solved[1].min_rate
-            solution = functools.partial(solution_state, solved)
-        except RisOptError:
-            solutions = _each_state(solve, z_loads)
-            rates = [
-                s if isinstance(s, RisOptError) else s[1].min_rate for s in solutions
-            ]
-            solution = solutions.__getitem__
-        for i, (states, rate) in enumerate(zip(chunk, rates)):
-            if isinstance(rate, RisOptError):
-                logger.warning("configuration %s failed: %s", states, rate)
-                entries.append((states, None))
-                continue
-            rate = float(rate)
-            entries.append((states, rate))
-            if best is None or rate > best[1]:
-                best = (states, rate, solution(i))
-    if best is None:
-        raise RisOptError("every 1-bit configuration failed to evaluate")
+    rates = _per_state(min_rates, _onebit_loads(components, model, grouping))
+    for states, rate in zip(enumerate_1bit_configs(len(grouping)), rates):
+        if isinstance(rate, RisOptError):
+            logger.warning("configuration %s failed: %s", states, rate)
+            entries.append((states, None))
+        else:
+            entries.append((states, float(rate)))
     ranked = sorted(
         ((s, r) for s, r in entries if r is not None),
         key=lambda item: (-item[1], item[0]),
     )
-    best_states, best_rate, (best_beamformer, best_report) = best
+    if not ranked:
+        raise RisOptError("every 1-bit configuration failed to evaluate")
+    best_states, best_rate = ranked[0]
+    best_config = onebit_configuration(grouping, best_states, n)
+    best_beamformer, best_report = duality_beamformer(
+        assemble_from_config(components, model, best_config), p_bs, sigma2
+    )
     _, baseline_report = duality_beamformer(components.h_u, p_bs, sigma2)
     baseline = float(baseline_report.min_rate)
     fraction = float(np.mean([r > baseline for _, r in ranked]))
@@ -524,7 +524,7 @@ def exhaustive_1bit_search(
         entries=entries,
         ranked=ranked,
         best_states=best_states,
-        best_config=onebit_configuration(grouping, best_states, n),
+        best_config=best_config,
         best_min_rate=best_rate,
         best_beamformer=best_beamformer,
         best_report=best_report,
@@ -566,21 +566,6 @@ def _user_rows(scene, positions) -> list:
     return rows
 
 
-def _solved_states(stacks, p_bs, sigma2):
-    """Min rate, or the RisOptError that failed it, of every state of a
-    sequence of channel stacks, in order; ``duality_beamformer`` solves the
-    states STACK_CHUNK at a time, across stacks, and a chunk that it
-    refuses one state at a time."""
-    for chunk in _chunks(state for stack in stacks for state in stack):
-        try:
-            rates = duality_beamformer(np.array(chunk), p_bs, sigma2)[1].min_rate
-        except RisOptError:
-            rates = _each_state(
-                lambda h: duality_beamformer(h, p_bs, sigma2)[1].min_rate, chunk
-            )
-        yield from rates
-
-
 def perturbation_study(
     scene: SceneDescription,
     model: VaractorModel,
@@ -595,19 +580,19 @@ def perturbation_study(
     Combinations run in itertools.product order over the users' offset
     indices.  Only the users move, so the scene is synthesized once: the
     solved block (diag(Z_L) - Z_ll)^-1 H_0 of every 1-bit state is built
-    from it by the stacked assembly (a chunk that it refuses is built again
-    block by block, and the first block that fails raises), and every moved
-    user position, K x len(offsets) of them, is traced once.  Each
-    combination gathers its users' h_u and g_l rows; its baseline h_u and
-    its channels h_u + g_l @ block, one per block, are solved by
+    from it by the stacked assembly, and the first block that fails raises.
+    Every moved user position, K x len(offsets) of them, is traced once.
+    Each combination gathers its users' h_u and g_l rows; its baseline h_u
+    and its channels h_u + g_l @ block, one per block, are solved by
     ``duality_beamformer`` in chunks of STACK_CHUNK states that run across
     combinations, and it keeps the best min rate over the blocks less the
-    baseline's.  A chunk that it refuses is solved again one state at a
-    time.  A combination with a
-    position that the tracer rejects (on a wall, or coincident with an
-    antenna or port) is skipped with that GeometryError.  Every solve of the
-    other combinations runs; one with any failed solve is skipped with its
-    first failure in state order (the baseline first).
+    baseline's.  Both stages run through ``_per_state``, the exhaustive
+    sweep's chunk loop: a chunk that the stacked call refuses is built or
+    solved again one state at a time.  A combination with a position that
+    the tracer rejects (on a wall, or coincident with an antenna or port)
+    is skipped with that GeometryError.  Every solve of the other
+    combinations runs; one with any failed solve is skipped with its first
+    failure in state order (the baseline first).
     """
     if offsets is None:
         offsets = user_offset_grid()
@@ -615,14 +600,14 @@ def perturbation_study(
     k, _, n = base_components.dims
 
     blocks = []
-    for _, z_loads in _onebit_chunks(base_components, model, grouping):
-        try:
-            blocks.append(assemble_effective_channel(base_components, z_loads).solved_h0)
-        except RisOptError:  # raises the first block that fails
-            blocks.append(
-                [assemble_effective_channel(base_components, z).solved_h0 for z in z_loads]
-            )
-    blocks = np.concatenate(blocks)
+    for block in _per_state(
+        lambda z_loads: assemble_effective_channel(base_components, z_loads).solved_h0,
+        _onebit_loads(base_components, model, grouping),
+    ):
+        if isinstance(block, RisOptError):  # the first block that fails
+            raise block
+        blocks.append(block)
+    blocks = np.array(blocks)
 
     # position u * len(offsets) + c is user u moved by offsets[c]
     positions = [
@@ -654,7 +639,10 @@ def perturbation_study(
         np.concatenate([h_u[None], h_u + g_l @ blocks])
         for h_u, g_l in (t for t in traced if not isinstance(t, RisOptError))
     )
-    states = _solved_states(stacks, p_bs, sigma2)
+    states = _per_state(
+        lambda h: duality_beamformer(h, p_bs, sigma2)[1].min_rate,
+        (state for stack in stacks for state in stack),
+    )
     improvements = []
     indices = []
     for index, (combo, users) in enumerate(zip(combos, traced)):

@@ -282,8 +282,9 @@ class TestPerturbCommand:
 class TestStackedCore:
     def test_exhaustive_runs_on_the_stacked_core(self, tmp_path, monkeypatch):
         # no chunk of the default scene falls back to the one-state path:
-        # the solver takes one channel once, for the no-RIS baseline, and
-        # the assembly takes only stacks of load vectors
+        # the solver takes one channel twice, for the no-RIS baseline and
+        # for the winner, and the assembly takes only stacks of load
+        # vectors (the winner is assembled by assemble_from_config)
         import risopt.optimizer as opt
 
         calls = {"duality_beamformer": 0, "assemble_effective_channel": 0}
@@ -297,11 +298,11 @@ class TestStackedCore:
             ["exhaustive", "--power-dbm", "30", "--out", str(tmp_path / "out"), "--reproducible"]
         )
         assert code == 0
-        assert calls == {"duality_beamformer": 1, "assemble_effective_channel": 0}
+        assert calls == {"duality_beamformer": 2, "assemble_effective_channel": 0}
 
 
-class TestWinnerReuse:
-    def test_sweep_onebit_solves_each_config_once(
+class TestWinnerResolve:
+    def test_sweep_onebit_solves_each_config_once_and_the_winner_again(
         self, small_scene_path, tmp_path, monkeypatch
     ):
         import risopt.cli as cli_module
@@ -318,8 +319,9 @@ class TestWinnerReuse:
             ]
         )
         assert code == 0
-        # per power: 2**2 configurations plus the no-RIS baseline
-        assert sum(map(len, solved)) == 2 * (2**2 + 1)
+        # per power: 2**2 configurations, the winner once more and the
+        # no-RIS baseline
+        assert sum(map(len, solved)) == 2 * (2**2 + 1 + 1)
 
 
 class TestGainmapCommand:
@@ -946,6 +948,48 @@ class TestExitCodes:
         assert f"--ris-config {path} holds 3 capacitances" in err
         assert "the channel has 4 RIS ports" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("below", [None, "sub"], ids=["file", "under-a-file"])
+    def test_out_that_cannot_be_a_directory_is_refused_before_any_work(
+        self, below, tmp_path, monkeypatch, capsys
+    ):
+        import risopt.cli as cli_module
+
+        solved = solved_channels(monkeypatch, cli_module)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        out = afile / below if below else afile
+        code = main(["sweep", "--mode", "no-ris", "--power-dbm", "30", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"configuration error: --out {out}: {afile} is not a directory\n"
+        assert solved == []
+        assert list(tmp_path.iterdir()) == [afile]
+        assert afile.read_text() == ""
+
+    def test_out_that_becomes_a_file_is_config_error(
+        self, small_scene_path, tmp_path, monkeypatch, capsys
+    ):
+        # a file that takes the --out path during the run is refused when
+        # the output directory is made
+        import risopt.cli as cli_module
+
+        out = tmp_path / "out"
+        real = cli_module.duality_beamformer
+
+        def solve_then_take_out(*args):
+            out.write_text("")
+            return real(*args)
+
+        monkeypatch.setattr(cli_module, "duality_beamformer", solve_then_take_out)
+        code = main(
+            ["sweep", "--scene", small_scene_path, "--mode", "no-ris",
+             "--power-dbm", "30", "--out", str(out), "--reproducible"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: --out {out}: ")
+        assert out.read_text() == ""
 
     def test_missing_scene_file_is_config_error(self, tmp_path):
         code = main(

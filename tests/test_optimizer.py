@@ -15,6 +15,7 @@ from risopt.optimizer import (
     BcdSettings,
     OptimizerState,
     _armijo_search,
+    _per_state,
     alternating_optimize,
     armijo_coordinate_step,
     bcd_sweep,
@@ -450,8 +451,10 @@ class TestExhaustiveSearch:
         )
 
     def test_winner_matches_fresh_solve(self, rng):
-        # the sweep's own solve of the winner is what callers reuse; the
-        # straightforward assemble + duality path is the oracle
+        # the sweep solves the winner once more, alone, and that solve is
+        # what callers get; it is the same straightforward assemble +
+        # duality path as this oracle, and its min rate is the sweep's
+        # stacked one bit for bit
         comps = random_components(rng, k=2, m=3, n=8)
         grouping = column_paired_grouping(8)
         result = exhaustive_1bit_search(comps, MODEL, grouping, 1.0, 1e-2)
@@ -605,6 +608,67 @@ class TestExhaustiveSearch:
         ]
 
 
+class TestPerState:
+    """The chunk loop of the 1-bit sweeps on a synthetic solve of the
+    integers 0..9: a stacked call refuses a chunk that holds a refused
+    item, and a one-item call raises that item's own error."""
+
+    # with a chunk of 3 the chunks are 0-2, 3-5, 6-8 and 9: refused items
+    # stand first and last in a chunk
+    REFUSED = (0, 2, 3, 8)
+
+    @staticmethod
+    def squares(calls, refused=REFUSED, stack_error=ro.DualityError):
+        def solve(items):
+            items = np.asarray(items)
+            calls.append(items.shape)
+            if items.ndim == 0:
+                if int(items) in refused:
+                    raise ro.DualityError(f"item {int(items)} refused")
+                return float(items) ** 2
+            if any(int(i) in refused for i in items):
+                raise stack_error("a state of the chunk failed")
+            return items.astype(float) ** 2
+
+        return solve
+
+    @staticmethod
+    def outcomes(solve, items):
+        return [
+            (type(o), str(o)) if isinstance(o, ro.RisOptError) else o
+            for o in _per_state(solve, items)
+        ]
+
+    def test_outcomes_do_not_depend_on_the_chunk(self, monkeypatch):
+        import risopt.optimizer as opt
+
+        expected = [
+            (ro.DualityError, f"item {i} refused") if i in self.REFUSED else float(i**2)
+            for i in range(10)
+        ]
+        for chunk in (1, 3, 64):
+            monkeypatch.setattr(opt, "STACK_CHUNK", chunk)
+            calls = []
+            assert self.outcomes(self.squares(calls), range(10)) == expected, chunk
+            # every chunk is tried whole; only refused chunks go item by item
+            chunks = [range(10)[i : i + chunk] for i in range(0, 10, chunk)]
+            retried = [i for c in chunks if set(c) & set(self.REFUSED) for i in c]
+            assert [c for c in calls if c] == [(len(c),) for c in chunks], chunk
+            assert calls.count(()) == len(retried), chunk
+
+    def test_other_errors_propagate_without_one_item_calls(self):
+        calls = []
+        solve = self.squares(calls, stack_error=ValueError)
+        with pytest.raises(ValueError, match="a state of the chunk failed"):
+            list(_per_state(solve, range(10)))
+        assert calls == [(10,)]
+
+    def test_no_items_yield_nothing(self):
+        calls = []
+        assert list(_per_state(self.squares(calls), [])) == []
+        assert calls == []
+
+
 class TestRateHistogram:
     def test_bins_and_counts(self):
         bins = rate_histogram([0.01, 0.02, 0.06, 0.11], bin_width=0.05)
@@ -681,7 +745,8 @@ class TestPerturbationStudy:
         assert result.skipped == 0
         reference = exhaustive_1bit_search(comps, MODEL, grouping, 1.0, sigma2)
         expected = reference.best_min_rate - reference.baseline_min_rate
-        assert result.improvements[0] == pytest.approx(expected, rel=1e-9)
+        # both sweeps run one arithmetic, so the two agree bit for bit
+        assert result.improvements[0] == expected
 
     def test_improvement_dominates_all_off_configuration(self):
         scene = light_scene()
