@@ -21,8 +21,8 @@ print(f"coupling |z_ll[0,1]| = {abs(components.z_ll[0,1]):.2f} ohm "
 sigma2 = ro.noise_power(900.0, 40e6)
 print(f"thermal noise kTB = {sigma2:.4e} W")
 
-# a mid-range RIS state: every load at the ON capacitance
-config = ro.RisConfiguration(np.full(n, ro.C_ON))
+# a mid-range RIS state: every load at the ON capacitance, each tunable alone
+config = ro.RisConfiguration(np.full(n, ro.C_ON), grouping=ro.identity_grouping(n))
 z_loads = ro.load_impedances(ro.DEFAULT_VARACTOR, config.capacitances, scene.frequency)
 effective = ro.assemble_effective_channel(components, z_loads)
 

@@ -11,7 +11,7 @@ import numpy as np
 
 import risopt as ro
 from risopt.fileio import write_csv
-from risopt.optimizer import DEFAULT_HISTOGRAM_BIN
+from risopt.cli import DEFAULT_HISTOGRAM_BIN  # the --bin-width default
 
 OUT = "demo-out"
 os.makedirs(OUT, exist_ok=True)
@@ -34,7 +34,7 @@ print(f"best 1-bit      : {result.best_min_rate:.4f} bps/Hz "
       f"(states {''.join(map(str, result.best_states))})")
 print(f"{result.fraction_beating_baseline:.1%} of configurations beat the baseline")
 
-histogram = ro.rate_histogram(rates)
+histogram = ro.rate_histogram(rates, DEFAULT_HISTOGRAM_BIN)
 write_csv(
     os.path.join(OUT, "exhaustive_histogram.csv"),
     {

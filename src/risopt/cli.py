@@ -19,8 +19,10 @@ and ``--reproducible``; any other flag is a usage error):
 (default ``continuous``); they, ``exhaustive`` and ``perturb`` take one power
 (default 30 dBm, the top of the sweep's list).  ``perturb`` repeats
 ``--offset-x`` and ``--offset-y``.  Each command's default mode lives in
-``DEFAULT_MODES`` and every other default on ``ExperimentConfig``; a flag
-that is not given leaves the default.
+``DEFAULT_MODES`` and every other default on ``ExperimentConfig``, including
+the sweep budget and the histogram bin width, which the library's
+``BcdSettings`` and ``rate_histogram`` do not default; a flag that is not
+given leaves the default.
 
 Every command writes plot-ready CSV/JSON files into the output directory;
 with --reproducible the volatile timestamp header is suppressed so repeated
@@ -63,7 +65,6 @@ from .fileio import (
     write_csv,
 )
 from .optimizer import (
-    DEFAULT_HISTOGRAM_BIN,
     DEFAULT_OFFSETS_X,
     DEFAULT_OFFSETS_Y,
     BcdSettings,
@@ -90,6 +91,8 @@ DEFAULT_MODES = {"sweep": "no-ris", "optimize": "continuous", "gainmap": "contin
 DEFAULT_POWERS_DBM = (10.0, 15.0, 20.0, 25.0, 30.0)
 DEFAULT_BANDWIDTH = 40e6  # Hz
 DEFAULT_TEMPERATURE = 900.0  # K
+DEFAULT_MAX_SWEEPS = 50  # coordinate-ascent sweep budget
+DEFAULT_HISTOGRAM_BIN = 0.05  # bps/Hz
 
 
 @dataclass
@@ -104,10 +107,10 @@ class ExperimentConfig:
     powers_dbm: tuple = DEFAULT_POWERS_DBM
     bandwidth_hz: float = DEFAULT_BANDWIDTH
     temperature_k: float = DEFAULT_TEMPERATURE
-    seed: int = 0
+    seed: int = BcdSettings.rng_seed
     out_dir: str = "risopt-out"
     reproducible: bool = False
-    max_sweeps: int = BcdSettings().t_g
+    max_sweeps: int = DEFAULT_MAX_SWEEPS
     bin_width: float = DEFAULT_HISTOGRAM_BIN
     offsets_x: tuple = DEFAULT_OFFSETS_X
     offsets_y: tuple = DEFAULT_OFFSETS_Y

@@ -116,7 +116,7 @@ def synthesize_mutual_impedance(
     n_ports: int,
     spacing: float,
     frequency: float,
-    self_impedance: complex = DEFAULT_SELF_IMPEDANCE,
+    self_impedance: complex,
 ) -> np.ndarray:
     """Build the N x N generalized impedance matrix of the RIS port network.
 

@@ -49,8 +49,8 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def write_csv(path, columns: dict, comments: tuple = ()) -> None:
-    """Write named columns as CSV with optional leading '#' comment lines.
+def write_csv(path, columns: dict, comments) -> None:
+    """Write named columns as CSV after one leading '#' line per comment.
 
     Floats are rendered with repr so re-reading reproduces them bit-exactly.
     """

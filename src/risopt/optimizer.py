@@ -49,11 +49,10 @@ from .ris import (
     onebit_capacitances,
     onebit_configuration,
 )
-from .scene import SceneDescription, synthesize_components, trace_users
+from .scene import SceneDescription, field_matrix, synthesize_components, trace_users
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_HISTOGRAM_BIN = 0.05  # bps/Hz
 MAX_HISTOGRAM_BINS = 10_000
 
 # Channel states per stacked assembly and duality solve in the 1-bit sweeps;
@@ -79,13 +78,13 @@ ARMIJO_STEP_MIN = 1e-18
 class BcdSettings:
     """Sweep budget and random start of the coordinate ascent.
 
-    ``t_g`` is the sweep budget.  ``rng_seed`` draws the random start when no
-    initial configuration is given.  The ascent stops early after a sweep
-    that accepts no step; the line search's constants are the module's
-    ARMIJO_* values.
+    ``t_g`` is the sweep budget (the CLI's ``--max-sweeps``).  ``rng_seed``
+    draws the random start when no initial configuration is given.  The
+    ascent stops early after a sweep that accepts no step; the line search's
+    constants are the module's ARMIJO_* values.
     """
 
-    t_g: int = 50
+    t_g: int
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -335,7 +334,7 @@ def alternating_optimize(
     initial_config: RisConfiguration | None,
     p_bs: float,
     sigma2: float,
-    settings: BcdSettings = BcdSettings(),
+    settings: BcdSettings,
     grouping: dict | None = None,
 ) -> OptimizationTrace:
     """Alternating optimization of the RIS configuration and BS beamformer.
@@ -403,7 +402,7 @@ class ExhaustiveResult:
         return len(self.entries) - len(self.ranked)
 
 
-def rate_histogram(rates, bin_width: float = DEFAULT_HISTOGRAM_BIN) -> list:
+def rate_histogram(rates, bin_width: float) -> list:
     """Fixed-width histogram with bin edges anchored at zero: each rate r is
     counted in bin floor(r / bin_width), whose edges are b * bin_width.
 
@@ -550,20 +549,38 @@ def user_offset_grid(offsets_x=DEFAULT_OFFSETS_X, offsets_y=DEFAULT_OFFSETS_Y):
 
 
 def _user_rows(scene, positions) -> list:
-    """(h_u row, g_l row) of each position, or None where trace_users rejects
-    it; one rejected position does not stop the others."""
+    """(h_u row, g_l row) of each position.  When the batch ``trace_users``
+    call rejects a position, each position's BS side and port side are
+    traced alone, and a rejected side holds its GeometryError."""
     try:
         return list(zip(*trace_users(scene, positions)))
     except GeometryError:
         pass
-    rows = []
-    for position in positions:
+
+    def side(sources, walls, position):
         try:
-            h_u, g_l = trace_users(scene, position)
-            rows.append((h_u[0], g_l[0]))
-        except GeometryError:
-            rows.append(None)
-    return rows
+            return field_matrix(scene, sources, position, walls)[0]
+        except GeometryError as exc:
+            return exc
+
+    return [
+        (
+            side(scene.bs_elements, scene.user_walls, p),
+            side(scene.ris_ports, scene.walls, p),
+        )
+        for p in positions
+    ]
+
+
+def _combination_rows(rows):
+    """(h_u, g_l) of one combination's user rows, or the GeometryError that
+    ``trace_users`` raises for those users: the first BS-side error, else
+    the first port-side one."""
+    errors = [
+        row[side] for side in (0, 1) for row in rows
+        if isinstance(row[side], GeometryError)
+    ]
+    return errors[0] if errors else tuple(np.array(side) for side in zip(*rows))
 
 
 def perturbation_study(
@@ -618,22 +635,11 @@ def perturbation_study(
     rows = _user_rows(scene, positions)
 
     combos = list(itertools.product(range(len(offsets)), repeat=k))
-    traced = []  # per combination: its (h_u, g_l), or the error that skips it
-    for combo in combos:
-        picks = [u * len(offsets) + c for u, c in enumerate(combo)]
-        try:
-            if any(rows[i] is None for i in picks):
-                # raises the GeometryError of this combination's users
-                traced.append(trace_users(scene, [positions[i] for i in picks]))
-            else:
-                traced.append(
-                    (
-                        np.array([rows[i][0] for i in picks]),
-                        np.array([rows[i][1] for i in picks]),
-                    )
-                )
-        except RisOptError as exc:
-            traced.append(exc)
+    # per combination: its (h_u, g_l), or the error that skips it
+    traced = [
+        _combination_rows([rows[u * len(offsets) + c] for u, c in enumerate(combo)])
+        for combo in combos
+    ]
 
     stacks = (
         np.concatenate([h_u[None], h_u + g_l @ blocks])

@@ -26,6 +26,8 @@ C_ON = 0.54e-12  # farads
 C_OFF = 0.38e-12  # farads
 
 CALIBRATION_ANCHORS = ((5.02, C_ON), (3.05, C_OFF))  # (volts, farads)
+CALIBRATION_M = 0.5  # diode-law exponent of the calibrated varactor
+CALIBRATION_C_PAR = 0.10e-12  # farads, its parasitic capacitance
 
 MAX_ENUMERATION_GROUPS = 24
 
@@ -79,31 +81,20 @@ def bias_from_capacitance(model: VaractorModel, capacitance: float) -> float:
     return model.v_j * (1.0 - (model.c_j / c_junction) ** (1.0 / model.m))
 
 
-def calibrate_varactor(
-    anchors=CALIBRATION_ANCHORS,
-    m: float = 0.5,
-    c_par: float = 0.10e-12,
-    **kwargs,
-) -> VaractorModel:
-    """Two-point fit of (c_j, v_j) so the diode law hits both anchors exactly.
-
-    With m and c_par held fixed, the ratio of the two anchor equations is
-    linear in 1/v_j, giving a closed-form solution for any exponent m.
-    """
-    (v1, c1), (v2, c2) = anchors
-    if c1 == c2 or v1 == v2:
-        raise ValueError("anchors must differ in both voltage and capacitance")
-    a1 = c1 - c_par
-    a2 = c2 - c_par
-    if a1 <= 0 or a2 <= 0:
-        raise ValueError("c_par must be below both anchor capacitances")
+def calibrate_varactor() -> VaractorModel:
+    """Two-point fit of (c_j, v_j) so the diode law hits both
+    CALIBRATION_ANCHORS exactly, with the hardware's exponent CALIBRATION_M
+    and parasitic capacitance CALIBRATION_C_PAR: the ratio of the two anchor
+    equations is then linear in 1/v_j.  The other fields keep the model's
+    defaults."""
+    (v1, c1), (v2, c2) = CALIBRATION_ANCHORS
+    m, c_par = CALIBRATION_M, CALIBRATION_C_PAR
+    a1, a2 = c1 - c_par, c2 - c_par
     # (a1/a2)**(1/m) = (1 - v2/v_j) / (1 - v1/v_j)
     ratio = (a1 / a2) ** (1.0 / m)
     v_j = (ratio * v1 - v2) / (ratio - 1.0)
-    if v_j <= max(v1, v2):
-        raise ValueError("anchor fit produced v_j inside the bias range")
     c_j = a1 * (1.0 - v1 / v_j) ** m
-    return VaractorModel(c_j=c_j, v_j=v_j, m=m, c_par=c_par, **kwargs)
+    return VaractorModel(c_j=c_j, v_j=v_j, m=m, c_par=c_par)
 
 
 DEFAULT_VARACTOR = calibrate_varactor()
@@ -114,13 +105,14 @@ class RisConfiguration:
     """A full per-element capacitance state plus its control-mode metadata.
 
     ``grouping`` maps group index -> tuple of element indices and must
-    partition 0..N-1.  In 1-bit mode every capacitance is one of
-    {C_ON, C_OFF} and all members of a group share one value.
+    partition 0..N-1, or be empty when nothing is tunable.  In 1-bit mode
+    every capacitance is one of {C_ON, C_OFF} and all members of a group
+    share one value.
     """
 
     capacitances: np.ndarray  # (N,) farads
+    grouping: dict  # {} -> nothing tunable
     control_mode: str = "continuous-per-element"
-    grouping: dict | None = None  # None -> per-element; {} -> nothing tunable
 
     def __post_init__(self):
         caps = np.asarray(self.capacitances, dtype=float)
@@ -131,8 +123,6 @@ class RisConfiguration:
             raise ValueError("capacitances must be finite and positive")
         if self.control_mode not in CONTROL_MODES:
             raise ValueError(f"unknown control mode {self.control_mode!r}")
-        if self.grouping is None:
-            object.__setattr__(self, "grouping", identity_grouping(caps.size))
         if self.grouping:
             _check_partition(self.grouping, caps.size)
         if self.control_mode == "column-paired-1bit":

@@ -75,7 +75,7 @@ class PropagationPath:
     length: float
     product: complex
     order: int
-    points: tuple = ()  # reflection points, for inspection/trace output
+    points: tuple  # reflection points, for inspection/trace output
 
 
 @dataclass(frozen=True)
@@ -108,9 +108,10 @@ def wavelength(frequency: float) -> float:
 class SceneDescription:
     """2D scene: walls, BS array, RIS port line, users, optional grid.
 
-    The optional ``unloaded_panel`` wall models the scattering of the RIS
-    structure with all loads removed; it participates only in BS-to-user
-    traces.  ``ris_self_impedance`` seeds the synthetic port coupling matrix.
+    ``grid`` and ``unloaded_panel`` may be None.  The ``unloaded_panel``
+    wall models the scattering of the RIS structure with all loads removed;
+    it participates only in BS-to-user traces.  ``ris_self_impedance``, the
+    one defaulted field, seeds the synthetic port coupling matrix.
     """
 
     walls: tuple
@@ -118,9 +119,9 @@ class SceneDescription:
     ris_ports: np.ndarray  # (N, 2)
     user_positions: np.ndarray  # (K, 2)
     frequency: float
-    max_reflection_order: int = 2
-    grid: ObservationGrid | None = None
-    unloaded_panel: Wall | None = None
+    max_reflection_order: int
+    grid: ObservationGrid | None
+    unloaded_panel: Wall | None
     ris_self_impedance: complex = DEFAULT_SELF_IMPEDANCE
 
     def __post_init__(self):
@@ -387,16 +388,16 @@ def _sequence_paths(seq: _Sequence, si, src, dst, walls: _WallArrays):
     return lengths, points
 
 
-def trace_paths(
-    scene: SceneDescription, src, dst, walls=None
-) -> list[PropagationPath]:
-    """All specular paths from src to dst up to the scene's reflection order,
-    sorted by (order, length); a rejected pair raises GeometryError.
+def trace_paths(scene: SceneDescription, src, dst, walls) -> list[PropagationPath]:
+    """All specular paths from src to dst off ``walls``, up to the scene's
+    reflection order, sorted by (order, length); a rejected pair raises
+    GeometryError.
 
-    ``walls`` overrides the traced wall set (the CLI passes the user walls,
-    which include the unloaded RIS panel).
+    Pass ``scene.user_walls`` (the walls plus the unloaded RIS panel) for a
+    BS-to-user link, as the CLI's ``scene trace`` does, and ``scene.walls``
+    for a link that ends on a RIS port, which sits on the panel.
     """
-    walls = scene.walls if walls is None else tuple(walls)
+    walls = tuple(walls)
     src = np.asarray(src, dtype=float).reshape(1, 2)
     dst = np.asarray(dst, dtype=float).reshape(1, 2)
     _reject_pairs(src, dst, walls)
@@ -525,14 +526,15 @@ DEFAULT_BS_CENTER = (6.0, -3.0)
 
 
 def make_ris_line(
+    n_ports: int,
+    frequency: float,
     center=(0.0, 0.0),
-    n_ports: int = 20,
     spacing: float | None = None,
     angle_deg: float = DEFAULT_PANEL_ANGLE_DEG,
-    frequency: float = DEFAULT_FREQUENCY,
     reflection: complex = DEFAULT_PANEL_REFLECTION,
 ):
-    """Uniform port line centered at ``center`` plus its panel reflector wall."""
+    """Uniform port line centered at ``center`` plus its panel reflector wall;
+    the spacing defaults to half a wavelength at ``frequency``."""
     lam = wavelength(frequency)
     if spacing is None:
         spacing = lam / 2.0
@@ -553,23 +555,21 @@ def make_ris_line(
 def default_scene(
     n_ports: int = 20,
     max_reflection_order: int = 2,
-    frequency: float = DEFAULT_FREQUENCY,
     with_grid: bool = True,
 ) -> SceneDescription:
     """Built-in corridor-junction scene.
 
-    Three BS antennas spaced half a wavelength around (6, -3), a 20-port RIS
-    line centered at the origin, three users in the upper arm, and corridor
-    walls placed so all direct links stay clear.  All wall coefficients are
-    declared assumptions, not measured values.
+    At DEFAULT_FREQUENCY: three BS antennas spaced half a wavelength around
+    (6, -3), a 20-port RIS line centered at the origin, three users in the
+    upper arm, and corridor walls placed so all direct links stay clear.
+    All wall coefficients are declared assumptions, not measured values.
     """
+    frequency = DEFAULT_FREQUENCY
     lam = wavelength(frequency)
     bs_center = np.asarray(DEFAULT_BS_CENTER, dtype=float)
     offsets = (np.arange(3) - 1.0) * lam / 2.0
     bs = bs_center + np.stack([offsets, np.zeros(3)], axis=1)
-    ports, panel = make_ris_line(
-        n_ports=n_ports, frequency=frequency
-    )
+    ports, panel = make_ris_line(n_ports, frequency)
     walls = (
         Wall(p1=(-1.0, -4.0), p2=(-1.0, 4.0)),
         Wall(p1=(-1.0, -4.0), p2=(7.0, -4.0)),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from risopt.channel import ChannelComponents
-from risopt.coupling import synthesize_mutual_impedance
+from risopt.coupling import DEFAULT_SELF_IMPEDANCE, synthesize_mutual_impedance
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -20,7 +20,7 @@ def complex_normal(rng, *shape):
 
 def random_components(rng, k=3, m=3, n=20, frequency=FREQ) -> ChannelComponents:
     """Random channel substrate with a physically structured coupling matrix."""
-    z_ll = synthesize_mutual_impedance(n, SPACING, frequency)
+    z_ll = synthesize_mutual_impedance(n, SPACING, frequency, DEFAULT_SELF_IMPEDANCE)
     return ChannelComponents(
         h_u=complex_normal(rng, k, m),
         h_0=complex_normal(rng, n, m),

@@ -23,6 +23,7 @@ from risopt.ris import (
     RisConfiguration,
     column_paired_grouping,
     enumerate_1bit_configs,
+    identity_grouping,
     load_impedances,
     onebit_capacitances,
 )
@@ -127,7 +128,7 @@ class TestChannelDerivative:
             rng = np.random.default_rng(seed)
             comps = random_components(rng)
             caps = rng.uniform(0.25e-12, 1.1e-12, 20)
-            config = RisConfiguration(caps)
+            config = RisConfiguration(caps, grouping=identity_grouping(20))
             n = int(rng.integers(0, 20))
             analytic = channel_derivative(
                 comps, config, n, assemble_from_config(comps, model, config)
@@ -136,9 +137,12 @@ class TestChannelDerivative:
             up, down = caps.copy(), caps.copy()
             up[n] += h
             down[n] -= h
+            up, down = (
+                RisConfiguration(c, grouping=config.grouping) for c in (up, down)
+            )
             fd = (
-                assemble_from_config(comps, model, RisConfiguration(up)).matrix
-                - assemble_from_config(comps, model, RisConfiguration(down)).matrix
+                assemble_from_config(comps, model, up).matrix
+                - assemble_from_config(comps, model, down).matrix
             ) / (2 * h)
             rel = np.linalg.norm(analytic - fd) / np.linalg.norm(fd)
             worst = max(worst, rel)
@@ -153,7 +157,9 @@ class TestChannelDerivative:
             z_ll=comps.z_ll,
             frequency=FREQ,
         )
-        config = RisConfiguration(rng.uniform(0.3e-12, 1.1e-12, 20))
+        config = RisConfiguration(
+            rng.uniform(0.3e-12, 1.1e-12, 20), grouping=identity_grouping(20)
+        )
         d = channel_derivative(
             comps, config, 7, assemble_from_config(comps, DEFAULT_VARACTOR, config)
         )
@@ -177,7 +183,9 @@ class TestChannelDerivative:
 
     def test_element_out_of_range(self, rng):
         comps = random_components(rng)
-        config = RisConfiguration(rng.uniform(0.3e-12, 1.1e-12, 20))
+        config = RisConfiguration(
+            rng.uniform(0.3e-12, 1.1e-12, 20), grouping=identity_grouping(20)
+        )
         with pytest.raises(ValueError):
             channel_derivative(
                 comps, config, 20, assemble_from_config(comps, DEFAULT_VARACTOR, config)
@@ -254,7 +262,10 @@ class TestLuSolveOracle:
         model = DEFAULT_VARACTOR
         worst = 0.0
         for _ in range(20):
-            config = RisConfiguration(rng.uniform(model.c_min, model.c_max, 20))
+            config = RisConfiguration(
+                rng.uniform(model.c_min, model.c_max, 20),
+                grouping=identity_grouping(20),
+            )
             effective = assemble_from_config(comps, model, config)
             z_loads = load_impedances(model, config.capacitances, comps.frequency)
             lu = lu_factor(np.diag(z_loads) - comps.z_ll)
@@ -284,6 +295,8 @@ class TestGainMap:
             user_positions=[(d, 0.0) for d in distances],
             frequency=FREQ,
             max_reflection_order=0,
+            grid=None,
+            unloaded_panel=None,
         )
         comps = ro.synthesize_components(scene)
         w = BeamformerMatrix(np.array([[1.0 + 0j]]), power_budget=1.0)

@@ -23,7 +23,13 @@ from risopt.fileio import (
     save_components,
     save_scene,
 )
-from risopt.scene import ObservationGrid, default_scene, trace_paths, with_users
+from risopt.scene import (
+    ObservationGrid,
+    default_scene,
+    trace_paths,
+    wavelength,
+    with_users,
+)
 
 from conftest import call_states, fail_states, random_components, solved_channels
 
@@ -851,7 +857,7 @@ class TestExitCodes:
         self, frequency, small_scene_path, tmp_path, capsys
     ):
         with pytest.raises(ValueError, match="frequency_hz"):
-            default_scene(frequency=frequency)
+            wavelength(frequency)
         doc = json.loads(open(small_scene_path).read())
         doc["frequency_hz"] = frequency
         path = tmp_path / "bad_scene.json"

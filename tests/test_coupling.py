@@ -78,7 +78,7 @@ class TestSynthesizeMutualImpedance:
         assert z[0, 0] == 50 + 10j
 
     def test_structure(self):
-        z = synthesize_mutual_impedance(8, LAM / 2, FREQ)
+        z = synthesize_mutual_impedance(8, LAM / 2, FREQ, DEFAULT_SELF_IMPEDANCE)
         assert np.array_equal(z, z.T)  # exactly symmetric
         assert np.all(np.diag(z) == complex(DEFAULT_SELF_IMPEDANCE))
         # Toeplitz: constant along diagonals
@@ -91,9 +91,9 @@ class TestSynthesizeMutualImpedance:
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            synthesize_mutual_impedance(0, LAM / 2, FREQ)
+            synthesize_mutual_impedance(0, LAM / 2, FREQ, DEFAULT_SELF_IMPEDANCE)
         with pytest.raises(ValueError):
-            synthesize_mutual_impedance(4, -1.0, FREQ)
+            synthesize_mutual_impedance(4, -1.0, FREQ, DEFAULT_SELF_IMPEDANCE)
 
 
 class TestSici:
@@ -126,7 +126,7 @@ class TestSici:
         assert _sici(0.0) == (0.0, -np.inf)
 
     def test_coupling_matrix_matches_the_scipy_build(self, monkeypatch):
-        z = synthesize_mutual_impedance(20, SPACING, FREQ)
+        z = synthesize_mutual_impedance(20, SPACING, FREQ, DEFAULT_SELF_IMPEDANCE)
         monkeypatch.setattr(risopt.coupling, "_sici", scipy.special.sici)
-        oracle = synthesize_mutual_impedance(20, SPACING, FREQ)
+        oracle = synthesize_mutual_impedance(20, SPACING, FREQ, DEFAULT_SELF_IMPEDANCE)
         assert np.array_equal(z, oracle)

@@ -27,7 +27,7 @@ from risopt.ris import (
     RisConfiguration,
     onebit_configuration,
 )
-from risopt.ris import column_paired_grouping
+from risopt.ris import column_paired_grouping, identity_grouping
 from risopt.scene import default_scene, synthesize_components
 
 
@@ -253,7 +253,7 @@ class TestRisConfigFile:
     @pytest.mark.parametrize("key", ["c_on_pf", "c_off_pf"])
     def test_other_onebit_states_rejected(self, key, tmp_path):
         path = tmp_path / "config.json"
-        config = RisConfiguration(np.full(4, C_ON))
+        config = RisConfiguration(np.full(4, C_ON), grouping=identity_grouping(4))
         save_ris_config(config, path)
         doc = json.loads(path.read_text())
         doc[key] = 0.6
@@ -263,7 +263,9 @@ class TestRisConfigFile:
 
     def test_written_states_are_the_onebit_constants(self, tmp_path):
         path = tmp_path / "config.json"
-        save_ris_config(RisConfiguration(np.full(4, C_OFF)), path)
+        save_ris_config(
+            RisConfiguration(np.full(4, C_OFF), grouping=identity_grouping(4)), path
+        )
         doc = json.loads(path.read_text())
         assert doc["c_on_pf"] * 1e-12 == C_ON
         assert doc["c_off_pf"] * 1e-12 == C_OFF
@@ -310,7 +312,7 @@ class TestCsv:
 
     def test_length_mismatch_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            write_csv(tmp_path / "bad.csv", {"a": [1.0], "b": [1.0, 2.0]})
+            write_csv(tmp_path / "bad.csv", {"a": [1.0], "b": [1.0, 2.0]}, comments=())
 
 
 def _default_file(kind, path):
@@ -390,7 +392,9 @@ def test_every_numeric_field_refuses_non_numbers(kind, bad, tmp_path):
                          ids=["fractions", "strings", "booleans"])
 def test_group_members_must_be_integers(members, tmp_path):
     path = tmp_path / "config.json"
-    save_ris_config(RisConfiguration(np.full(2, C_ON)), path)
+    save_ris_config(
+        RisConfiguration(np.full(2, C_ON), grouping=identity_grouping(2)), path
+    )
     doc = json.loads(path.read_text())
     doc["groups"] = {"0": members}
     path.write_text(json.dumps(doc))

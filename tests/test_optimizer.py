@@ -3,6 +3,7 @@
 import itertools
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,13 +32,18 @@ from risopt.ris import (
     column_paired_grouping,
     identity_grouping,
 )
-from risopt.scene import default_scene, synthesize_components, with_users
+from risopt.scene import (
+    default_scene,
+    synthesize_components,
+    trace_users,
+    with_users,
+)
 
 FREQ = 5.8e9
 MODEL = DEFAULT_VARACTOR
 
 
-def make_state(rng, caps=None, grouping=None, sigma2=1e-3, p_bs=1.0):
+def make_state(rng, grouping, caps=None, sigma2=1e-3, p_bs=1.0):
     comps = random_components(rng)
     if caps is None:
         caps = rng.uniform(0.3e-12, 1.1e-12, 20)
@@ -57,7 +63,9 @@ class TestMinSinrGradient:
             z_ll=comps.z_ll,
             frequency=FREQ,
         )
-        config = RisConfiguration(rng.uniform(0.3e-12, 1.1e-12, 20))
+        config = RisConfiguration(
+            rng.uniform(0.3e-12, 1.1e-12, 20), grouping=identity_grouping(20)
+        )
         state = OptimizerState(comps, MODEL, config, 1.0, 1e-3)
         for n in range(0, 20, 5):
             assert min_sinr_gradient(state, n) == 0.0
@@ -65,7 +73,7 @@ class TestMinSinrGradient:
     def test_single_user_reduces_to_num_over_noise(self, rng):
         comps = random_components(rng, k=1, m=2)
         caps = rng.uniform(0.3e-12, 1.1e-12, 20)
-        config = RisConfiguration(caps)
+        config = RisConfiguration(caps, grouping=identity_grouping(20))
         sigma2 = 1e-3
         state = OptimizerState(comps, MODEL, config, 1.0, sigma2)
         g = min_sinr_gradient(state, 4)
@@ -124,7 +132,7 @@ class TestArmijoSearch:
         assert new_c == 1.2e-12  # exact projection, not within epsilon
 
     def test_zero_gradient_is_noop_without_evaluations(self, rng):
-        state = make_state(rng)
+        state = make_state(rng, grouping=identity_grouping(20))
         calls = []
         original = state.objective_at
         state.objective_at = lambda *a: calls.append(a) or original(*a)
@@ -244,7 +252,9 @@ class TestBcdSweep:
             z_ll=comps.z_ll,
             frequency=FREQ,
         )
-        config = RisConfiguration(rng.uniform(0.3e-12, 1.1e-12, 20))
+        config = RisConfiguration(
+            rng.uniform(0.3e-12, 1.1e-12, 20), grouping=identity_grouping(20)
+        )
         state = OptimizerState(comps, MODEL, config, 1.0, 1e-3)
         delta, records = bcd_sweep(state, 0)
         assert delta == 0.0
@@ -343,20 +353,22 @@ class TestAlternatingOptimize:
         comps = synthesize_components(default_scene())
         trace = alternating_optimize(
             comps, MODEL, None, 1e-28, ro.noise_power(900.0, 40e6),
-            BcdSettings(rng_seed=1), grouping=identity_grouping(20),
+            BcdSettings(t_g=50, rng_seed=1), grouping=identity_grouping(20),
         )
         accepted = [
             sum(1 for step in trace.steps if step.sweep == sweep)
             for sweep in range(1, trace.sweeps_run + 1)
         ]
-        assert trace.converged and trace.sweeps_run < BcdSettings().t_g
+        assert trace.converged and trace.sweeps_run < 50
         assert trace.final_sinr_min < 1e-16
         assert accepted[-1] == 0 and all(accepted[:-1])
         assert trace.sweep_deltas[-1] == 0.0
 
     def test_needs_a_start(self, rng):
         with pytest.raises(ValueError, match="initial configuration or a grouping"):
-            alternating_optimize(random_components(rng), MODEL, None, 1.0, 1e-3)
+            alternating_optimize(
+                random_components(rng), MODEL, None, 1.0, 1e-3, BcdSettings(t_g=50)
+            )
         with pytest.raises(ValueError, match="t_g"):
             BcdSettings(t_g=-1)
 
@@ -433,7 +445,7 @@ class TestExhaustiveSearch:
         result = exhaustive_1bit_search(comps, MODEL, {}, 1.0, 1e-2)
         assert len(result.entries) == 1
         assert result.entries[0][0] == ()
-        assert len(rate_histogram(result.rates)) == 1  # single-bar histogram
+        assert len(rate_histogram(result.rates, 0.05)) == 1  # single-bar histogram
 
     def test_counts_and_ordering(self, rng):
         comps = random_components(rng, k=2, m=3, n=8)
@@ -443,7 +455,7 @@ class TestExhaustiveSearch:
         assert result.failures == 0
         ranked_rates = [r for _, r in result.ranked]
         assert ranked_rates == sorted(ranked_rates, reverse=True)
-        assert sum(c for _, _, c in rate_histogram(result.rates)) == 16
+        assert sum(c for _, _, c in rate_histogram(result.rates, 0.05)) == 16
         # best config expands the best states
         assert np.array_equal(
             result.best_config.capacitances,
@@ -705,7 +717,7 @@ class TestRateHistogram:
         assert sum(c for _, _, c in rate_histogram(rates, w)) == len(rates)
 
     def test_empty_and_invalid(self):
-        assert rate_histogram([]) == []
+        assert rate_histogram([], 0.05) == []
         with pytest.raises(ValueError):
             rate_histogram([1.0], bin_width=0.0)
 
@@ -823,6 +835,61 @@ class TestPerturbationStudy:
         users = scene.user_positions + np.array([offsets[c] for c in combos[3]])
         expected = resynthesized_improvement(scene, grouping, users, sigma2)
         assert result.improvements[3] == expected
+
+    def test_each_moved_position_is_traced_once(self, monkeypatch, caplog):
+        # the benchmark's light scene: the 0.87 m moves put users on walls,
+        # so the batch trace refuses and each position's two sides are
+        # traced alone; no combination is traced again
+        import risopt.optimizer as opt
+
+        calls = {"trace_users": 0, "field_matrix": 0}
+        for name in calls:
+            real = getattr(opt, name)
+
+            def counted(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(opt, name, counted)
+        offsets = opt.user_offset_grid((0.0, 0.87), (0.0, 0.87))
+        with caplog.at_level(logging.WARNING, logger="risopt.optimizer"):
+            result = perturbation_study(
+                default_scene(n_ports=2, max_reflection_order=1, with_grid=False),
+                MODEL, column_paired_grouping(2), 1.0,
+                ro.noise_power(900.0, 40e6), offsets=offsets,
+            )
+        assert (result.combinations, result.skipped) == (64, 32)
+        assert len(caplog.records) == 32
+        assert calls == {"trace_users": 1, "field_matrix": 2 * 3 * len(offsets)}
+
+    def test_bs_side_error_names_the_combination(self, caplog):
+        # no panel: the move puts user 0 on a RIS port, which only the port
+        # side refuses, and user 1 on a wall, which both sides refuse; the
+        # BS side is checked for every user first, as trace_users does, so a
+        # combination that moves both names the wall
+        base = default_scene(n_ports=2, max_reflection_order=1, with_grid=False)
+        move = np.array([0.0, 0.5])
+        users = base.user_positions.copy()
+        users[0] = base.ris_ports[1] - move
+        users[1] = (0.0, 4.0 - move[1])  # moved onto the y = 4 wall
+        scene = replace(base, user_positions=users, unloaded_panel=None)
+        offsets = [(0.0, 0.0), tuple(move)]
+        with caplog.at_level(logging.WARNING, logger="risopt.optimizer"):
+            result = perturbation_study(
+                scene, MODEL, column_paired_grouping(2), 1.0,
+                ro.noise_power(900.0, 40e6), offsets=offsets,
+            )
+        combos = list(itertools.product(range(2), repeat=3))
+        expected = {}
+        for combo in combos:
+            try:
+                trace_users(scene, users + np.array([offsets[c] for c in combo]))
+            except ro.GeometryError as exc:
+                expected[combo] = f"combination {combo} skipped: {exc}"
+        assert result.skipped == len(expected) == 6
+        assert [r.getMessage() for r in caplog.records] == list(expected.values())
+        assert expected[(1, 1, 0)].endswith("src or dst lies on a wall segment")
+        assert expected[(1, 0, 0)].endswith("src and dst coincide")
 
     def test_failed_block_raises(self, monkeypatch):
         import risopt.optimizer as opt

@@ -1,5 +1,7 @@
 """Varactor law, load impedances, grouping, and 1-bit enumeration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,13 @@ class TestVaractorLaw:
         assert capacitance_from_bias(m, 5.02) == pytest.approx(C_ON, rel=1e-12)
         assert capacitance_from_bias(m, 3.05) == pytest.approx(C_OFF, rel=1e-12)
 
+    def test_calibration_is_pinned(self):
+        # the parameterless refit of the two anchors, exact to the bit
+        assert calibrate_varactor() == DEFAULT_VARACTOR
+        assert DEFAULT_VARACTOR.c_j == 2.02006486333966e-13
+        assert DEFAULT_VARACTOR.v_j == 6.360694444444443
+        assert (DEFAULT_VARACTOR.m, DEFAULT_VARACTOR.c_par) == (0.5, 0.10e-12)
+
     def test_monotone_in_bias(self):
         m = DEFAULT_VARACTOR
         biases = np.linspace(0.0, 0.95 * m.v_j, 40)
@@ -65,10 +74,6 @@ class TestVaractorLaw:
         with pytest.raises(ValueError):
             bias_from_capacitance(m, 0.5 * (m.c_j + m.c_par))
 
-    def test_calibrate_rejects_degenerate_anchors(self):
-        with pytest.raises(ValueError):
-            calibrate_varactor(anchors=((5.0, C_ON), (5.0, C_OFF)))
-
     def test_model_invariants(self):
         with pytest.raises(ValueError):
             VaractorModel(c_j=-1e-12, v_j=6.0, m=0.5, c_par=0.0)
@@ -84,7 +89,7 @@ class TestLoadImpedances:
         assert z[1] == pytest.approx(2.0 - 64.9233667006115j, rel=1e-12)
 
     def test_pure_capacitive_when_parasitics_vanish(self):
-        model = calibrate_varactor(r_v=0.0, l_v=0.0)
+        model = dataclasses.replace(DEFAULT_VARACTOR, r_v=0.0, l_v=0.0)
         omega = 2 * np.pi * FREQ
         z = load_impedances(model, np.array([C_ON]), FREQ)
         assert z[0] == pytest.approx(-1j / (omega * C_ON), rel=1e-12)
@@ -104,7 +109,7 @@ class TestLoadImpedances:
             load_impedances(DEFAULT_VARACTOR, np.array([C_ON, 0.1e-12]), FREQ)
 
     def test_configuration_bounds_enforced(self):
-        config = RisConfiguration(capacitances=np.array([5e-12]))
+        config = RisConfiguration(capacitances=np.array([5e-12]), grouping={0: (0,)})
         with pytest.raises(ValueError):
             load_impedances(DEFAULT_VARACTOR, config.capacitances, FREQ)
 

@@ -43,13 +43,15 @@ def simple_scene(walls, max_order=1):
         user_positions=[(4.0, 1.0)],
         frequency=5.8e9,
         max_reflection_order=max_order,
+        grid=None,
+        unloaded_panel=None,
     )
 
 
 class TestTracePaths:
     def test_single_wall_direct_plus_reflection(self):
         scene = simple_scene((Wall(p1=(-10, 0), p2=(10, 0), reflection=-1.0),))
-        paths = trace_paths(scene, (0, 1), (4, 1))
+        paths = trace_paths(scene, (0, 1), (4, 1), walls=scene.walls)
         assert len(paths) == 2
         direct, bounced = paths
         assert direct.order == 0
@@ -62,7 +64,7 @@ class TestTracePaths:
 
     def test_free_space_single_direct_path(self):
         scene = simple_scene(())
-        paths = trace_paths(scene, (0, 1), (4, 1))
+        paths = trace_paths(scene, (0, 1), (4, 1), walls=scene.walls)
         assert len(paths) == 1
         assert paths[0].order == 0
         assert paths[0].length == 4.0
@@ -72,22 +74,23 @@ class TestTracePaths:
         scene = simple_scene(
             (Wall(p1=(2.0, -5.0), p2=(2.0, 5.0), reflection=-0.5),), max_order=0
         )
-        assert trace_paths(scene, (0, 1), (4, 1)) == []
+        assert trace_paths(scene, (0, 1), (4, 1), walls=scene.walls) == []
 
     def test_src_on_wall_rejected(self):
         scene = simple_scene((Wall(p1=(-10, 0), p2=(10, 0)),))
         with pytest.raises(ro.GeometryError):
-            trace_paths(scene, (0.0, 0.0), (4.0, 1.0))
+            trace_paths(scene, (0.0, 0.0), (4.0, 1.0), walls=scene.walls)
 
     def test_coincident_endpoints_rejected(self):
         scene = simple_scene(())
         with pytest.raises(ro.GeometryError):
-            trace_paths(scene, (1.0, 1.0), (1.0, 1.0))
+            trace_paths(scene, (1.0, 1.0), (1.0, 1.0), walls=scene.walls)
 
     def test_deterministic_ordering(self):
         scene = default_scene()
-        a = trace_paths(scene, scene.bs_elements[0], scene.user_positions[0])
-        b = trace_paths(scene, scene.bs_elements[0], scene.user_positions[0])
+        src, dst = scene.bs_elements[0], scene.user_positions[0]
+        a = trace_paths(scene, src, dst, walls=scene.walls)
+        b = trace_paths(scene, src, dst, walls=scene.walls)
         assert [(p.order, p.length) for p in a] == [(p.order, p.length) for p in b]
         orders_lengths = [(p.order, p.length) for p in a]
         assert orders_lengths == sorted(orders_lengths)
@@ -167,8 +170,8 @@ class TestReciprocity:
             src = rng.uniform(-5, 5, 2)
             dst = rng.uniform(-5, 5, 2)
             try:
-                fwd = trace_paths(scene, src, dst)
-                rev = trace_paths(scene, dst, src)
+                fwd = trace_paths(scene, src, dst, walls=scene.walls)
+                rev = trace_paths(scene, dst, src, walls=scene.walls)
             except ro.GeometryError:
                 continue
             key = lambda p: (p.order, round(p.length, 10), round(p.product.real, 10))
@@ -222,8 +225,10 @@ class TestRectangularRoomOracle:
             user_positions=[dst],
             frequency=5.8e9,
             max_reflection_order=2,
+            grid=None,
+            unloaded_panel=None,
         )
-        paths = trace_paths(scene, src, dst)
+        paths = trace_paths(scene, src, dst, walls=scene.walls)
         traced = sorted((p.order, p.length) for p in paths)
         expected = lattice_image_lengths(src, dst, lx, ly, 2)
         assert len(traced) == len(expected) == 13
@@ -241,8 +246,11 @@ class TestRectangularRoomOracle:
             user_positions=[dst],
             frequency=5.8e9,
             max_reflection_order=3,
+            grid=None,
+            unloaded_panel=None,
         )
-        traced = sorted((p.order, p.length) for p in trace_paths(scene, src, dst))
+        paths = trace_paths(scene, src, dst, walls=scene.walls)
+        traced = sorted((p.order, p.length) for p in paths)
         expected = lattice_image_lengths(src, dst, lx, ly, 3)
         assert len(traced) == len(expected)
         for (o_t, l_t), (o_e, l_e) in zip(traced, expected):
@@ -257,8 +265,10 @@ class TestRectangularRoomOracle:
             user_positions=[(4.3, 2.7)],
             frequency=5.8e9,
             max_reflection_order=2,
+            grid=None,
+            unloaded_panel=None,
         )
-        for p in trace_paths(scene, (1.2, 1.1), (4.3, 2.7)):
+        for p in trace_paths(scene, (1.2, 1.1), (4.3, 2.7), walls=scene.walls):
             assert p.product == pytest.approx((-0.5) ** p.order)
 
     def test_path_lengths_bounded_below_by_distance(self):
@@ -269,9 +279,11 @@ class TestRectangularRoomOracle:
             user_positions=[(4.3, 2.7)],
             frequency=5.8e9,
             max_reflection_order=2,
+            grid=None,
+            unloaded_panel=None,
         )
         euclid = np.hypot(4.3 - 1.2, 2.7 - 1.1)
-        for p in trace_paths(scene, (1.2, 1.1), (4.3, 2.7)):
+        for p in trace_paths(scene, (1.2, 1.1), (4.3, 2.7), walls=scene.walls):
             assert p.length >= euclid - 1e-12
 
 
@@ -296,7 +308,8 @@ class TestTiltedWallPhysics:
         src = center + 2.5 * normal + 0.4 * tangent
         dst = center + 1.7 * normal - 2.1 * tangent
         scene = simple_scene((wall,))
-        bounced = [p for p in trace_paths(scene, src, dst) if p.order == 1]
+        paths = trace_paths(scene, src, dst, walls=scene.walls)
+        bounced = [p for p in paths if p.order == 1]
         assert len(bounced) == 1
 
         def total(u):
@@ -311,7 +324,8 @@ class TestTiltedWallPhysics:
         src = np.array([0.0, 3.0])
         dst = np.array([3.0, 4.0])
         scene = simple_scene((wall,))
-        bounced = [p for p in trace_paths(scene, src, dst) if p.order == 1]
+        paths = trace_paths(scene, src, dst, walls=scene.walls)
+        bounced = [p for p in paths if p.order == 1]
         assert len(bounced) == 1
         point = np.asarray(bounced[0].points[0])
         tangent = (wall.p2 - wall.p1) / np.linalg.norm(wall.p2 - wall.p1)
@@ -330,23 +344,27 @@ class TestTiltedWallPhysics:
 class TestPathGain:
     def test_one_wavelength(self):
         lam = SPEED_OF_LIGHT / 5.8e9
-        g = path_gain(PropagationPath(length=lam, product=1.0, order=0), 5.8e9)
+        path = PropagationPath(length=lam, product=1.0, order=0, points=())
+        g = path_gain(path, 5.8e9)
         assert abs(g) == pytest.approx(1.0 / lam, rel=1e-12)
         assert np.angle(g) == pytest.approx(0.0, abs=1e-9)  # phase -2*pi wraps
 
     def test_frozen_two_meter_value(self):
         # direct evaluation of product * exp(-j*2*pi*f*d/c)/d at d=2, 5.8 GHz
-        g = path_gain(PropagationPath(length=2.0, product=1.0, order=0), 5.8e9)
+        path = PropagationPath(length=2.0, product=1.0, order=0, points=())
+        g = path_gain(path, 5.8e9)
         assert abs(g) == pytest.approx(0.5, rel=1e-12)
         assert g == pytest.approx(-0.17398649810024117 + 0.4687522783718654j, rel=1e-12)
 
     def test_absorbing_wall_zeroes_path(self):
-        g = path_gain(PropagationPath(length=2.0, product=0.0, order=1), 5.8e9)
+        path = PropagationPath(length=2.0, product=0.0, order=1, points=())
+        g = path_gain(path, 5.8e9)
         assert g == 0.0
 
     def test_zero_length_rejected(self):
+        path = PropagationPath(length=0.0, product=1.0, order=0, points=())
         with pytest.raises(ValueError):
-            path_gain(PropagationPath(length=0.0, product=1.0, order=0), 5.8e9)
+            path_gain(path, 5.8e9)
 
 
 class TestCoherentSumLinearity:
@@ -363,8 +381,10 @@ class TestCoherentSumLinearity:
                 user_positions=[(4.0, 1.0)],
                 frequency=5.8e9,
                 max_reflection_order=1,
+                grid=None,
+                unloaded_panel=None,
             )
-            paths = trace_paths(scene, (0, 1), (4, 1))
+            paths = trace_paths(scene, (0, 1), (4, 1), walls=scene.walls)
             direct = sum(
                 path_gain(p, 5.8e9) for p in paths if p.order == 0
             )
@@ -394,6 +414,8 @@ def absorbing_boxes_scene():
         user_positions=[(6.0, 1.0)],
         frequency=5.8e9,
         max_reflection_order=0,
+        grid=None,
+        unloaded_panel=None,
     )
 
 
@@ -406,10 +428,12 @@ class TestSynthesizeComponents:
             user_positions=[(4.0, 1.0)],
             frequency=5.8e9,
             max_reflection_order=2,
+            grid=None,
+            unloaded_panel=None,
         )
         comps = synthesize_components(scene)
         expected = path_gain(
-            PropagationPath(length=4.0, product=1.0, order=0), 5.8e9
+            PropagationPath(length=4.0, product=1.0, order=0, points=()), 5.8e9
         )
         assert comps.h_u[0, 0] == pytest.approx(expected, rel=1e-14)
 
@@ -423,6 +447,8 @@ class TestSynthesizeComponents:
                 user_positions=scene.user_positions,
                 frequency=scene.frequency,
                 max_reflection_order=0,
+                grid=None,
+                unloaded_panel=None,
             )
         )
         k = 2 * np.pi * scene.frequency / SPEED_OF_LIGHT
@@ -460,6 +486,7 @@ class TestSynthesizeComponents:
             frequency=base.frequency,
             max_reflection_order=1,
             unloaded_panel=None,
+            grid=None,
         )
         with_panel = synthesize_components(base)
         without = synthesize_components(bare)
@@ -583,6 +610,8 @@ class TestFieldMatrix:
             user_positions=[(4.3, 2.7), (5.5, 0.2), (2.0, 2.0)],
             frequency=5.8e9,
             max_reflection_order=3,
+            grid=None,
+            unloaded_panel=None,
         )
         got = field_matrix(scene, scene.bs_elements, scene.user_positions, scene.walls)
         want = reference_field(
@@ -609,7 +638,7 @@ class TestFieldMatrix:
     def test_rejects_what_trace_paths_rejects(self, dests, message):
         scene = simple_scene((Wall(p1=(-10, 0), p2=(10, 0)),))
         with pytest.raises(ro.GeometryError, match=message):
-            trace_paths(scene, (0.0, 1.0), dests[1])
+            trace_paths(scene, (0.0, 1.0), dests[1], walls=scene.walls)
         with pytest.raises(ro.GeometryError, match=message):
             field_matrix(scene, [(0.0, 1.0)], dests, scene.walls)
 
