@@ -11,20 +11,22 @@ downlink per-beam powers achieving the same SINRs with the same total power.
 stage takes an optional leading stack axis and is written once: the
 kernels, the balance loop (``_balance``, whose one-channel entry is
 ``fixed_point_power_balance``), the power recovery and the finish (scaling
-to the budget, the downlink report, the checks and warnings).  A stack
+to the budget, the downlink report, the checks and logged reports).  A stack
 raises when any of its states fails; the sweeps then solve that stack again
 one channel at a time, which names each state's failure.
 """
 
 from __future__ import annotations
 
-import warnings
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import BOLTZMANN
 from .errors import DualityError, InfeasibleUserError
+
+logger = logging.getLogger(__name__)
 
 # Balance stop rule: the Perron root changes by at most BALANCE_TOL relative
 # to its value between iterations, or BALANCE_MAX_ITER iterations have run.
@@ -40,7 +42,7 @@ def noise_power(temperature: float, bandwidth: float) -> float:
         raise ValueError("temperature must be positive")
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
-    power = BOLTZMANN * temperature * bandwidth
+    power = BOLTZMANN * float(temperature) * float(bandwidth)
     if not 0.0 < power < np.inf:
         raise ValueError(f"noise power k*T*B = {power!r} W is not a positive finite number")
     return power
@@ -209,18 +211,15 @@ class BalanceResult:
 
 
 # The balance's entry and exit checks, for one channel or a stack.  The
-# solvers' warnings name the line that called the public solver, two frames
-# above the helper that issues them.  The solvers' checks test a condition
-# with np.count_nonzero, which takes a one-channel scalar and a stack alike
-# and on a numpy scalar costs about half of ``.any()`` and a quarter of
-# np.any; the optimizer runs hundreds of one-channel solves.
+# solvers' checks test a condition with np.count_nonzero, which takes a
+# one-channel scalar and a stack alike and on a numpy scalar costs about
+# half of ``.any()`` and a quarter of np.any; the optimizer runs hundreds of
+# one-channel solves.
 
 
 def _warn_users_exceed_antennas(k: int, m: int) -> None:
-    warnings.warn(
-        f"K={k} users exceed M={m} antennas; balancing may converge to "
-        "low SINRs",
-        stacklevel=3,
+    logger.warning(
+        "K=%d users exceed M=%d antennas; balancing may converge to low SINRs", k, m
     )
 
 
@@ -350,9 +349,7 @@ def downlink_power_recovery(
     except np.linalg.LinAlgError as exc:
         raise DualityError(f"downlink power system is singular: {exc}") from exc
     if np.count_nonzero(p < -1e-10 * p_bs):
-        raise DualityError(
-            f"negative downlink power recovered: {p.min()!r}"
-        )
+        raise DualityError(f"negative downlink power recovered: {float(p.min())!r}")
     p = np.maximum(p, 0.0)
     drift = np.abs(p.sum(axis=-1) - p_bs) / p_bs
     if np.count_nonzero(drift > POWER_CONSERVATION_TOL):
@@ -369,20 +366,17 @@ def _solve(
     """Recover the downlink powers of a balance and finish the max-min solve,
     for one channel or for each state of a stack.
 
-    Each state whose balance stopped at its iteration cap warns before the
+    Each state whose balance stopped at its iteration cap logs before the
     recovery's checks can raise.  Each beamformer is then scaled so that its
     Frobenius power meets the budget exactly, and its SINRs are taken from
     the true downlink received signals (not the duality identity); a state
     whose downlink SINRs are off their uplink values by more than 1e-6
-    relative warns.
+    relative logs.
     """
     capped = np.logical_not(balance.converged)
     if np.count_nonzero(capped):
         for n in np.extract(capped, balance.iterations):
-            warnings.warn(
-                f"power balance stopped after {n} iterations without converging",
-                stacklevel=3,
-            )
+            logger.warning("power balance stopped after %d iterations without converging", n)
     p = downlink_power_recovery(h, balance.combiner, balance.sinr, sigma2, p_bs)
     raw = balance.combiner * np.sqrt(p)[..., None, :]
     # the squared Frobenius norm as np.linalg.norm sums it for the
@@ -399,10 +393,8 @@ def _solve(
     over = gap > 1e-6
     if np.count_nonzero(over):
         for g in np.extract(over, gap):
-            warnings.warn(
-                "downlink SINR deviates from the uplink duality value by up to "
-                f"{g:.3e}",
-                stacklevel=3,
+            logger.warning(
+                "downlink SINR deviates from the uplink duality value by up to %.3e", g
             )
     rates = rates_from_sinr(sinr)
     min_rate, avg = rates.min(axis=-1), (np.abs(y) ** 2).sum(axis=-1).mean(axis=-1)
@@ -426,11 +418,11 @@ def duality_beamformer(
     Runs the uplink balance, recovers the downlink powers, and returns the
     beamformer scaled to the budget and its true downlink report; for a
     stack every field but ``power_budget`` and ``noise_power`` carries the
-    leading stack axis.  A capped balance warns before the recovery is
+    leading stack axis.  A capped balance logs before the recovery is
     checked, and a downlink SINR off its uplink value by over 1e-6 relative
-    warns after.  One channel runs through ``fixed_point_power_balance`` and
-    warns of K > M users before it; a stack raises the one-channel error for
-    the whole stack when any state fails, and warns of K > M users last.
+    logs after.  One channel runs through ``fixed_point_power_balance`` and
+    logs K > M users before it; a stack raises the one-channel error for
+    the whole stack when any state fails, and logs K > M users last.
     """
     hm = _channel_matrix(h)
     if hm.ndim == 2:

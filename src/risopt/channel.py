@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamforming import BeamformerMatrix
+from .coupling import wavelength
 from .errors import SingularChannelError
 from .ris import RisConfiguration, VaractorModel, load_impedances
 
@@ -66,8 +67,7 @@ class ChannelComponents:
             raise ValueError(
                 f"g_l shape {self.g_l.shape} inconsistent with (k={k}, n={n})"
             )
-        if self.frequency <= 0:
-            raise ValueError("frequency must be positive")
+        wavelength(self.frequency)
         asym = np.linalg.norm(self.z_ll - self.z_ll.T)
         scale = np.linalg.norm(self.z_ll)
         if scale > 0 and asym / scale > Z_SYMMETRY_TOL:

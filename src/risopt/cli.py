@@ -30,7 +30,9 @@ runs are byte-identical.
 
 Exit codes: 0 success, 2 configuration error (a rejected scene geometry, such
 as a point on a wall, a non-finite number flag, a negative ``--seed`` and an
-``--out`` that cannot become a directory included), 3 numerical failure.
+``--out`` that cannot become a directory included), 3 numerical failure.  A
+non-fatal event, such as a capped balance or a failed sweep point (a NaN
+row), logs one line on stderr and leaves the exit code alone.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import argparse
 import dataclasses
 import datetime
 import json
+import logging
 import math
 import os
 import sys
@@ -84,6 +87,8 @@ from .scene import (
     trace_paths,
     trace_users,
 )
+
+logger = logging.getLogger(__name__)
 
 MODES = ("no-ris", "continuous", "onebit-exhaustive")
 DEFAULT_MODES = {"sweep": "no-ris", "optimize": "continuous", "gainmap": "continuous"}
@@ -288,10 +293,7 @@ def run_power_sweep(ws: Workspace) -> list:
                 min_rate = report.min_rate
                 rx_db = _power_db(report.avg_received_power)
             except RisOptError as exc:
-                print(
-                    f"sweep point p={p_dbm} dBm mode={mode} failed: {exc}",
-                    file=sys.stderr,
-                )
+                logger.warning("sweep point p=%s dBm mode=%s failed: %s", p_dbm, mode, exc)
                 min_rate, rx_db = float("nan"), float("nan")
             cols["p_dbm"].append(float(p_dbm))
             cols["p_dbm_per_hz"].append(_dbm_per_hz(p_dbm, cfg.bandwidth_hz))

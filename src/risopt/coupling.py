@@ -85,6 +85,14 @@ def _sici(x):
     return math.pi / 2 - f * c - g * s, f * s - g * c
 
 
+def wavelength(frequency: float) -> float:
+    """Free-space wavelength of a frequency; the one check that a scene or
+    channel frequency is positive."""
+    if not frequency > 0:
+        raise ValueError(f"frequency_hz must be positive, got {frequency}")
+    return SPEED_OF_LIGHT / frequency
+
+
 def mutual_impedance_sidebyside(separation: float, frequency: float) -> complex:
     """Mutual impedance of two parallel side-by-side half-wave dipoles.
 
@@ -96,7 +104,7 @@ def mutual_impedance_sidebyside(separation: float, frequency: float) -> complex:
     """
     if separation <= 0.0:
         raise ValueError("separation must be positive")
-    lam = SPEED_OF_LIGHT / frequency
+    lam = wavelength(frequency)
     half_len = lam / 2.0
     k = 2.0 * np.pi / lam
     u0 = k * separation

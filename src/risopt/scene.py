@@ -29,18 +29,22 @@ excluded from port traces because the ports sit on the panel itself.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import ChannelComponents
 from .constants import SPEED_OF_LIGHT
-from .coupling import DEFAULT_SELF_IMPEDANCE, synthesize_mutual_impedance
+from .coupling import DEFAULT_SELF_IMPEDANCE, synthesize_mutual_impedance, wavelength
 from .errors import GeometryError
 
+logger = logging.getLogger(__name__)
+
 GEOM_EPS = 1e-9  # meters; tolerance for on-wall and intersection tests
+
+MAX_COORDINATE = 1e150  # meters; the tracer's products stay finite up to it
 
 MAX_REFLECTION_ORDER = 5
 
@@ -60,8 +64,8 @@ class Wall:
         p2 = np.asarray(self.p2, dtype=float)
         object.__setattr__(self, "p1", p1)
         object.__setattr__(self, "p2", p2)
-        if not (np.all(np.isfinite(p1)) and np.all(np.isfinite(p2))):
-            raise ValueError("wall endpoints must be finite")
+        if not np.abs([p1, p2]).max() <= MAX_COORDINATE:
+            raise ValueError(f"wall endpoints must be finite and within {MAX_COORDINATE:g} m")
         if np.linalg.norm(p2 - p1) <= GEOM_EPS:
             raise ValueError("wall segment has (near-)zero length")
         if abs(self.reflection) > 1.0 + 1e-12:
@@ -94,14 +98,6 @@ class ObservationGrid:
             (ox + i * dx, oy + j * dy) for j in range(ny) for i in range(nx)
         ]
         return np.asarray(pts, dtype=float)
-
-
-def wavelength(frequency: float) -> float:
-    """Free-space wavelength of a scene frequency; the one check that the
-    frequency is positive."""
-    if not frequency > 0:
-        raise ValueError(f"frequency_hz must be positive, got {frequency}")
-    return SPEED_OF_LIGHT / frequency
 
 
 @dataclass(frozen=True)
@@ -230,8 +226,11 @@ def _reject_pairs(sources, dests, walls):
     pair in destination-major order.
 
     A pair is rejected when its two points lie within GEOM_EPS of each
-    other, or when either point lies on a wall; the first test wins.
+    other, or when either point lies on a wall; the first test wins.  Any
+    coordinate beyond MAX_COORDINATE rejects every pair before either test.
     """
+    if np.abs(sources).max() > MAX_COORDINATE or np.abs(dests).max() > MAX_COORDINATE:
+        raise GeometryError(f"src or dst has a coordinate beyond {MAX_COORDINATE:g} m")
     coincide = _norm((dests[:, None] - sources[None, :]).reshape(-1, 2)) <= GEOM_EPS
     on_wall = _on_any_wall(dests, walls)[:, None] | _on_any_wall(sources, walls)
     bad = coincide | on_wall.ravel()
@@ -371,7 +370,8 @@ def _sequence_paths(seq: _Sequence, si, src, dst, walls: _WallArrays):
             & (-GEOM_EPS <= u)
             & (u <= 1.0 + GEOM_EPS)
         )
-        points[j] = image + t[:, None] * r
+        # a row with no path backtracks from its image; a stray t can overflow
+        points[j] = image + np.where(valid, t, 0.0)[:, None] * r
         target = points[j]
     lengths = np.full(si.shape[0], np.inf)
     rows = np.flatnonzero(valid)
@@ -483,7 +483,7 @@ def synthesize_components(scene: SceneDescription) -> ChannelComponents:
     traces include it so the baseline channel carries the unloaded-RIS
     scattering.  h_u, h_0 and g_l are traced in that order, so a rejected
     point raises the error the first of them meets.  The port coupling
-    matrix comes from the induced-EMF model.
+    matrix comes from the induced-EMF model.  A fully occluded scene logs.
     """
     n = scene.dims[2]
     h_u = field_matrix(
@@ -492,10 +492,7 @@ def synthesize_components(scene: SceneDescription) -> ChannelComponents:
     h_0 = field_matrix(scene, scene.bs_elements, scene.ris_ports, scene.walls)
     g_l = field_matrix(scene, scene.ris_ports, scene.user_positions, scene.walls)
     if not (np.any(h_u) or np.any(h_0) or np.any(g_l)):
-        warnings.warn(
-            "all traced channel matrices are zero (fully occluded scene)",
-            stacklevel=2,
-        )
+        logger.warning("all traced channel matrices are zero (fully occluded scene)")
     z_ll = synthesize_mutual_impedance(
         n, scene.ris_spacing, scene.frequency, scene.ris_self_impedance
     )

@@ -1,5 +1,7 @@
 """Effective-channel assembly, derivatives, and gain maps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
@@ -360,3 +362,10 @@ class TestComponentValidation:
                 z_ll=z,
                 frequency=FREQ,
             )
+
+    @pytest.mark.parametrize("frequency", [0.0, -5.8e9, np.nan])
+    def test_nonpositive_or_nan_frequency_rejected(self, rng, frequency):
+        # the scene's one frequency check, naming the file field
+        comps = random_components(rng)
+        with pytest.raises(ValueError, match="^frequency_hz must be positive"):
+            replace(comps, frequency=frequency)

@@ -184,6 +184,24 @@ class TestExhaustiveCommand:
         ranked = json.loads((out / "ranked.json").read_text())
         assert len(ranked["ranked"]) == 4
 
+    def test_every_capped_solve_is_logged(
+        self, small_scene_path, tmp_path, monkeypatch, caplog
+    ):
+        # non-convergence is never silent: one record per capped solve, each
+        # of the 4 configurations, the winner and the no-RIS baseline
+        import risopt.beamforming as bf
+
+        monkeypatch.setattr(bf, "BALANCE_MAX_ITER", 2)
+        code = main(
+            ["exhaustive", "--scene", small_scene_path,
+             "--out", str(tmp_path / "out"), "--reproducible"]
+        )
+        assert code == 0
+        assert caplog.messages == [
+            "power balance stopped after 2 iterations without converging"
+        ] * 6
+        assert {r.name for r in caplog.records} == {"risopt.beamforming"}
+
 
 class TestPerturbCommand:
     def test_single_point_grid_single_combination(self, small_scene_path, tmp_path):
@@ -259,6 +277,31 @@ class TestPerturbCommand:
             m == f"combination {r.args[0]} skipped: user 0 has an identically zero channel row"
             for m, r in zip(messages, caplog.records)
         )
+
+    def test_offsets_beyond_the_coordinate_bound_skip_every_combination(
+        self, tmp_path, caplog
+    ):
+        # refused before the tracer's squared distances overflow, which
+        # would leak a RuntimeWarning (an error in this suite) and leave
+        # each moved user an identically zero channel row
+        scene_path = tmp_path / "scene.json"
+        save_scene(
+            default_scene(n_ports=2, max_reflection_order=1, with_grid=False),
+            scene_path,
+        )
+        out = tmp_path / "out"
+        code = main(
+            ["perturb", "--scene", str(scene_path), "--offset-x", "1e300",
+             "--out", str(out), "--reproducible"]
+        )
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["combinations"] == summary["skipped"] == 27
+        assert caplog.messages == [
+            f"combination {r.args[0]} skipped: src or dst has a coordinate beyond 1e+150 m"
+            for r in caplog.records
+        ]
+        assert len(caplog.records) == 27
 
     def test_non_finite_offset_is_config_error(self, small_scene_path, tmp_path):
         code = main(
@@ -870,6 +913,37 @@ class TestExitCodes:
         assert "frequency_hz must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("frequency", [0, -1])
+    def test_non_positive_channel_file_frequency_names_its_field(
+        self, frequency, small_scene_path, tmp_path, capsys
+    ):
+        comps = tmp_path / "channels.json"
+        main(["channel", "convert", "--scene", small_scene_path, "--out", str(tmp_path)])
+        doc = json.loads(comps.read_text())
+        doc["frequency_hz"] = frequency
+        comps.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code = main(["channel", "convert", "--channels", str(comps), "--out", str(out)])
+        assert code == 2
+        assert (
+            "field 'frequency_hz': frequency_hz must be positive"
+            in capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_trace_point_beyond_the_coordinate_bound_is_config_error(
+        self, tmp_path, capsys
+    ):
+        # its squared distances would overflow: refused, not traced as "no path"
+        out = tmp_path / "out"
+        code = main(
+            ["scene", "trace", "--src", "1e300,0", "--dst", "1,1",
+             "--out", str(out), "--reproducible"]
+        )
+        assert code == 2
+        assert "src or dst has a coordinate beyond 1e+150 m" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("power", ["4000", "1e308", "-4000"])
     def test_out_of_range_power_rejected_before_any_work(
         self, power, tmp_path, monkeypatch, capsys
@@ -912,7 +986,7 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_underflowed_uplink_power_is_a_numerical_failure(
-        self, small_scene_path, tmp_path, capsys
+        self, small_scene_path, tmp_path, capsys, caplog
     ):
         # at -2500 dBm the noise power is about 1e240 times the budget and
         # the balance loses a user's uplink power to underflow: exhaustive
@@ -930,7 +1004,7 @@ class TestExitCodes:
              "--power-dbm", "-2500", "--out", str(out / "sweep"), "--reproducible"]
         )
         assert code == 0
-        err = capsys.readouterr().err
+        err = capsys.readouterr().err + "\n".join(caplog.messages)
         assert "underflowed to zero during balancing" in err
         assert "infs or NaNs" not in err
         _, cols = read_csv(out / "sweep" / "sweep.csv")
