@@ -18,6 +18,7 @@ one channel at a time, which names each state's failure.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -217,6 +218,7 @@ class BalanceResult:
 # one-channel solves.
 
 
+@functools.cache  # K > M depends on the shape alone: each (K, M) logs once
 def _warn_users_exceed_antennas(k: int, m: int) -> None:
     logger.warning(
         "K=%d users exceed M=%d antennas; balancing may converge to low SINRs", k, m

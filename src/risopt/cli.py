@@ -31,8 +31,7 @@ runs are byte-identical.
 Exit codes: 0 success, 2 configuration error (a rejected scene geometry, such
 as a point on a wall, a non-finite number flag, a negative ``--seed`` and an
 ``--out`` that cannot become a directory included), 3 numerical failure.  A
-non-fatal event, such as a capped balance or a failed sweep point (a NaN
-row), logs one line on stderr and leaves the exit code alone.
+non-fatal event (a capped balance, a failed sweep point) only logs a line.
 """
 
 from __future__ import annotations

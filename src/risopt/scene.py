@@ -127,8 +127,8 @@ class SceneDescription:
             object.__setattr__(self, name, arr)
             if arr.shape[0] < 1 or arr.shape[1] != 2:
                 raise ValueError(f"{name} must be a nonempty list of 2D points")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite positions")
+            if not np.abs(arr).max() <= MAX_COORDINATE:
+                raise ValueError(f"{name} must be finite and within {MAX_COORDINATE:g} m")
         wavelength(self.frequency)
         if not 0 <= self.max_reflection_order <= MAX_REFLECTION_ORDER:
             raise ValueError(
@@ -225,9 +225,8 @@ def _reject_pairs(sources, dests, walls):
     """Raise the GeometryError of the first rejected (source, destination)
     pair in destination-major order.
 
-    A pair is rejected when its two points lie within GEOM_EPS of each
-    other, or when either point lies on a wall; the first test wins.  Any
-    coordinate beyond MAX_COORDINATE rejects every pair before either test.
+    Any coordinate beyond MAX_COORDINATE rejects all; then pairs whose points
+    coincide within GEOM_EPS, then pairs with a point on a wall, are rejected.
     """
     if np.abs(sources).max() > MAX_COORDINATE or np.abs(dests).max() > MAX_COORDINATE:
         raise GeometryError(f"src or dst has a coordinate beyond {MAX_COORDINATE:g} m")

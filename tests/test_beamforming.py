@@ -261,9 +261,20 @@ class TestFixedPointBalance:
             fixed_point_power_balance(h, 0.0, 0.1)
 
     def test_more_users_than_antennas_warns(self, rng, caplog):
+        bf._warn_users_exceed_antennas.cache_clear()
         h = complex_normal(rng, 4, 2)
         fixed_point_power_balance(h, 1.0, 0.5)
         assert any("exceed" in m for m in caplog.messages)
+
+    def test_more_users_than_antennas_logs_once_per_shape(self, rng, caplog):
+        # one-channel solves and stacks of one (K, M) share the one record
+        bf._warn_users_exceed_antennas.cache_clear()
+        for shape in ((4, 2), (4, 2), (2, 4, 2), (3, 2), (3, 3)):
+            duality_beamformer(complex_normal(rng, *shape), 1.0, 0.5)
+        assert [m for m in caplog.messages if "exceed" in m] == [
+            "K=4 users exceed M=2 antennas; balancing may converge to low SINRs",
+            "K=3 users exceed M=2 antennas; balancing may converge to low SINRs",
+        ]
 
     def test_matches_bisection_reference_at_any_snr(self):
         # 1 <= K <= M <= 8, -30 to +60 dBm, noise 5e-14 to 5e-12 W: a stop

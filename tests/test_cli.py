@@ -2,6 +2,7 @@
 
 import json
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -515,6 +516,25 @@ class TestOptimizeCommand:
         config = load_ris_config(out / "ris_config.json")
         assert config.capacitances.size == 4
 
+    def test_more_users_than_antennas_is_logged_once(self, tmp_path, caplog):
+        # K > M depends on the scene alone: the hundreds of solves of an
+        # optimize on a 3-user, 2-antenna scene report it once
+        import risopt.beamforming as bf
+
+        scene = default_scene(n_ports=4, max_reflection_order=1)
+        path = tmp_path / "scene.json"
+        save_scene(replace(scene, bs_elements=scene.bs_elements[:2]), path)
+        bf._warn_users_exceed_antennas.cache_clear()
+        code = main(
+            ["optimize", "--scene", str(path), "--power-dbm", "10",
+             "--max-sweeps", "2", "--seed", "1",
+             "--out", str(tmp_path / "out"), "--reproducible"]
+        )
+        assert code == 0
+        assert [r.getMessage() for r in caplog.records if "exceed" in r.getMessage()] == [
+            "K=3 users exceed M=2 antennas; balancing may converge to low SINRs"
+        ]
+
     def test_no_ris_mode_reports_baseline(self, small_scene_path, tmp_path):
         out = tmp_path / "out"
         code = main(
@@ -999,13 +1019,17 @@ class TestExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert "every 1-bit configuration failed to evaluate" in err
+        caplog.clear()
         code = main(
             ["sweep", "--scene", small_scene_path, "--mode", "no-ris",
              "--power-dbm", "-2500", "--out", str(out / "sweep"), "--reproducible"]
         )
         assert code == 0
+        failed = [r.getMessage() for r in caplog.records if r.name == "risopt.cli"]
+        assert len(failed) == 1
+        assert failed[0].startswith("sweep point p=-2500.0 dBm mode=no-ris failed: ")
+        assert "underflowed to zero during balancing" in failed[0]
         err = capsys.readouterr().err + "\n".join(caplog.messages)
-        assert "underflowed to zero during balancing" in err
         assert "infs or NaNs" not in err
         _, cols = read_csv(out / "sweep" / "sweep.csv")
         assert np.isnan(cols["min_rate_bps_hz"]).all()

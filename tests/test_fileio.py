@@ -186,6 +186,22 @@ class TestSceneFile:
         with pytest.raises(ro.SceneFileError, match=r"walls\[0\]"):
             load_scene(path)
 
+    @pytest.mark.parametrize(
+        "key, name", [("bs", "bs_elements"), ("users", "user_positions")]
+    )
+    def test_a_point_beyond_the_coordinate_bound_is_refused_at_load(
+        self, key, name, tmp_path
+    ):
+        path = tmp_path / "scene.json"
+        save_scene(default_scene(n_ports=2, max_reflection_order=1), path)
+        doc = json.loads(path.read_text())
+        doc[key][0] = [1e151, 0.0]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(
+            ro.SceneFileError, match=f"^{name} must be finite and within 1e\\+150 m"
+        ):
+            load_scene(path)
+
     @pytest.mark.parametrize("grid", [0, False, [], "", "abc"])
     def test_a_grid_that_is_not_an_object_is_refused(self, grid, tmp_path):
         path = tmp_path / "scene.json"

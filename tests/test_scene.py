@@ -668,6 +668,14 @@ class TestSceneValidation:
             Wall(p1=(0, 0), p2=(1, far))
         Wall(p1=(0, 0), p2=(1, 1e150))
 
+    @pytest.mark.parametrize("far", [1e151, -np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["bs_elements", "ris_ports", "user_positions"])
+    def test_point_beyond_the_coordinate_bound_rejected(self, name, far):
+        scene = simple_scene(())
+        with pytest.raises(ValueError, match=f"^{name} must be finite and within 1e\\+150 m"):
+            replace(scene, **{name: [(0.0, 1.0), (far, 0.0)]})
+        replace(scene, **{name: [(0.0, 1.0), (-1e150, 0.0)]})
+
     def test_zero_length_wall_rejected(self):
         with pytest.raises(ValueError):
             Wall(p1=(1, 1), p2=(1, 1))
