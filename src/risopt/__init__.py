@@ -69,7 +69,6 @@ from .optimizer import (
     min_sinr_gradient,
     perturbation_study,
     rate_histogram,
-    suppress_boundary_gradient,
 )
 from .ris import (
     C_OFF,

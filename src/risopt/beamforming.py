@@ -9,11 +9,12 @@ downlink per-beam powers achieving the same SINRs with the same total power.
 ``duality_beamformer`` solves one channel, or a stack of channels for the
 1-bit sweeps with the same arithmetic, state by state bit for bit.  Every
 stage takes an optional leading stack axis and is written once: the
-kernels, the balance loop (``_balance``, whose one-channel entry is
-``fixed_point_power_balance``), the power recovery and the finish (scaling
-to the budget, the downlink report, the checks and logged reports).  A stack
-raises when any of its states fails; the sweeps then solve that stack again
-one channel at a time, which names each state's failure.
+kernels, the balance (``_balance``, with its checks and the K > M note;
+its one-channel entry is ``fixed_point_power_balance``), the power recovery
+and the finish (scaling to the budget, the downlink report, the checks and
+logged reports).  A stack raises when any of its states fails; the sweeps
+then solve that stack again one channel at a time, which names each state's
+failure.
 """
 
 from __future__ import annotations
@@ -211,13 +212,6 @@ class BalanceResult:
     converged: bool
 
 
-# The balance's entry and exit checks, for one channel or a stack.  The
-# solvers' checks test a condition with np.count_nonzero, which takes a
-# one-channel scalar and a stack alike and on a numpy scalar costs about
-# half of ``.any()`` and a quarter of np.any; the optimizer runs hundreds of
-# one-channel solves.
-
-
 @functools.cache  # K > M depends on the shape alone: each (K, M) logs once
 def _warn_users_exceed_antennas(k: int, m: int) -> None:
     logger.warning(
@@ -225,8 +219,22 @@ def _warn_users_exceed_antennas(k: int, m: int) -> None:
     )
 
 
-def _check_balance_inputs(h: np.ndarray, p_bs: float) -> None:
-    """A positive budget, and no user whose channel row is identically zero."""
+def _balance(h: np.ndarray, p_bs: float, sigma2: float) -> BalanceResult:
+    """The fixed-point balance of one (K, M) channel, or of each state of a
+    (B, K, M) stack to its own stop rule.
+
+    A nonpositive budget and a user whose channel row is identically zero
+    are refused, and K > M users logged, before the loop.  The stack
+    iterates whole until its states stop apart; those that stop are then set
+    aside in per-state arrays.  A user whose uplink power underflows to zero
+    (at a noise power some 1e240 times the budget) raises before its
+    combiner is normalized; a balanced uplink SINR of zero raises after the
+    loop.  One channel returns a Python ``int`` and ``bool``, which the
+    benchmark's tracer sums over ``fixed_point_power_balance`` calls.
+    """
+    # np.count_nonzero takes a one-channel scalar and a stack alike, and on a
+    # numpy scalar costs about half of ``.any()``: the optimizer runs
+    # hundreds of one-channel solves
     if p_bs <= 0:
         raise ValueError("power budget must be positive")
     dead = np.linalg.norm(h, axis=-1) == 0
@@ -234,33 +242,9 @@ def _check_balance_inputs(h: np.ndarray, p_bs: float) -> None:
         raise InfeasibleUserError(
             f"user {np.nonzero(dead)[-1][0]} has an identically zero channel row"
         )
-
-
-def _balanced(h, unit, q, sigma2: float, iterations, converged) -> BalanceResult:
-    """The uplink SINRs of the balanced powers, none of them zero."""
-    sinr = uplink_sinr(h, unit, q, sigma2)
-    if not sinr.min() > 0:
-        raise InfeasibleUserError("a user SINR collapsed to zero during balancing")
-    return BalanceResult(
-        powers=q,
-        combiner=unit,
-        sinr=sinr,
-        iterations=iterations,
-        converged=converged,
-    )
-
-
-def _balance(h: np.ndarray, p_bs: float, sigma2: float) -> BalanceResult:
-    """The fixed-point balance of one (K, M) channel, or of each state of a
-    (B, K, M) stack to its own stop rule.  The stack iterates whole until its
-    states stop apart; those that stop are then set aside in per-state
-    arrays.  A user whose uplink power underflows to zero (at a noise power
-    some 1e240 times the budget) raises before its combiner is normalized.
-    One channel returns a Python ``int`` and ``bool``, which the benchmark's
-    tracer sums over ``fixed_point_power_balance`` calls; a stacked
-    ``duality_beamformer`` calls this loop, not that name.
-    """
-    k = h.shape[-2]
+    k, m = h.shape[-2:]
+    if k > m:
+        _warn_users_exceed_antennas(k, m)
     hs = h  # the states still iterating
     q = np.full(h.shape[:-1], p_bs / k)
     root = np.nan  # NaN fails the stop rule at the first iteration
@@ -293,13 +277,20 @@ def _balance(h: np.ndarray, p_bs: float, sigma2: float) -> BalanceResult:
             iterations_all[out], converged_all[out] = iterations, True
             going = ~done
             index, hs, q, root = index[going], hs[going], q[going], root[going]
-    if index is None:
-        if h.ndim == 2:
-            return _balanced(h, unit, q, sigma2, iterations, bool(done))
-        return _balanced(h, unit, q, sigma2, np.full(len(h), iterations), done)
-    q_all[index], unit_all[index] = q, unit
-    iterations_all[index], converged_all[index] = iterations, done
-    return _balanced(h, unit_all, q_all, sigma2, iterations_all, converged_all)
+    if index is not None:
+        q_all[index], unit_all[index] = q, unit
+        iterations_all[index], converged_all[index] = iterations, done
+        q, unit, iterations, done = q_all, unit_all, iterations_all, converged_all
+    elif h.ndim == 2:
+        done = bool(done)
+    else:
+        iterations = np.full(len(h), iterations)
+    sinr = uplink_sinr(h, unit, q, sigma2)
+    if not sinr.min() > 0:
+        raise InfeasibleUserError("a user SINR collapsed to zero during balancing")
+    return BalanceResult(
+        powers=q, combiner=unit, sinr=sinr, iterations=iterations, converged=done
+    )
 
 
 def fixed_point_power_balance(h, p_bs: float, sigma2: float) -> BalanceResult:
@@ -314,10 +305,8 @@ def fixed_point_power_balance(h, p_bs: float, sigma2: float) -> BalanceResult:
     (``converged``) or after BALANCE_MAX_ITER iterations.
     """
     hm = _channel_matrix(h)
-    k, m = hm.shape
-    _check_balance_inputs(hm, p_bs)
-    if k > m:
-        _warn_users_exceed_antennas(k, m)
+    if hm.ndim != 2:
+        raise ValueError(f"expected one (K, M) channel, got {hm.shape}")
     return _balance(hm, p_bs, sigma2)
 
 
@@ -422,18 +411,13 @@ def duality_beamformer(
     stack every field but ``power_budget`` and ``noise_power`` carries the
     leading stack axis.  A capped balance logs before the recovery is
     checked, and a downlink SINR off its uplink value by over 1e-6 relative
-    logs after.  One channel runs through ``fixed_point_power_balance`` and
-    logs K > M users before it; a stack raises the one-channel error for
-    the whole stack when any state fails, and logs K > M users last.
+    logs after.  One channel runs through ``fixed_point_power_balance``, a
+    stack through ``_balance`` directly, and either logs K > M users before
+    it balances; a stack raises the one-channel error for the whole stack
+    when any state fails.
     """
     hm = _channel_matrix(h)
-    if hm.ndim == 2:
-        return _solve(hm, fixed_point_power_balance(hm, p_bs, sigma2), p_bs, sigma2)
-    if hm.ndim != 3:
+    if hm.ndim not in (2, 3):
         raise ValueError(f"expected a (K, M) channel or a (B, K, M) stack, got {hm.shape}")
-    _, k, m = hm.shape
-    _check_balance_inputs(hm, p_bs)
-    solved = _solve(hm, _balance(hm, p_bs, sigma2), p_bs, sigma2)
-    if k > m:
-        _warn_users_exceed_antennas(k, m)
-    return solved
+    balance = fixed_point_power_balance if hm.ndim == 2 else _balance
+    return _solve(hm, balance(hm, p_bs, sigma2), p_bs, sigma2)

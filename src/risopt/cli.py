@@ -402,6 +402,11 @@ def run_gain_map(ws: Workspace) -> list:
             f"the scene has {scene.dims[1]} antennas and {scene.dims[2]} ports, "
             f"the channel file {ws.components.dims[1]} and {ws.components.dims[2]}"
         )
+    if scene.frequency != ws.components.frequency:
+        raise SceneFileError(
+            f"the scene is at {scene.frequency!r} Hz, "
+            f"the channel file at {ws.components.frequency!r} Hz"
+        )
     mode = cfg.modes[0]
     beamformer, _, config, _ = _solve(ws, mode, cfg.powers_watts()[-1])
     points = scene.grid.points()

@@ -148,17 +148,6 @@ class OptimizationTrace:
         }
 
 
-def suppress_boundary_gradient(
-    g: float, c: float, c_min: float, c_max: float
-) -> float:
-    """Zero out gradient components that point outside the tuning range."""
-    if c >= c_max and g > 0:
-        return 0.0
-    if c <= c_min and g < 0:
-        return 0.0
-    return g
-
-
 class OptimizerState:
     """Mutable state threaded through the coordinate sweeps.
 
@@ -241,7 +230,10 @@ def min_sinr_gradient(state: OptimizerState, group: int) -> float:
 
 
 def _armijo_search(objective, current_value, c, g, c_min, c_max):
-    """Backtracking search along sign(g); returns (new_c, new_value) or None."""
+    """Backtracking search along sign(g) with each trial projected onto
+    [c_min, c_max]; returns (new_c, new_value) or None.  A trial that the
+    projection leaves at ``c`` is not scored, so a gradient pointing out of
+    the range at a bound returns None without an objective call."""
     d = 1.0 if g > 0 else -1.0
     rho = ARMIJO_STEP
     while rho >= ARMIJO_STEP_MIN:
@@ -255,16 +247,18 @@ def _armijo_search(objective, current_value, c, g, c_min, c_max):
 
 
 def armijo_coordinate_step(
-    state: OptimizerState, group: int, g_suppressed: float, sweep: int
+    state: OptimizerState, group: int, g: float, sweep: int
 ) -> StepRecord | None:
     """One projected Armijo update of a single group capacitance.
 
-    No-op when the suppressed gradient is zero or no step passes the
-    sufficient-increase test before the step floor.  On acceptance the state
-    adopts the accepted trial's channel and beamformer.  A trial that fails
-    to assemble or solve ends the search and leaves the state unchanged.
+    No-op when the gradient is zero, when it points out of the tuning range
+    at a bound (the projection leaves every trial at ``c``), or when no step
+    passes the sufficient-increase test before the step floor.  On
+    acceptance the state adopts the accepted trial's channel and
+    beamformer.  A trial that fails to assemble or solve ends the search and
+    leaves the state unchanged.
     """
-    if g_suppressed == 0.0:
+    if g == 0.0:
         return None
     c = state.group_value(group)
     before = state.sinr_min
@@ -273,7 +267,7 @@ def armijo_coordinate_step(
             lambda value: state.objective_at(group, value),
             before,
             c,
-            g_suppressed,
+            g,
             state.model.c_min,
             state.model.c_max,
         )
@@ -299,13 +293,8 @@ def bcd_sweep(state: OptimizerState, sweep: int) -> tuple[float, list]:
     start = state.sinr_min
     records = []
     for group in state.config.group_keys():
-        g_tilde = suppress_boundary_gradient(
-            min_sinr_gradient(state, group),
-            state.group_value(group),
-            state.model.c_min,
-            state.model.c_max,
-        )
-        record = armijo_coordinate_step(state, group, g_tilde, sweep)
+        g = min_sinr_gradient(state, group)
+        record = armijo_coordinate_step(state, group, g, sweep)
         if record is not None:
             records.append(record)
     return state.sinr_min - start, records

@@ -260,6 +260,12 @@ class TestFixedPointBalance:
         with pytest.raises(ValueError):
             fixed_point_power_balance(h, 0.0, 0.1)
 
+    def test_a_stack_is_refused(self, rng):
+        # a stack balances through duality_beamformer, not the one-channel entry
+        refused = r"expected one \(K, M\) channel, got \(2, 3, 3\)"
+        with pytest.raises(ValueError, match=refused):
+            fixed_point_power_balance(complex_normal(rng, 2, 3, 3), 1.0, 0.1)
+
     def test_more_users_than_antennas_warns(self, rng, caplog):
         bf._warn_users_exceed_antennas.cache_clear()
         h = complex_normal(rng, 4, 2)
@@ -631,6 +637,17 @@ class TestDualityStack:
             assert caplog.messages == [
                 "power balance stopped after 1 iterations without converging"
             ] * states
+
+    def test_a_capped_stack_logs_k_above_m_before_its_capped_records(
+        self, rng, monkeypatch, caplog
+    ):
+        # the balance logs K > M on entry, so before the finish logs its caps
+        bf._warn_users_exceed_antennas.cache_clear()
+        monkeypatch.setattr(bf, "BALANCE_MAX_ITER", 1)
+        duality_beamformer(complex_normal(rng, 4, 3, 2), 1.0, 0.3)
+        assert caplog.messages[:5] == [
+            "K=3 users exceed M=2 antennas; balancing may converge to low SINRs"
+        ] + ["power balance stopped after 1 iterations without converging"] * 4
 
     def test_capped_balance_warns_as_the_scalar_path(self, rng, monkeypatch, caplog):
         monkeypatch.setattr(bf, "BALANCE_MAX_ITER", 1)

@@ -448,6 +448,29 @@ class TestGainmapCommand:
         assert "4 ports, the channel file 3 and 20" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_channel_file_at_another_frequency_is_config_error(
+        self, small_scene_path, tmp_path, capsys
+    ):
+        # the same array traced at 6.2 GHz: the grid rows would be traced at
+        # the scene's frequency, the loads and the beamformer at the file's
+        from risopt.fileio import load_scene
+
+        scene = load_scene(small_scene_path)
+        other = replace(scene, frequency=6.2e9)
+        save_components(ro.synthesize_components(other), tmp_path / "channels.json")
+        code = main(
+            [
+                "gainmap", "--scene", small_scene_path,
+                "--channels", str(tmp_path / "channels.json"),
+                "--out", str(tmp_path / "out"), "--reproducible",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"the scene is at {scene.frequency!r} Hz" in err
+        assert "the channel file at 6200000000.0 Hz" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("port_side", ["scene", "channel-file"])
     def test_ris_map_uses_the_solved_port_side(
         self, port_side, small_scene_path, tmp_path

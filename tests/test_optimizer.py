@@ -24,7 +24,6 @@ from risopt.optimizer import (
     min_sinr_gradient,
     perturbation_study,
     rate_histogram,
-    suppress_boundary_gradient,
 )
 from risopt.ris import (
     DEFAULT_VARACTOR,
@@ -84,20 +83,6 @@ class TestMinSinrGradient:
         assert g == pytest.approx(expected, rel=1e-12)
 
 
-class TestSuppressBoundaryGradient:
-    def test_outward_at_upper_bound_suppressed(self):
-        assert suppress_boundary_gradient(+1.0, 1.2e-12, 0.2e-12, 1.2e-12) == 0.0
-
-    def test_inward_at_upper_bound_kept(self):
-        assert suppress_boundary_gradient(-1.0, 1.2e-12, 0.2e-12, 1.2e-12) == -1.0
-
-    def test_outward_at_lower_bound_suppressed(self):
-        assert suppress_boundary_gradient(-2.0, 0.2e-12, 0.2e-12, 1.2e-12) == 0.0
-
-    def test_interior_unchanged(self):
-        assert suppress_boundary_gradient(0.37, 0.5e-12, 0.2e-12, 1.2e-12) == 0.37
-
-
 class TestArmijoSearch:
     def test_quadratic_objective_monotone_steps(self):
         # concave quadratic with maximizer inside the bounds
@@ -130,6 +115,34 @@ class TestArmijoSearch:
         assert found is not None
         new_c, _ = found
         assert new_c == 1.2e-12  # exact projection, not within epsilon
+
+    @pytest.mark.parametrize(
+        "c, g, steps",
+        [
+            (1.2e-12, +1.0, False),
+            (0.2e-12, -2.0, False),
+            (1.2e-12, -1.0, True),
+            (0.2e-12, +2.0, True),
+        ],
+        ids=["upper-outward", "lower-outward", "upper-inward", "lower-inward"],
+    )
+    def test_a_bound_stops_only_an_outward_search(self, c, g, steps):
+        # outward, the projection leaves every trial at c, so none is scored;
+        # inward, the objective climbs along g and the first trial passes
+        calls = []
+
+        def objective(trial):
+            calls.append(trial)
+            return g * trial
+
+        found = _armijo_search(objective, g * c, c, g, 0.2e-12, 1.2e-12)
+        if not steps:
+            assert found is None
+            assert calls == []
+            return
+        new_c, _ = found
+        assert calls == [new_c]
+        assert new_c == pytest.approx(c + np.sign(g) * 0.2e-12, rel=1e-12)
 
     def test_zero_gradient_is_noop_without_evaluations(self, rng):
         state = make_state(rng, grouping=identity_grouping(20))
